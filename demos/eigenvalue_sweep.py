@@ -19,7 +19,7 @@ import os
 
 import numpy as np
 
-from lossgeom import ModelParams, SweepSpec, emit_svg, run_sigma_z_sweep
+from lossgeom import ModelParams, SweepSpec, emit_svg, point_means, run_sigma_z_sweep
 
 
 def main():
@@ -38,9 +38,7 @@ def main():
     records = run_sigma_z_sweep(ModelParams(seed=0), spec)
 
     grid = spec.grid()
-    tops = np.array([r.top_eigenvalue for r in records]).reshape(
-        args.points, args.repeats
-    ).mean(axis=1)
+    tops = point_means(records, "top_eigenvalue")
     for sigma_z, top in zip(grid, tops):
         bar = "#" * max(1, int(40 * top / tops.max()))
         print(f"  sigma_z {sigma_z:9.4g}  top {top:10.4g}  {bar}")

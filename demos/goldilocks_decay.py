@@ -14,10 +14,9 @@ low-dimensional probes of the full landscape trustworthy in this regime.
 import argparse
 import os
 
-import numpy as np
 import scipy.stats
 
-from lossgeom import ModelParams, SweepSpec, run_sigma_z_sweep
+from lossgeom import ModelParams, SweepSpec, point_means, run_sigma_z_sweep
 
 
 def main():
@@ -32,9 +31,8 @@ def main():
     records = run_sigma_z_sweep(ModelParams(seed=0), spec, fixed_sigma_e=True)
 
     grid = spec.grid()
-    shape = (args.points, args.repeats)
-    full = np.array([r.trace_ratio for r in records]).reshape(shape).mean(axis=1)
-    proj = np.array([r.projected_trace_ratio for r in records]).reshape(shape).mean(axis=1)
+    full = point_means(records, "trace_ratio")
+    proj = point_means(records, "projected_trace_ratio")
 
     print("sigma_z        trace/||H||   projected (d=10)")
     for sigma_z, f, p in zip(grid, full, proj):

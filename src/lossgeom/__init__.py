@@ -8,6 +8,8 @@ gradients confined to the outlier eigenspace, a logit-variance-driven rise
 of the top eigenvalue, and the decay of the trace-to-norm curvature ratio.
 """
 
+import types
+
 from .clustering import (
     ClusteringReport,
     clustering_report,
@@ -17,7 +19,6 @@ from .clustering import (
     predicted_q_sl,
     q_dl,
     q_sl,
-    q_slsc,
 )
 from .config import ConfigError, RunConfig, parse_config
 from .dumps import (
@@ -25,6 +26,7 @@ from .dumps import (
     DumpLabelError,
     DumpMagicError,
     DumpTruncatedError,
+    DumpValueError,
     LogitGradientDump,
     read_dump,
     write_dump,
@@ -32,8 +34,11 @@ from .dumps import (
 from .experiments import (
     SweepRecord,
     SweepSpec,
+    point_means,
+    run_clustering_experiment,
     run_freezing_experiment,
     run_overlap_experiment,
+    run_projection_experiment,
     run_sigma_z_sweep,
     run_snr_sweep,
     run_spectrum_experiment,
@@ -77,21 +82,8 @@ from .svgplot import emit_svg
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClusteringReport", "ConfigError", "DumpError", "DumpLabelError",
-    "DumpMagicError", "DumpTruncatedError", "LogitEnsemble",
-    "LogitGradientDump", "LogitGradientSet", "ModelParams", "OutlierReport",
-    "RngStream", "RunConfig", "SweepRecord", "SweepSpec", "SymmetricSpectrum",
-    "assign_labels", "class_coupling_matrix", "clustered_hessian",
-    "clustering_report", "cosine", "cross_entropy_loss", "detect_outliers",
-    "eigh", "emit_svg", "empirical_class_means", "freezing_stats",
-    "gaussian_matrix", "gradient_overlaps", "logit_gradient", "logit_hessian",
-    "model_hessian", "parse_config", "per_class_q_slsc", "predicted_q_sl",
-    "project_hessian", "q_dl", "q_sl", "q_slsc", "random_orthonormal_basis",
-    "read_dump", "run_freezing_experiment", "run_overlap_experiment",
-    "run_sigma_z_sweep", "run_snr_sweep", "run_spectrum_experiment",
-    "sample_ensemble", "sample_logit_gradients", "sample_logits",
-    "sample_mean_logit_gradients", "sample_residuals", "shannon_entropy",
-    "softmax_probs", "spectral_norm", "substream", "trace_norm_ratio",
-    "weight_gradient", "write_dump",
-]
+# every public name imported above; submodules are not part of the API
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

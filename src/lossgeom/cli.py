@@ -8,7 +8,8 @@ stdout). Exit codes: 0 success, 1 validation error (bad arguments, config,
 parameters or dump contents), 2 I/O error.
 
 All CSVs are written with 17 significant digits so they re-parse to the
-exact values computed; identical config + seed gives byte-identical files.
+exact values computed. The same config, seed, numpy/scipy/BLAS build and BLAS
+thread count give byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
@@ -25,35 +26,25 @@ from .clustering import clustering_report, predicted_q_sl
 from .config import ConfigError, RunConfig, parse_config
 from .dumps import DumpError, read_dump
 from .experiments import (
+    SweepRecord,
     SweepSpec,
+    point_means,
+    run_clustering_experiment,
     run_freezing_experiment,
     run_overlap_experiment,
+    run_projection_experiment,
     run_sigma_z_sweep,
     run_snr_sweep,
     run_spectrum_experiment,
-    _sample_instance,
 )
-from .gradients import model_hessian, weight_gradient
 from .params import ModelParams
-from .rng import substream
-from .spectra import (
-    detect_outliers,
-    eigh,
-    gradient_overlaps,
-    project_hessian,
-    random_orthonormal_basis,
-    spectral_norm,
-    trace_norm_ratio,
-)
+from .spectra import spectral_norm, top10_power, trace_norm_ratio
 from .svgplot import emit_svg
 
 DEFAULT_SNR_GRID = (10.0, 2.04, 0.5, 0.1, 0.01)
+SNR_FIELDS = ("snr", "n_outliers", "q_sl")
 
-SWEEP_CSV_HEADER = (
-    "sigma_z,sigma_c,top_eigenvalue,trace,spectral_norm,trace_ratio,"
-    "projected_trace_ratio,mean_entropy,mean_max_prob,n_outliers,"
-    "grad_power_top10,repeat"
-)
+SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRecord))
 
 
 class _UsageError(Exception):
@@ -65,23 +56,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _format(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 def _write_csv(path: str, header: str, rows) -> None:
+    # 17 significant digits also print every integer below 2**53 exactly
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(_format(v) for v in row) + "\n")
+            fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
+    # serialize first: a payload with NaN/inf raises before the file exists
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _cmd_spectrum(cfg: RunConfig, outdir: str, args) -> dict:
@@ -89,7 +76,7 @@ def _cmd_spectrum(cfg: RunConfig, outdir: str, args) -> dict:
     _write_csv(
         os.path.join(outdir, "spectrum.csv"),
         "index,eigenvalue",
-        ((i, v) for i, v in enumerate(spectrum.eigenvalues)),
+        enumerate(spectrum.eigenvalues),
     )
     payload = {
         "n_outliers": report.n_outliers,
@@ -112,8 +99,7 @@ def _cmd_overlap(cfg: RunConfig, outdir: str, args) -> dict:
         "index,cosine,cumulative_power",
         ((i, c, p) for i, (c, p) in enumerate(zip(cosines, cumulative))),
     )
-    top10 = float(cumulative[min(10, cumulative.shape[0]) - 1])
-    payload = {"grad_power_top10": top10}
+    payload = {"grad_power_top10": top10_power(cumulative)}
     _write_json(os.path.join(outdir, "overlap.json"), payload)
     return payload
 
@@ -123,24 +109,13 @@ def _cmd_sweep_sigmaz(cfg: RunConfig, outdir: str, args) -> dict:
     _write_csv(
         os.path.join(outdir, "sweep.csv"),
         SWEEP_CSV_HEADER,
-        (
-            (
-                r.sigma_z, r.sigma_c, r.top_eigenvalue, r.trace, r.spectral_norm,
-                r.trace_ratio, r.projected_trace_ratio, r.mean_entropy,
-                r.mean_max_prob, r.n_outliers, r.grad_power_top10, r.repeat,
-            )
-            for r in records
-        ),
+        (astuple(r) for r in records),
     )
     if cfg.emit_svg:
         emit_svg(records, "sweep", os.path.join(outdir, "sweep.svg"))
     grid = cfg.sweep.grid()
-    tops = np.array([r.top_eigenvalue for r in records]).reshape(
-        cfg.sweep.points, cfg.sweep.repeats
-    ).mean(axis=1)
-    ratios = np.array([r.trace_ratio for r in records]).reshape(
-        cfg.sweep.points, cfg.sweep.repeats
-    ).mean(axis=1)
+    tops = point_means(records, "top_eigenvalue")
+    ratios = point_means(records, "trace_ratio")
     return {
         "points": cfg.sweep.points,
         "repeats": cfg.sweep.repeats,
@@ -153,12 +128,8 @@ def _cmd_sweep_sigmaz(cfg: RunConfig, outdir: str, args) -> dict:
 
 def _cmd_sweep_snr(cfg: RunConfig, outdir: str, args) -> dict:
     results = run_snr_sweep(cfg.params, DEFAULT_SNR_GRID)
-    _write_csv(os.path.join(outdir, "snr_sweep.csv"), "snr,n_outliers,q_sl", results)
-    return {
-        "rows": [
-            {"snr": snr, "n_outliers": n, "q_sl": q} for snr, n, q in results
-        ]
-    }
+    _write_csv(os.path.join(outdir, "snr_sweep.csv"), ",".join(SNR_FIELDS), results)
+    return {"rows": [dict(zip(SNR_FIELDS, row)) for row in results]}
 
 
 def _cmd_freeze(cfg: RunConfig, outdir: str, args) -> dict:
@@ -187,8 +158,7 @@ def _cmd_cluster(cfg: RunConfig, outdir: str, args) -> dict:
         report = clustering_report(dump.data, dump.labels)
         payload = {"source": args.input}
     else:
-        ensemble, grads = _sample_instance(cfg.params)
-        report = clustering_report(grads, ensemble.labels)
+        report = run_clustering_experiment(cfg.params)
         payload = {
             "source": "model",
             "predicted_q_sl": predicted_q_sl(cfg.params.sigma_c, cfg.params.sigma_e),
@@ -204,20 +174,15 @@ def _cmd_cluster(cfg: RunConfig, outdir: str, args) -> dict:
 
 
 def _cmd_project(cfg: RunConfig, outdir: str, args) -> dict:
-    params = cfg.params
-    ensemble, grads = _sample_instance(params)
-    hessian = model_hessian(grads, ensemble)
-    spectrum = eigh(hessian)
-    basis = random_orthonormal_basis(params, substream(params.seed, "hyperplane"))
-    projected = eigh(project_hessian(hessian, basis))
+    spectrum, projected = run_projection_experiment(cfg.params)
     _write_csv(
         os.path.join(outdir, "projected_spectrum.csv"),
         "index,eigenvalue",
-        ((i, v) for i, v in enumerate(projected.eigenvalues)),
+        enumerate(projected.eigenvalues),
     )
     tol = 1e-9 * max(spectral_norm(spectrum), 1e-300)
     payload = {
-        "hyperplane_dim": params.hyperplane_dim,
+        "hyperplane_dim": cfg.params.hyperplane_dim,
         "top_full": float(spectrum.eigenvalues[0]),
         "top_projected": float(projected.eigenvalues[0]),
         "full_trace_ratio": trace_norm_ratio(spectrum),
@@ -274,6 +239,8 @@ def run_command(argv) -> int:
         outdir = args.out if args.out is not None else cfg.output_dir
         os.makedirs(outdir, exist_ok=True)
         payload = _COMMANDS[args.command](cfg, outdir, args)
+        if args.json:
+            print(json.dumps(payload, sort_keys=True, allow_nan=False))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -283,8 +250,6 @@ def run_command(argv) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
     return 0
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import LogitGradientSet
+from .gradients import gradient_tensor
 
 
 @dataclass(frozen=True)
@@ -49,15 +49,6 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip((u @ v) / (nu * nv), -1.0, 1.0))
 
 
-def _gradient_tensor(grads) -> np.ndarray:
-    if isinstance(grads, LogitGradientSet):
-        return grads.composed()
-    tensor = np.asarray(grads, dtype=float)
-    if tensor.ndim != 3:
-        raise ValueError(f"expected an (N, C, D) tensor, got shape {tensor.shape}")
-    return tensor
-
-
 def _unit_rows(tensor: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(tensor, axis=-1)
     if np.any(norms == 0.0):
@@ -71,17 +62,12 @@ def _pair_mean(unit_sum: np.ndarray, count: int) -> float:
     return (float(unit_sum @ unit_sum) - count) / (count * (count - 1))
 
 
-def q_slsc(grads, labels: np.ndarray) -> float:
-    """Same-logit-same-class statistic (mean of :func:`per_class_q_slsc`)."""
-    return float(per_class_q_slsc(grads, labels).mean())
-
-
 def per_class_q_slsc(grads, labels: np.ndarray) -> np.ndarray:
     """Per-class mean pairwise cosine of {dz[mu,k]/dW : label(mu) = k}.
 
     Errors if any class has fewer than two labeled examples.
     """
-    tensor = _gradient_tensor(grads)
+    tensor = gradient_tensor(grads)
     labels = np.asarray(labels)
     n, c, _ = tensor.shape
     values = np.empty(c)
@@ -96,13 +82,9 @@ def per_class_q_slsc(grads, labels: np.ndarray) -> np.ndarray:
     return values
 
 
-def q_sl(grads, labels: np.ndarray | None = None) -> float:
-    """Same-logit statistic: mean cosine over all example pairs, per logit.
-
-    ``labels`` is accepted for signature parity with :func:`q_slsc` but the
-    statistic is label-free and ignores it.
-    """
-    tensor = _gradient_tensor(grads)
+def q_sl(grads) -> float:
+    """Same-logit statistic: mean cosine over all example pairs, per logit."""
+    tensor = gradient_tensor(grads)
     n, c, _ = tensor.shape
     if n < 2:
         raise ValueError(f"need at least 2 examples, got {n}")
@@ -113,7 +95,7 @@ def q_sl(grads, labels: np.ndarray | None = None) -> float:
 
 def q_dl(grads) -> float:
     """Different-logits statistic: mean cosine over pairs with k != l, mu != nu."""
-    tensor = _gradient_tensor(grads)
+    tensor = gradient_tensor(grads)
     n, c, _ = tensor.shape
     if n < 2 or c < 2:
         raise ValueError(f"need N >= 2 and C >= 2, got N={n}, C={c}")
@@ -143,7 +125,7 @@ def predicted_q_sl(sigma_c: float, sigma_e: float) -> float:
 
 def empirical_class_means(grads, labels: np.ndarray) -> np.ndarray:
     """Row k = mean of dz[mu,k]/dW over examples labeled k. Errors on empty classes."""
-    tensor = _gradient_tensor(grads)
+    tensor = gradient_tensor(grads)
     labels = np.asarray(labels)
     n, c, d = tensor.shape
     means = np.empty((c, d))
@@ -157,10 +139,11 @@ def empirical_class_means(grads, labels: np.ndarray) -> np.ndarray:
 
 def clustering_report(grads, labels: np.ndarray) -> ClusteringReport:
     """All three statistics plus the per-class same-logit-same-class vector."""
-    per_class = per_class_q_slsc(grads, labels)
+    tensor = gradient_tensor(grads)
+    per_class = per_class_q_slsc(tensor, labels)
     return ClusteringReport(
         q_slsc=float(per_class.mean()),
-        q_sl=q_sl(grads),
-        q_dl=q_dl(grads),
+        q_sl=q_sl(tensor),
+        q_dl=q_dl(tensor),
         per_class_q=per_class,
     )

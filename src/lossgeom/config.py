@@ -17,6 +17,7 @@ output_dir and emit_svg.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from .experiments import SweepSpec
 from .params import ModelParams
@@ -35,39 +36,27 @@ class RunConfig:
     emit_svg: bool = False
 
 
-_INT_KEYS = {"n_examples", "n_classes", "n_weights", "seed", "hyperplane_dim",
-             "points", "repeats"}
-_FLOAT_KEYS = {"sigma_z", "sigma_c", "sigma_e", "length_beta", "target_accuracy",
-               "sigma_z_min", "sigma_z_max", "gamma", "sigma_z_ref"}
-_BOOL_KEYS = {"emit_svg", "fixed_sigma_e"}
-_STR_KEYS = {"scale", "output_dir"}
-_PARAM_KEYS = {f.name for f in fields(ModelParams)}
-_SWEEP_KEYS = {f.name for f in fields(SweepSpec)}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
+# every scalar field of the three records is a key, typed by its annotation
+_KEY_TYPES = {
+    name: kind
+    for cls in (ModelParams, SweepSpec, RunConfig)
+    for name, kind in get_type_hints(cls).items()
+    if kind in (int, float, bool, str)
+}
 
-_TRUE_WORDS = {"true", "yes", "1"}
-_FALSE_WORDS = {"false", "no", "0"}
+_BOOL_WORDS = {"true": True, "yes": True, "1": True,
+               "false": False, "no": False, "0": False}
+_NOUNS = {int: "an integer", float: "a real number", bool: "a boolean"}
 
 
 def _parse_value(key: str, raw: str, where: str) -> object:
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: key '{key}' needs an integer, got {raw!r}")
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: key '{key}' needs a real number, got {raw!r}")
-    if key in _BOOL_KEYS:
-        word = raw.lower()
-        if word in _TRUE_WORDS:
-            return True
-        if word in _FALSE_WORDS:
-            return False
-        raise ConfigError(f"{where}: key '{key}' needs a boolean, got {raw!r}")
-    return raw
+    kind = _KEY_TYPES[key]
+    try:
+        if kind is bool:
+            return _BOOL_WORDS[raw.lower()]
+        return kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{where}: key '{key}' needs {_NOUNS[kind]}, got {raw!r}")
 
 
 def parse_config(path: str) -> RunConfig:
@@ -84,7 +73,7 @@ def parse_config(path: str) -> RunConfig:
         if "=" not in text:
             raise ConfigError(f"{where}: expected 'key = value', got {line.strip()!r}")
         key, raw = (part.strip() for part in text.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"{where}: unknown key '{key}'")
         if key in seen:
             raise ConfigError(f"{where}: duplicate key '{key}'")
@@ -92,15 +81,12 @@ def parse_config(path: str) -> RunConfig:
             raise ConfigError(f"{where}: key '{key}' has no value")
         seen[key] = _parse_value(key, raw, where)
 
+    def keys_of(cls) -> dict[str, object]:
+        return {f.name: seen[f.name] for f in fields(cls) if f.name in seen}
+
     try:
-        params = ModelParams(**{k: v for k, v in seen.items() if k in _PARAM_KEYS})
-        sweep = SweepSpec(**{k: v for k, v in seen.items() if k in _SWEEP_KEYS})
+        params = ModelParams(**keys_of(ModelParams))
+        sweep = SweepSpec(**keys_of(SweepSpec))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return RunConfig(
-        params=params,
-        sweep=sweep,
-        fixed_sigma_e=bool(seen.get("fixed_sigma_e", False)),
-        output_dir=str(seen.get("output_dir", "out")),
-        emit_svg=bool(seen.get("emit_svg", False)),
-    )
+    return RunConfig(params=params, sweep=sweep, **keys_of(RunConfig))

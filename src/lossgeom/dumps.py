@@ -15,8 +15,9 @@ digits (lossless for float64); labels live in a sidecar file named
 C is inferred from the row count.
 
 Malformed inputs raise distinct diagnostics: :class:`DumpMagicError`,
-:class:`DumpTruncatedError` (with expected vs. actual byte counts) and
-:class:`DumpLabelError`.
+:class:`DumpTruncatedError` (with expected vs. actual byte counts),
+:class:`DumpLabelError` and :class:`DumpValueError` (a NaN or infinite
+gradient entry).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import LogitGradientSet
+from .gradients import gradient_tensor
 
 MAGIC = b"LGRD"
 VERSION = 1
@@ -50,6 +51,10 @@ class DumpLabelError(DumpError):
     """A label lies outside [0, C)."""
 
 
+class DumpValueError(DumpError):
+    """A gradient entry is NaN or infinite."""
+
+
 @dataclass(frozen=True)
 class LogitGradientDump:
     """An ingested (N, C, D) gradient tensor with per-example labels."""
@@ -63,15 +68,6 @@ class LogitGradientDump:
         return self.data.shape
 
 
-def _tensor_of(grads) -> np.ndarray:
-    if isinstance(grads, LogitGradientSet):
-        return grads.composed()
-    tensor = np.asarray(grads, dtype=float)
-    if tensor.ndim != 3:
-        raise ValueError(f"expected an (N, C, D) tensor, got shape {tensor.shape}")
-    return tensor
-
-
 def _csv_sidecar(path: str) -> str:
     stem, _ = os.path.splitext(path)
     return stem + ".labels.csv"
@@ -79,7 +75,7 @@ def _csv_sidecar(path: str) -> str:
 
 def write_dump(path: str, grads, labels) -> None:
     """Write a gradient set/tensor plus labels in the format ``path`` implies."""
-    tensor = _tensor_of(grads)
+    tensor = gradient_tensor(grads)
     n, c, d = tensor.shape
     labels = np.asarray(labels, dtype=np.int32)
     if labels.shape != (n,):
@@ -140,6 +136,13 @@ def _read_csv_dump(path: str) -> LogitGradientDump:
 def _checked(
     path: str, data: np.ndarray, labels: np.ndarray, version: int
 ) -> LogitGradientDump:
+    # min and max propagate NaN and expose +-inf without a full-size mask
+    if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        mu, k, j = (int(i) for i in np.argwhere(~np.isfinite(data))[0])
+        raise DumpValueError(
+            f"{path}: non-finite value {float(data[mu, k, j])} at example {mu}, "
+            f"logit {k}, weight {j}"
+        )
     c = data.shape[1]
     bad = (labels < 0) | (labels >= c)
     if bad.any():

@@ -1,10 +1,13 @@
-"""Experiment orchestration: the four property experiments and the sweeps.
+"""Experiment orchestration: the property experiments and the sweeps.
 
-Each experiment is a pure function of a :class:`ModelParams` (plus a sweep
-spec where applicable): identical inputs give identical outputs. Sweep tasks
-draw from labeled substreams (``sweep:<point>:<repeat>:<role>``), so points
-and repeats are independent and could run concurrently; this implementation
-executes them serially in grid order, which is also the merge order.
+Every Hessian measurement takes one path, :func:`_instance` (sample the
+ensemble and gradients, assemble H, solve it), and every projected spectrum
+another, :func:`_projected`. Each experiment is a pure function of a
+:class:`ModelParams` (plus a sweep spec where applicable): identical inputs
+give identical outputs. Sweep tasks draw from labeled substreams
+(``sweep:<point>:<repeat>:<role>``), so points and repeats are independent
+and could run concurrently; this implementation executes them serially in
+grid order, which is also the merge order.
 
 Labels are re-drawn per sweep point and repeat at the configured target
 accuracy: each point models a training snapshot at fixed accuracy.
@@ -17,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import q_sl
+from .clustering import ClusteringReport, clustering_report, q_sl
 from .gradients import (
     LogitGradientSet,
     model_hessian,
@@ -36,6 +39,7 @@ from .spectra import (
     project_hessian,
     random_orthonormal_basis,
     spectral_norm,
+    top10_power,
     trace_norm_ratio,
 )
 
@@ -109,24 +113,36 @@ class SweepRecord:
     repeat: int
 
 
-def _sample_instance(
-    params: ModelParams, label_prefix: str = ""
-) -> tuple[LogitEnsemble, LogitGradientSet]:
-    return sample_ensemble(params, label_prefix), sample_logit_gradients(
-        params, label_prefix
+def point_means(records: list[SweepRecord], name: str) -> np.ndarray:
+    """Per-point mean of field ``name`` over the repeats, records in sweep order."""
+    repeats = records[-1].repeat + 1
+    values = np.array([getattr(r, name) for r in records])
+    return values.reshape(-1, repeats).mean(axis=1)
+
+
+def _instance(
+    params: ModelParams, prefix: str = ""
+) -> tuple[LogitEnsemble, LogitGradientSet, np.ndarray, SymmetricSpectrum]:
+    """The one measurement path: sample, assemble the Hessian, solve it."""
+    ensemble = sample_ensemble(params, prefix)
+    grads = sample_logit_gradients(params, prefix)
+    hessian = model_hessian(grads, ensemble)
+    return ensemble, grads, hessian, eigh(hessian)
+
+
+def _projected(params: ModelParams, prefix: str, hessian: np.ndarray) -> SymmetricSpectrum:
+    """Spectrum of H compressed onto the random ``<prefix>hyperplane`` basis."""
+    basis = random_orthonormal_basis(
+        params, substream(params.seed, prefix + "hyperplane")
     )
-
-
-def _top_power(cumulative_power: np.ndarray, k: int = 10) -> float:
-    return float(cumulative_power[min(k, cumulative_power.shape[0]) - 1])
+    return eigh(project_hessian(hessian, basis))
 
 
 def run_spectrum_experiment(
     params: ModelParams,
 ) -> tuple[SymmetricSpectrum, OutlierReport]:
     """One full ensemble at params: Hessian eigensystem plus outlier report."""
-    ensemble, grads = _sample_instance(params)
-    spectrum = eigh(model_hessian(grads, ensemble))
+    spectrum = _instance(params)[3]
     return spectrum, detect_outliers(spectrum, max_candidates=3 * params.n_classes)
 
 
@@ -136,9 +152,22 @@ def run_overlap_experiment(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     Raises the zero-gradient error if every probability row is frozen
     exactly onto its label.
     """
-    ensemble, grads = _sample_instance(params)
-    spectrum = eigh(model_hessian(grads, ensemble))
+    ensemble, grads, _, spectrum = _instance(params)
     return gradient_overlaps(spectrum, weight_gradient(grads, ensemble))
+
+
+def run_projection_experiment(
+    params: ModelParams,
+) -> tuple[SymmetricSpectrum, SymmetricSpectrum]:
+    """Full Hessian spectrum and its compression onto a random hyperplane."""
+    _, _, hessian, spectrum = _instance(params)
+    return spectrum, _projected(params, "", hessian)
+
+
+def run_clustering_experiment(params: ModelParams) -> ClusteringReport:
+    """Clustering statistics of one model-sampled gradient set."""
+    labels = sample_ensemble(params).labels
+    return clustering_report(sample_logit_gradients(params), labels)
 
 
 def run_sigma_z_sweep(
@@ -149,7 +178,8 @@ def run_sigma_z_sweep(
     Default mode scales sigma_e together with sigma_c (constant
     sigma_c/sigma_e); ``fixed_sigma_e=True`` is the alternate mode that
     holds sigma_e at its base value while sigma_c still grows, provided for
-    comparison. Records appear in grid order, repeats innermost.
+    comparison. Records appear in grid order, repeats innermost. A failing
+    task re-raises its ValueError prefixed with the point, sigma_z and repeat.
     """
     records: list[SweepRecord] = []
     for i, sigma_z in enumerate(spec.grid()):
@@ -161,23 +191,21 @@ def run_sigma_z_sweep(
         )
         for rep in range(spec.repeats):
             prefix = f"sweep:{i}:{rep}:"
-            records.append(
-                _sweep_record(point_params, prefix, float(sigma_z), sigma_c, rep)
-            )
+            try:
+                record = _sweep_record(point_params, prefix, float(sigma_z), sigma_c, rep)
+            except ValueError as exc:
+                raise ValueError(
+                    f"sweep point {i} (sigma_z={sigma_z:g}) repeat {rep}: {exc}"
+                ) from exc
+            records.append(record)
     return records
 
 
 def _sweep_record(
     params: ModelParams, prefix: str, sigma_z: float, sigma_c: float, rep: int
 ) -> SweepRecord:
-    ensemble, grads = _sample_instance(params, prefix)
-    hessian = model_hessian(grads, ensemble)
-    spectrum = eigh(hessian)
-    norm = spectral_norm(spectrum)
-    basis = random_orthonormal_basis(
-        params, substream(params.seed, prefix + "hyperplane")
-    )
-    projected = eigh(project_hessian(hessian, basis))
+    ensemble, grads, hessian, spectrum = _instance(params, prefix)
+    projected = _projected(params, prefix, hessian)
     _, cumulative = gradient_overlaps(spectrum, weight_gradient(grads, ensemble))
     mean_entropy, mean_max_prob = freezing_stats(ensemble)
     report = detect_outliers(spectrum, max_candidates=3 * params.n_classes)
@@ -186,13 +214,13 @@ def _sweep_record(
         sigma_c=sigma_c,
         top_eigenvalue=float(spectrum.eigenvalues[0]),
         trace=float(spectrum.eigenvalues.sum()),
-        spectral_norm=norm,
+        spectral_norm=spectral_norm(spectrum),
         trace_ratio=trace_norm_ratio(spectrum),
         projected_trace_ratio=trace_norm_ratio(projected),
         mean_entropy=mean_entropy,
         mean_max_prob=mean_max_prob,
         n_outliers=report.n_outliers,
-        grad_power_top10=_top_power(cumulative),
+        grad_power_top10=top10_power(cumulative),
         repeat=rep,
     )
 
@@ -207,9 +235,7 @@ def run_snr_sweep(
             raise ValueError(f"snr values must be positive, got {snr!r}")
         sigma_e = 0.0 if math.isinf(snr) else params.sigma_c / math.sqrt(snr)
         point_params = replace(params, sigma_e=sigma_e)
-        prefix = f"snr:{i}:"
-        ensemble, grads = _sample_instance(point_params, prefix)
-        spectrum = eigh(model_hessian(grads, ensemble))
+        _, grads, _, spectrum = _instance(point_params, f"snr:{i}:")
         report = detect_outliers(spectrum, max_candidates=3 * params.n_classes)
         results.append((float(snr), report.n_outliers, q_sl(grads)))
     return results

@@ -50,11 +50,19 @@ class LogitGradientSet:
         return self.means[np.newaxis, :, :] + self.residuals
 
 
+def gradient_tensor(grads) -> np.ndarray:
+    """The (N, C, D) tensor of a :class:`LogitGradientSet` or of an array."""
+    if isinstance(grads, LogitGradientSet):
+        return grads.composed()
+    tensor = np.asarray(grads, dtype=float)
+    if tensor.ndim != 3:
+        raise ValueError(f"expected an (N, C, D) tensor, got shape {tensor.shape}")
+    return tensor
+
+
 def sample_mean_logit_gradients(params: ModelParams, stream: RngStream) -> np.ndarray:
     """C x D class-mean gradients, row k scaled by 1 + length_beta*k/(C-1)."""
     base = gaussian_matrix(stream, params.n_classes, params.n_weights, params.sigma_c)
-    if params.length_beta == 0.0:
-        return base
     k = np.arange(params.n_classes)
     lengths = 1.0 + params.length_beta * k / (params.n_classes - 1)
     return base * lengths[:, np.newaxis]
@@ -126,8 +134,7 @@ def model_hessian(
 
     Exact assembly via the variance identity (module docstring); PSD by
     construction up to roundoff. Fails fast if the dense D x D output would
-    exceed ``memory_limit_bytes``. When the residuals are identically zero
-    the factored rank-(C-1) path H = C^T P C is used instead (O(C D^2)).
+    exceed ``memory_limit_bytes``.
     """
     n, c, d = grads.shape
     needed = d * d * 8
@@ -136,12 +143,8 @@ def model_hessian(
             f"dense {d}x{d} Hessian needs {needed} bytes, over the "
             f"{memory_limit_bytes}-byte memory limit"
         )
-    if not grads.residuals.any():
-        p_mat = class_coupling_matrix(ensemble.probs)
-        h = grads.means.T @ p_mat @ grads.means
-    else:
-        x = _weighted_centered_rows(grads.composed(), ensemble.probs)
-        h = (x.T @ x) / n
+    x = _weighted_centered_rows(grads.composed(), ensemble.probs)
+    h = (x.T @ x) / n
     return (h + h.T) / 2.0
 
 

@@ -91,14 +91,8 @@ def logit_hessian(probs_row: np.ndarray) -> np.ndarray:
     return np.diag(p) - np.outer(p, p)
 
 
-def shannon_entropy(probs_row: np.ndarray) -> float:
-    """Entropy of one probability row in bits, with 0 log 0 = 0."""
-    p = np.asarray(probs_row, dtype=float)
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
-def _row_entropies(probs: np.ndarray) -> np.ndarray:
+def shannon_entropy(probs: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each probability row (last axis), with 0 log 0 = 0."""
     p = np.asarray(probs, dtype=float)
     terms = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
     return -terms.sum(axis=-1)
@@ -132,7 +126,7 @@ def assign_labels(
 def freezing_stats(ensemble: LogitEnsemble) -> tuple[float, float]:
     """(mean entropy in bits, mean max probability) over the ensemble."""
     return (
-        float(_row_entropies(ensemble.probs).mean()),
+        float(shannon_entropy(ensemble.probs).mean()),
         float(ensemble.probs.max(axis=1).mean()),
     )
 

@@ -134,6 +134,11 @@ def gradient_overlaps(
     return cosines, np.cumsum(cosines**2)
 
 
+def top10_power(cumulative_power: np.ndarray) -> float:
+    """Gradient power captured by the top 10 eigenvectors (all when D < 10)."""
+    return float(cumulative_power[min(10, cumulative_power.shape[0]) - 1])
+
+
 def random_orthonormal_basis(params: ModelParams, stream: RngStream) -> np.ndarray:
     """D x d basis: modified Gram-Schmidt on d i.i.d. Gaussian columns.
 

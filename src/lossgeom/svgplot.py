@@ -9,9 +9,12 @@ sigma_z axis; spectra are drawn as sorted-eigenvalue scatter plots.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
+
+from .experiments import SweepRecord, point_means
 
 WIDTH, HEIGHT = 720, 420
 MARGIN = 60
@@ -19,10 +22,8 @@ PALETTE = [
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 ]
-SWEEP_STATISTICS = (
-    "top_eigenvalue", "trace", "spectral_norm", "trace_ratio",
-    "projected_trace_ratio", "mean_entropy", "mean_max_prob",
-    "n_outliers", "grad_power_top10",
+SWEEP_STATISTICS = tuple(
+    f.name for f in fields(SweepRecord) if f.name not in ("sigma_z", "sigma_c", "repeat")
 )
 
 
@@ -53,14 +54,11 @@ def _document(body: list[str]) -> str:
 
 
 def _sweep_svg(records: Sequence) -> str:
-    sigma = np.array([r.sigma_z for r in records])
-    grid = np.unique(sigma)
+    grid = np.unique([r.sigma_z for r in records])
     xs = _x_positions(grid, log_x=True)
     body = []
     for color, name in zip(PALETTE, SWEEP_STATISTICS):
-        raw = np.array([float(getattr(r, name)) for r in records])
-        means = np.array([raw[sigma == s].mean() for s in grid])
-        ys = _y_positions(means)
+        ys = _y_positions(point_means(records, name))
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
         body.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
@@ -102,6 +100,8 @@ def _spectrum_svg(eigenvalues: np.ndarray) -> str:
 
 def emit_svg(data, kind: str, path: str) -> None:
     """Write an SVG plot of ``data``; kind is 'sweep' or 'spectrum'.
+
+    Sweep records must come in :func:`run_sigma_z_sweep` order.
 
     Errors on empty input before touching the filesystem.
     """

@@ -32,6 +32,7 @@ from lossgeom import (
     detect_outliers,
     eigh,
     model_hessian,
+    point_means,
     predicted_q_sl,
     project_hessian,
     q_sl,
@@ -55,14 +56,8 @@ SEEDS = range(10)
 def default_sweep():
     """The pinned sweep: 25 log points over 1e-3..1e2, gamma=0.5, 5 repeats."""
     records = run_sigma_z_sweep(ModelParams(seed=0), SweepSpec())
-    spec = SweepSpec()
-    by_point = np.array(
-        [
-            [getattr(r, name) for r in records]
-            for name in ("top_eigenvalue", "trace_ratio", "projected_trace_ratio")
-        ]
-    ).reshape(3, spec.points, spec.repeats)
-    return spec.grid(), by_point.mean(axis=2)
+    names = ("top_eigenvalue", "trace_ratio", "projected_trace_ratio")
+    return SweepSpec().grid(), [point_means(records, name) for name in names]
 
 
 def test_criterion_1_same_logit_clustering_level():
@@ -167,13 +162,8 @@ def test_criterion_6_goldilocks_trace_ratio_decay(default_sweep):
     print(f"criterion 6: tied mode decay {decay:.2f}x, Spearman {rho:.3f}")
 
     alt_records = run_sigma_z_sweep(ModelParams(seed=0), SweepSpec(), fixed_sigma_e=True)
-    spec = SweepSpec()
-    alt_ratios = np.array([r.trace_ratio for r in alt_records]).reshape(
-        spec.points, spec.repeats
-    ).mean(axis=1)
-    alt_projected = np.array([r.projected_trace_ratio for r in alt_records]).reshape(
-        spec.points, spec.repeats
-    ).mean(axis=1)
+    alt_ratios = point_means(alt_records, "trace_ratio")
+    alt_projected = point_means(alt_records, "projected_trace_ratio")
     alt_decay = alt_ratios[0] / alt_ratios[-1]
     alt_rho = float(scipy.stats.spearmanr(alt_ratios, alt_projected).statistic)
     print(f"criterion 6: fixed-sigma_e mode decay {alt_decay:.2f}x, Spearman {alt_rho:.3f}")

@@ -1,10 +1,19 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from lossgeom import ModelParams, sample_ensemble, sample_logit_gradients, write_dump
-from lossgeom.cli import SWEEP_CSV_HEADER, run_command
+from lossgeom import (
+    ModelParams,
+    SweepRecord,
+    SweepSpec,
+    run_sigma_z_sweep,
+    sample_ensemble,
+    sample_logit_gradients,
+    write_dump,
+)
+from lossgeom.cli import SWEEP_CSV_HEADER, _write_json, run_command
 
 
 SMALL_CFG = """
@@ -68,6 +77,32 @@ def test_sweep_sigmaz_pinned_header_and_row_count(cfg_path, tmp_path):
     last = lines[-1].split(",")
     assert len(last) == 12
     assert last[-1] == "1"  # repeat index of the final record
+
+
+def test_sweep_csv_rows_round_trip_to_records(cfg_path, tmp_path):
+    out = tmp_path / "out"
+    assert run(["sweep-sigmaz", "--config", cfg_path, "--out", out]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    columns = lines[0].split(",")
+    parse = {f.name: int if f.type in (int, "int") else float
+             for f in fields(SweepRecord)}
+    parsed = [
+        SweepRecord(**{k: parse[k](v) for k, v in zip(columns, line.split(","))})
+        for line in lines[1:]
+    ]
+    params = ModelParams(n_examples=60, n_classes=5, n_weights=120, hyperplane_dim=6)
+    assert parsed == run_sigma_z_sweep(params, SweepSpec(points=4, repeats=2))
+    assert all(type(r.n_outliers) is int and type(r.repeat) is int for r in parsed)
+
+
+def test_failing_sweep_point_is_named(tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(SMALL_CFG + "scale = linear\nsigma_z_min = 0\n")
+    out = tmp_path / "out"
+    assert run(["sweep-sigmaz", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "sweep point 0 (sigma_z=0) repeat 0: gradient is zero" in err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_sigmaz_reruns_byte_identical(cfg_path, tmp_path):
@@ -174,6 +209,33 @@ def test_bad_dump_gives_exit_1(cfg_path, tmp_path):
     code = run(["cluster", "--config", cfg_path, "--out", tmp_path / "o",
                 "--input", dump])
     assert code == 1
+
+
+@pytest.mark.parametrize("name, value", [("nan.lgrd", np.nan), ("inf.csv", np.inf)])
+def test_non_finite_dump_gives_exit_1_and_no_json(
+    cfg_path, tmp_path, capsys, name, value
+):
+    params = ModelParams(n_examples=30, n_classes=4, n_weights=40, hyperplane_dim=4)
+    grads = sample_logit_gradients(params).composed()
+    grads[2, 1, 3] = value
+    dump = tmp_path / name
+    write_dump(str(dump), grads, sample_ensemble(params).labels)
+    out = tmp_path / "o"
+    code = run(["cluster", "--config", cfg_path, "--out", out,
+                "--input", dump, "--json"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "non-finite value" in captured.err
+    assert "example 2, logit 1, weight 3" in captured.err
+    assert captured.out == ""
+    assert not (out / "clustering.json").exists()
+
+
+def test_json_with_nan_is_rejected_before_the_file_is_created(tmp_path):
+    path = tmp_path / "payload.json"
+    with pytest.raises(ValueError):
+        _write_json(str(path), {"q_sl": float("nan")})
+    assert not path.exists()
 
 
 def test_unknown_subcommand_gives_exit_1(capsys):

@@ -11,7 +11,6 @@ from lossgeom import (
     predicted_q_sl,
     q_dl,
     q_sl,
-    q_slsc,
     sample_ensemble,
     sample_logit_gradients,
 )
@@ -65,14 +64,16 @@ def test_q_slsc_matches_direct_average():
         ]
         expected.append(np.mean(vals))
     assert np.allclose(per_class_q_slsc(tensor, labels), expected, atol=1e-12)
-    assert np.isclose(q_slsc(tensor, labels), np.mean(expected), atol=1e-12)
+    assert np.isclose(
+        per_class_q_slsc(tensor, labels).mean(), np.mean(expected), atol=1e-12
+    )
 
 
 def test_q_slsc_rejects_too_small_class():
     tensor = np.random.default_rng(3).standard_normal((4, 2, 3))
     labels = np.array([0, 0, 0, 0])  # class 1 empty
     with pytest.raises(ValueError, match="class 1"):
-        q_slsc(tensor, labels)
+        per_class_q_slsc(tensor, labels)
 
 
 def test_identical_rows_give_unit_statistics():
@@ -80,7 +81,7 @@ def test_identical_rows_give_unit_statistics():
     tensor = np.repeat(base, 10, axis=0)  # every example identical
     assert np.isclose(q_sl(tensor), 1.0, atol=1e-12)
     labels = np.arange(10) % 3
-    assert np.isclose(q_slsc(tensor, labels), 1.0, atol=1e-12)
+    assert np.isclose(per_class_q_slsc(tensor, labels).mean(), 1.0, atol=1e-12)
 
 
 def test_zero_residuals_give_q_sl_exactly_one():
@@ -106,7 +107,11 @@ def test_rotation_invariance():
     labels = np.arange(8) % 3
     assert np.isclose(q_sl(rotated), q_sl(tensor), atol=1e-12)
     assert np.isclose(q_dl(rotated), q_dl(tensor), atol=1e-12)
-    assert np.isclose(q_slsc(rotated, labels), q_slsc(tensor, labels), atol=1e-12)
+    assert np.isclose(
+        per_class_q_slsc(rotated, labels).mean(),
+        per_class_q_slsc(tensor, labels).mean(),
+        atol=1e-12,
+    )
 
 
 def test_q_sl_tracks_predicted_value_across_snr():

@@ -5,6 +5,7 @@ from lossgeom import (
     DumpLabelError,
     DumpMagicError,
     DumpTruncatedError,
+    DumpValueError,
     ModelParams,
     q_sl,
     read_dump,
@@ -104,6 +105,16 @@ def test_write_rejects_out_of_range_labels(tmp_path):
     tensor = np.zeros((2, 3, 4)) + 1.0
     with pytest.raises(DumpLabelError):
         write_dump(str(tmp_path / "x.lgrd"), tensor, np.array([0, 5]))
+
+
+@pytest.mark.parametrize("name, value", [("nan.lgrd", np.nan), ("inf.csv", -np.inf)])
+def test_non_finite_value_raises_value_error(tmp_path, name, value):
+    tensor = np.ones((3, 2, 4))
+    tensor[1, 0, 2] = value
+    path = str(tmp_path / name)
+    write_dump(path, tensor, np.array([0, 1, 0]))
+    with pytest.raises(DumpValueError, match=f"{value} at example 1, logit 0, weight 2"):
+        read_dump(path)
 
 
 def test_write_rejects_mismatched_label_count(tmp_path):

@@ -163,7 +163,7 @@ def test_model_hessian_zero_for_frozen_onehot_rows():
     assert np.abs(h).max() < 1e-16
 
 
-def test_model_hessian_zero_residual_fast_path_and_rank_bound():
+def test_model_hessian_zero_residuals_match_brute_force_with_rank_bound():
     params, ensemble, _ = small_instance(n=30, c=4, d=25, sigma_e=0.0)
     grads = sample_logit_gradients(params)
     assert not grads.residuals.any()
