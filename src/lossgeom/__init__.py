@@ -13,11 +13,7 @@ import types
 from .clustering import (
     ClusteringReport,
     clustering_report,
-    cosine,
-    empirical_class_means,
-    per_class_q_slsc,
     predicted_q_sl,
-    q_dl,
     q_sl,
 )
 from .config import ConfigError, RunConfig, parse_config
@@ -45,8 +41,6 @@ from .experiments import (
 )
 from .gradients import (
     LogitGradientSet,
-    class_coupling_matrix,
-    clustered_hessian,
     model_hessian,
     sample_logit_gradients,
     sample_mean_logit_gradients,
@@ -56,10 +50,7 @@ from .gradients import (
 from .logits import (
     LogitEnsemble,
     assign_labels,
-    cross_entropy_loss,
     freezing_stats,
-    logit_gradient,
-    logit_hessian,
     sample_ensemble,
     sample_logits,
     shannon_entropy,

@@ -43,6 +43,7 @@ from .spectra import (
     trace_norm_ratio,
 )
 
+DEFAULT_MEMORY_LIMIT = 2**31  # bytes allowed for one instance's large arrays
 SIMPLEX_SAMPLE_LIMIT = 500
 # equilateral-triangle corners for barycentric plotting of C=3 rows
 _SIMPLEX_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
@@ -120,10 +121,31 @@ def point_means(records: list[SweepRecord], name: str) -> np.ndarray:
     return values.reshape(-1, repeats).mean(axis=1)
 
 
+def _check_memory(params: ModelParams) -> None:
+    """Fail before any draw if the dense Hessian and residuals would not fit.
+
+    Residual sampling (Box-Muller buffers) and Hessian assembly (residuals,
+    composed, centered, weighted rows) each hold four N*C*D double arrays.
+    """
+    n, c, d = params.n_examples, params.n_classes, params.n_weights
+    terms = {
+        f"dense {d}x{d} Hessian": 8 * d * d,
+        f"{n}x{c}x{d} residual tensor with its temporaries": 4 * 8 * n * c * d,
+    }
+    needed = sum(terms.values())
+    if needed > DEFAULT_MEMORY_LIMIT:
+        name = max(terms, key=terms.get)
+        raise ValueError(
+            f"{name} needs {terms[name]} bytes ({needed} in all), over the "
+            f"{DEFAULT_MEMORY_LIMIT}-byte memory limit"
+        )
+
+
 def _instance(
     params: ModelParams, prefix: str = ""
 ) -> tuple[LogitEnsemble, LogitGradientSet, np.ndarray, SymmetricSpectrum]:
     """The one measurement path: sample, assemble the Hessian, solve it."""
+    _check_memory(params)
     ensemble = sample_ensemble(params, prefix)
     grads = sample_logit_gradients(params, prefix)
     hessian = model_hessian(grads, ensemble)

@@ -5,14 +5,12 @@ dz[mu,k]/dW = c[k] + E[mu,k], with c ~ N(0, sigma_c^2) (optionally
 length-varied per class) and E ~ N(0, sigma_e^2). The weight-space objects
 are
 
-    g      = (1/N) sum_mu sum_k (y - p)[mu,k] (c[k] + E[mu,k])
-    H      = (1/N) sum_mu J[mu]^T A[mu] J[mu],   A[mu] = diag(p) - p p^T
-    H_clu  = C^T P C  +  (1/N) sum_mu E[mu]^T A[mu] E[mu]
+    g  = (1/N) sum_mu sum_k (y - p)[mu,k] (c[k] + E[mu,k])
+    H  = (1/N) sum_mu J[mu]^T A[mu] J[mu],   A[mu] = diag(p) - p p^T
 
-where P = (1/N) sum_mu A[mu] is the class coupling matrix. H is assembled
-through the exact variance identity J^T A J = sum_k p_k (J_k - w)(J_k - w)^T
-with w = sum_l p_l J_l, which keeps it PSD by construction; H_clu drops the
-mean/residual cross-terms, and H - H_clu is exactly those cross-terms.
+H is assembled through the exact variance identity
+J^T A J = sum_k p_k (J_k - w)(J_k - w)^T with w = sum_l p_l J_l, which keeps
+it PSD by construction.
 
 Sign convention: g uses y - p, so g is minus the gradient of the
 cross-entropy loss (the finite-difference tests check -g).
@@ -27,8 +25,6 @@ import numpy as np
 from .logits import LogitEnsemble
 from .params import ModelParams
 from .rng import RngStream, gaussian_matrix, substream
-
-DEFAULT_MEMORY_LIMIT = 2**31  # bytes allowed for the dense D x D Hessian
 
 
 @dataclass(frozen=True)
@@ -102,17 +98,6 @@ def weight_gradient(grads: LogitGradientSet, ensemble: LogitEnsemble) -> np.ndar
     return (g_means + g_resid) / n
 
 
-def class_coupling_matrix(probs: np.ndarray) -> np.ndarray:
-    """P = (1/N) sum_mu (diag(p) - p p^T): symmetric PSD, rows sum to zero.
-
-    P annihilates the all-ones vector identically, so rank(P) <= C-1.
-    """
-    p = np.asarray(probs, dtype=float)
-    n = p.shape[0]
-    pm = np.diag(p.mean(axis=0)) - (p.T @ p) / n
-    return (pm + pm.T) / 2.0
-
-
 def _weighted_centered_rows(tensor: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Rows sqrt(p[mu,k]) (T[mu,k] - sum_l p[mu,l] T[mu,l]), flattened to (N*C, D).
 
@@ -125,41 +110,13 @@ def _weighted_centered_rows(tensor: np.ndarray, probs: np.ndarray) -> np.ndarray
     return (np.sqrt(probs)[:, :, np.newaxis] * centered).reshape(n * c, d)
 
 
-def model_hessian(
-    grads: LogitGradientSet,
-    ensemble: LogitEnsemble,
-    memory_limit_bytes: int = DEFAULT_MEMORY_LIMIT,
-) -> np.ndarray:
+def model_hessian(grads: LogitGradientSet, ensemble: LogitEnsemble) -> np.ndarray:
     """Dense D x D G-term Hessian H = (1/N) sum_mu J[mu]^T A[mu] J[mu].
 
     Exact assembly via the variance identity (module docstring); PSD by
-    construction up to roundoff. Fails fast if the dense D x D output would
-    exceed ``memory_limit_bytes``.
+    construction up to roundoff.
     """
-    n, c, d = grads.shape
-    needed = d * d * 8
-    if needed > memory_limit_bytes:
-        raise ValueError(
-            f"dense {d}x{d} Hessian needs {needed} bytes, over the "
-            f"{memory_limit_bytes}-byte memory limit"
-        )
+    n = grads.shape[0]
     x = _weighted_centered_rows(grads.composed(), ensemble.probs)
     h = (x.T @ x) / n
     return (h + h.T) / 2.0
-
-
-def clustered_hessian(
-    grads: LogitGradientSet, ensemble: LogitEnsemble
-) -> tuple[np.ndarray, np.ndarray]:
-    """(signal, noise) split of the Hessian with cross-terms dropped.
-
-    signal = C^T P C from the sampled means and the coupling matrix;
-    noise = (1/N) sum_mu E[mu]^T A[mu] E[mu] from the residuals only.
-    model_hessian - signal - noise equals the dropped cross-terms exactly.
-    """
-    n = ensemble.n_examples
-    p_mat = class_coupling_matrix(ensemble.probs)
-    signal = grads.means.T @ p_mat @ grads.means
-    xe = _weighted_centered_rows(grads.residuals, ensemble.probs)
-    noise = (xe.T @ xe) / n
-    return (signal + signal.T) / 2.0, (noise + noise.T) / 2.0

@@ -23,8 +23,7 @@ class LogitEnsemble:
     Invariants: each probs row sums to 1 within 1e-12 and labels lie in
     [0, C). Rows are strictly positive whenever no within-row logit gap
     exceeds ~745 (the float64 exp underflow threshold); beyond that,
-    underflowed zeros are possible and :func:`cross_entropy_loss` surfaces
-    them with its +inf sentinel.
+    underflowed zeros are possible.
     """
 
     logits: np.ndarray  # (N, C)
@@ -51,44 +50,6 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-probability of the labeled class.
-
-    Returns the +inf sentinel if any labeled probability has underflowed to
-    exactly 0 (frozen-wrong-label pathology at extreme sigma_z), rather than
-    clipping silently.
-    """
-    probs = np.asarray(probs, dtype=float)
-    labels = np.asarray(labels)
-    p_label = probs[np.arange(probs.shape[0]), labels]
-    if np.any(p_label == 0.0):
-        return float("inf")
-    return float(-np.mean(np.log(p_label)))
-
-
-def logit_gradient(probs_row: np.ndarray, label: int) -> np.ndarray:
-    """Loss gradient with respect to one example's logits: y - p.
-
-    Sign convention: the one-hot label minus the probability row (components
-    sum to zero; the frozen correct prediction gives the zero vector).
-    """
-    p = np.asarray(probs_row, dtype=float)
-    y = np.zeros_like(p)
-    y[label] = 1.0
-    return y - p
-
-
-def logit_hessian(probs_row: np.ndarray) -> np.ndarray:
-    """Per-example logit-space curvature A = diag(p) - p p^T.
-
-    Symmetric, positive semidefinite, rows sum to zero (the all-ones vector
-    is a null eigenvector). Equals minus the Jacobian of
-    :func:`logit_gradient` with respect to the logits.
-    """
-    p = np.asarray(probs_row, dtype=float)
-    return np.diag(p) - np.outer(p, p)
 
 
 def shannon_entropy(probs: np.ndarray) -> np.ndarray:

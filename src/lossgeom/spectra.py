@@ -29,10 +29,6 @@ class SymmetricSpectrum:
     eigenvalues: np.ndarray  # (D,) descending
     eigenvectors: np.ndarray  # (D, D), column i pairs with eigenvalues[i]
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 @dataclass(frozen=True)
 class OutlierReport:
@@ -88,17 +84,16 @@ def trace_norm_ratio(spectrum: SymmetricSpectrum) -> float:
 def detect_outliers(
     spectrum: SymmetricSpectrum,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
-    gap_threshold: float = DEFAULT_GAP_THRESHOLD,
 ) -> OutlierReport:
     """Declare outliers above the largest relative gap among the top eigenvalues.
 
     Scans the top ``max_candidates`` descending eigenvalues for the largest
     relative gap g_i = (lambda_i - lambda_{i+1}) / max(lambda_{i+1}, eps)
     (eps guards zero/negative denominators). If that gap exceeds
-    ``gap_threshold``, everything above it is an outlier and the eigenvalue
-    just below is the bulk edge; otherwise the report is empty. Ties on the
-    largest gap resolve to the fewest outliers. Zero outliers is a valid
-    report.
+    ``DEFAULT_GAP_THRESHOLD``, everything above it is an outlier and the
+    eigenvalue just below is the bulk edge; otherwise the report is empty.
+    Ties on the largest gap resolve to the fewest outliers. Zero outliers is
+    a valid report.
     """
     lam = spectrum.eigenvalues
     m = min(int(max_candidates), lam.shape[0] - 1)
@@ -108,7 +103,7 @@ def detect_outliers(
     eps = 1e-12 * max(abs(float(lam[0])), np.finfo(float).tiny)
     gaps = (top[:-1] - top[1:]) / np.maximum(top[1:], eps)
     best = int(np.argmax(gaps))
-    if gaps[best] <= gap_threshold:
+    if gaps[best] <= DEFAULT_GAP_THRESHOLD:
         return OutlierReport(0, float(lam[0]), np.empty(0))
     return OutlierReport(
         n_outliers=best + 1,

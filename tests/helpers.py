@@ -100,3 +100,34 @@ def brute_force_pair_cosines(tensor, mode):
                     total += float(units[mu, k] @ units[nu, l])
                     count += 1
     return total / count
+
+
+def class_coupling_matrix(probs):
+    """P = (1/N) sum_mu (diag(p_mu) - p_mu p_mu^T), one example at a time."""
+    n_examples, n_classes = probs.shape
+    total = np.zeros((n_classes, n_classes))
+    for mu in range(n_examples):
+        total += np.diag(probs[mu]) - np.outer(probs[mu], probs[mu])
+    return total / n_examples
+
+
+def clustered_hessian(means, residuals, probs):
+    """(signal, noise) split of the Hessian with mean/residual cross-terms dropped.
+
+    signal = C^T P C from the class means and the coupling matrix;
+    noise = (1/N) sum_mu E_mu^T A_mu E_mu from the residuals alone.
+    """
+    signal = means.T @ class_coupling_matrix(probs) @ means
+    return signal, brute_force_hessian(residuals, probs)
+
+
+def empirical_class_means(tensor, labels):
+    """Row k = mean of tensor[mu, k] over the examples mu labeled k."""
+    n_examples, n_classes, dim = tensor.shape
+    means = np.zeros((n_classes, dim))
+    for k in range(n_classes):
+        members = [mu for mu in range(n_examples) if labels[mu] == k]
+        for mu in members:
+            means[k] += tensor[mu, k]
+        means[k] /= len(members)
+    return means

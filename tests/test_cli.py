@@ -231,6 +231,21 @@ def test_non_finite_dump_gives_exit_1_and_no_json(
     assert not (out / "clustering.json").exists()
 
 
+def test_zero_gradient_row_in_dump_gives_exit_1_and_no_json(cfg_path, tmp_path, capsys):
+    tensor = np.random.default_rng(0).standard_normal((6, 2, 5))
+    tensor[1, 0] = 0.0
+    dump = tmp_path / "zero.lgrd"
+    write_dump(str(dump), tensor, np.array([0, 0, 0, 1, 1, 1]))
+    out = tmp_path / "o"
+    code = run(["cluster", "--config", cfg_path, "--out", out,
+                "--input", dump, "--json"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "zero gradient vector at example 1, logit 0" in captured.err
+    assert captured.out == ""
+    assert not (out / "clustering.json").exists()
+
+
 def test_json_with_nan_is_rejected_before_the_file_is_created(tmp_path):
     path = tmp_path / "payload.json"
     with pytest.raises(ValueError):

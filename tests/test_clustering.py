@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import brute_force_pair_cosines
+from helpers import brute_force_pair_cosines, empirical_class_means
 from lossgeom import (
     ModelParams,
     clustering_report,
-    cosine,
-    empirical_class_means,
-    per_class_q_slsc,
     predicted_q_sl,
-    q_dl,
     q_sl,
     sample_ensemble,
     sample_logit_gradients,
@@ -17,18 +13,21 @@ from lossgeom import (
 from lossgeom.gradients import LogitGradientSet
 
 
+def report(grads):
+    """clustering_report with round-robin labels (at least 2 per class when N >= 2C)."""
+    n, c, _ = grads.shape
+    return clustering_report(grads, np.arange(n) % c)
+
+
 def test_cosine_basic_values():
-    assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
-    assert cosine([1.0, 0.0], [2.0, 0.0]) == 1.0
-    assert cosine([1.0, 0.0], [-3.0, 0.0]) == -1.0
-    assert np.isclose(cosine([1.0, 1.0], [1.0, 0.0]), np.sqrt(0.5), atol=1e-15)
+    # Two examples and one logit: q_sl is the cosine of the two rows.
+    def pair(u, v):
+        return q_sl(np.array([[u], [v]], dtype=float))
 
-
-def test_cosine_clamps_roundoff_and_rejects_zero():
-    v = np.full(1000, 0.1)
-    assert -1.0 <= cosine(v, v) <= 1.0
-    with pytest.raises(ValueError, match="zero"):
-        cosine(np.zeros(3), np.ones(3))
+    assert pair([1.0, 0.0], [0.0, 1.0]) == 0.0
+    assert pair([1.0, 0.0], [2.0, 0.0]) == 1.0
+    assert pair([1.0, 0.0], [-3.0, 0.0]) == -1.0
+    assert np.isclose(pair([1.0, 1.0], [1.0, 0.0]), np.sqrt(0.5), atol=1e-15)
 
 
 def test_q_sl_matches_brute_force_enumeration():
@@ -41,9 +40,9 @@ def test_q_sl_matches_brute_force_enumeration():
 
 def test_q_dl_matches_brute_force_enumeration():
     rng = np.random.default_rng(1)
-    tensor = rng.standard_normal((5, 3, 4)) - 0.2
+    tensor = rng.standard_normal((6, 3, 4)) - 0.2
     assert np.isclose(
-        q_dl(tensor), brute_force_pair_cosines(tensor, "dl"), atol=1e-12
+        report(tensor).q_dl, brute_force_pair_cosines(tensor, "dl"), atol=1e-12
     )
 
 
@@ -63,17 +62,17 @@ def test_q_slsc_matches_direct_average():
             if mu != nu
         ]
         expected.append(np.mean(vals))
-    assert np.allclose(per_class_q_slsc(tensor, labels), expected, atol=1e-12)
-    assert np.isclose(
-        per_class_q_slsc(tensor, labels).mean(), np.mean(expected), atol=1e-12
-    )
+    result = clustering_report(tensor, labels)
+    assert np.allclose(result.per_class_q, expected, atol=1e-12)
+    assert np.isclose(result.q_slsc, np.mean(expected), atol=1e-12)
 
 
 def test_q_slsc_rejects_too_small_class():
     tensor = np.random.default_rng(3).standard_normal((4, 2, 3))
+    tensor[0, 0] = 0.0  # the class check comes before the zero-row check
     labels = np.array([0, 0, 0, 0])  # class 1 empty
     with pytest.raises(ValueError, match="class 1"):
-        per_class_q_slsc(tensor, labels)
+        clustering_report(tensor, labels)
 
 
 def test_identical_rows_give_unit_statistics():
@@ -81,7 +80,7 @@ def test_identical_rows_give_unit_statistics():
     tensor = np.repeat(base, 10, axis=0)  # every example identical
     assert np.isclose(q_sl(tensor), 1.0, atol=1e-12)
     labels = np.arange(10) % 3
-    assert np.isclose(per_class_q_slsc(tensor, labels).mean(), 1.0, atol=1e-12)
+    assert np.isclose(clustering_report(tensor, labels).q_slsc, 1.0, atol=1e-12)
 
 
 def test_zero_residuals_give_q_sl_exactly_one():
@@ -92,10 +91,10 @@ def test_zero_residuals_give_q_sl_exactly_one():
 
 def test_orthonormal_means_give_zero_q_dl():
     # Rows along distinct coordinate axes: every cross-logit cosine is 0.
-    n, c, d = 7, 4, 10
+    n, c, d = 8, 4, 10
     means = np.eye(c, d)
     grads = LogitGradientSet(means=means, residuals=np.zeros((n, c, d)))
-    assert np.isclose(q_dl(grads), 0.0, atol=1e-14)
+    assert np.isclose(report(grads).q_dl, 0.0, atol=1e-14)
     assert np.isclose(q_sl(grads), 1.0, atol=1e-14)
 
 
@@ -106,12 +105,9 @@ def test_rotation_invariance():
     rotated = tensor @ q
     labels = np.arange(8) % 3
     assert np.isclose(q_sl(rotated), q_sl(tensor), atol=1e-12)
-    assert np.isclose(q_dl(rotated), q_dl(tensor), atol=1e-12)
-    assert np.isclose(
-        per_class_q_slsc(rotated, labels).mean(),
-        per_class_q_slsc(tensor, labels).mean(),
-        atol=1e-12,
-    )
+    turned, plain = clustering_report(rotated, labels), clustering_report(tensor, labels)
+    assert np.isclose(turned.q_dl, plain.q_dl, atol=1e-12)
+    assert np.allclose(turned.per_class_q, plain.per_class_q, atol=1e-12)
 
 
 def test_q_sl_tracks_predicted_value_across_snr():
@@ -163,30 +159,25 @@ def test_pure_noise_statistics_concentrate_near_zero():
     params = ModelParams(sigma_c=0.0, seed=7)
     grads = sample_logit_gradients(params)
     assert abs(q_sl(grads)) < 0.05
-    assert abs(q_dl(grads)) < 0.05
+    assert abs(report(grads).q_dl) < 0.05
 
 
 def test_q_dl_scale_with_dimension():
     # Mean-vector overlaps scale like 1/sqrt(D): the small-D statistic is
     # noisier and larger in magnitude on average.
     wide = ModelParams(n_examples=100, n_weights=1000, seed=11)
-    assert abs(q_dl(sample_logit_gradients(wide))) < 0.02
+    assert abs(report(sample_logit_gradients(wide)).q_dl) < 0.02
 
 
 def test_empirical_class_means_recover_planted_means():
     params = ModelParams(sigma_e=0.01, seed=13)
     ensemble = sample_ensemble(params)
     grads = sample_logit_gradients(params)
-    means = empirical_class_means(grads, ensemble.labels)
+    means = empirical_class_means(grads.composed(), ensemble.labels)
     for k in range(params.n_classes):
-        assert cosine(means[k], grads.means[k]) > 0.99
-
-
-def test_empirical_class_means_rejects_empty_class():
-    tensor = np.random.default_rng(8).standard_normal((4, 3, 5))
-    labels = np.array([0, 0, 1, 1])
-    with pytest.raises(ValueError, match="class 2"):
-        empirical_class_means(tensor, labels)
+        planted = grads.means[k]
+        cos = means[k] @ planted / (np.linalg.norm(means[k]) * np.linalg.norm(planted))
+        assert cos > 0.99
 
 
 def test_tensor_input_validation():
@@ -197,4 +188,12 @@ def test_tensor_input_validation():
     with pytest.raises(ValueError, match="at least 2"):
         q_sl(np.ones((1, 2, 4)))
     with pytest.raises(ValueError, match="N >= 2"):
-        q_dl(np.ones((4, 1, 4)))
+        clustering_report(np.ones((4, 1, 4)), np.zeros(4, dtype=int))
+
+
+def test_zero_row_at_a_labeled_entry_is_named():
+    tensor = np.random.default_rng(9).standard_normal((6, 2, 5))
+    tensor[1, 0] = 0.0
+    labels = np.array([0, 0, 0, 1, 1, 1])
+    with pytest.raises(ValueError, match="zero gradient vector at example 1, logit 0"):
+        clustering_report(tensor, labels)

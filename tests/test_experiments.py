@@ -10,7 +10,7 @@ from lossgeom import (
     run_snr_sweep,
     run_spectrum_experiment,
 )
-
+from lossgeom import experiments
 
 SMALL = ModelParams(n_examples=60, n_classes=5, n_weights=120, hyperplane_dim=6)
 
@@ -46,7 +46,7 @@ def test_sweep_spec_validation():
 
 def test_spectrum_experiment_reference_outlier_count():
     spectrum, report = run_spectrum_experiment(ModelParams())
-    assert spectrum.dim == 1000
+    assert spectrum.eigenvalues.shape == (1000,)
     assert report.n_outliers == 9
     assert report.outlier_values.min() > report.bulk_edge
     # exact rerun determinism
@@ -195,3 +195,27 @@ def test_freezing_experiment_simplex_coordinates_for_three_classes():
     assert simplex[:, 0].max() <= 1.0
     assert simplex[:, 1].min() >= 0.0
     assert simplex[:, 1].max() <= np.sqrt(3.0) / 2.0 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (
+            ModelParams(n_examples=2, n_classes=2, n_weights=16385, hyperplane_dim=1),
+            "dense 16385x16385 Hessian needs 2147745800 bytes",
+        ),
+        (
+            ModelParams(n_examples=7000, n_classes=10, n_weights=1000),
+            "7000x10x1000 residual tensor with its temporaries needs 2240000000 bytes",
+        ),
+    ],
+    ids=["hessian", "residuals"],
+)
+def test_memory_guard_rejects_before_sampling(monkeypatch, params, message):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampled before the memory check")
+
+    monkeypatch.setattr(experiments, "sample_ensemble", no_draws)
+    monkeypatch.setattr(experiments, "sample_logit_gradients", no_draws)
+    with pytest.raises(ValueError, match=message):
+        run_spectrum_experiment(params)

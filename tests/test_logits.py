@@ -3,17 +3,30 @@ import pytest
 
 from lossgeom import (
     LogitEnsemble,
+    LogitGradientSet,
     ModelParams,
     assign_labels,
-    cross_entropy_loss,
     freezing_stats,
-    logit_gradient,
-    logit_hessian,
+    model_hessian,
     sample_ensemble,
     shannon_entropy,
     softmax_probs,
+    weight_gradient,
 )
 from lossgeom.rng import substream
+
+
+def in_logit_space(logits, label=0):
+    """One example whose logit gradients are the unit vectors (J = I).
+
+    The weights are then the logits themselves, so weight_gradient is the
+    logit-space gradient y - p and model_hessian is A = diag(p) - p p^T.
+    """
+    z = np.asarray(logits, dtype=float)[np.newaxis, :]
+    c = z.shape[1]
+    grads = LogitGradientSet(means=np.eye(c), residuals=np.zeros((1, c, c)))
+    ensemble = LogitEnsemble(logits=z, probs=softmax_probs(z), labels=np.array([label]))
+    return weight_gradient(grads, ensemble), model_hessian(grads, ensemble)
 
 
 def test_softmax_equal_logits_is_uniform():
@@ -55,40 +68,20 @@ def test_softmax_rows_sum_to_one():
     assert (p >= 0).all()
 
 
-def test_cross_entropy_trivial_values():
-    uniform = np.full((4, 10), 0.1)
-    labels = np.array([0, 3, 7, 9])
-    assert np.isclose(cross_entropy_loss(uniform, labels), np.log(10.0), atol=1e-14)
-
-    certain = np.eye(3)
-    assert cross_entropy_loss(certain, np.array([0, 1, 2])) == 0.0
-
-    # Mixed rows: -(ln(1/2) + ln(1/4))/2 = 1.5 ln 2.
-    p = np.array([[0.5, 0.5], [0.25, 0.75]])
-    assert np.isclose(
-        cross_entropy_loss(p, np.array([0, 0])), 1.5 * np.log(2.0), atol=1e-14
-    )
-
-
-def test_cross_entropy_underflowed_label_returns_inf_sentinel():
-    p = softmax_probs(np.array([[1000.0, 0.0]]))
-    assert cross_entropy_loss(p, np.array([1])) == float("inf")
-
-
 def test_logit_gradient_components_sum_to_zero():
-    p = softmax_probs(np.array([1.0, -0.5, 2.0]))
-    g = logit_gradient(p, 2)
+    z = np.array([1.0, -0.5, 2.0])
+    g, _ = in_logit_space(z, label=2)
     assert np.isclose(g.sum(), 0.0, atol=1e-15)
-    assert np.allclose(g, np.array([0.0, 0.0, 1.0]) - p, atol=1e-16)
+    assert np.allclose(g, np.array([0.0, 0.0, 1.0]) - softmax_probs(z), atol=1e-16)
 
 
 def test_logit_gradient_vanishes_on_frozen_correct_prediction():
-    g = logit_gradient(np.array([0.0, 1.0, 0.0]), 1)
+    g, _ = in_logit_space([0.0, 1000.0, 0.0], label=1)
     assert not g.any()
 
 
 def test_logit_hessian_uniform_row():
-    a = logit_hessian(np.full(4, 0.25))
+    _, a = in_logit_space(np.zeros(4))
     expected = np.diag(np.full(4, 0.25)) - np.full((4, 4), 0.0625)
     assert np.allclose(a, expected, atol=1e-16)
     assert np.allclose(a.sum(axis=1), 0.0, atol=1e-15)
@@ -103,18 +96,18 @@ def test_logit_hessian_is_minus_jacobian_of_logit_gradient():
     for j in range(4):
         bump = np.zeros(4)
         bump[j] = h
-        gp = logit_gradient(softmax_probs(z + bump), label)
-        gm = logit_gradient(softmax_probs(z - bump), label)
+        gp, _ = in_logit_space(z + bump, label)
+        gm, _ = in_logit_space(z - bump, label)
         jac[:, j] = (gp - gm) / (2.0 * h)
-    a = logit_hessian(softmax_probs(z))
+    _, a = in_logit_space(z, label)
     assert np.allclose(-jac, a, atol=1e-9)
 
 
 def test_logit_hessian_is_psd():
     rng = np.random.default_rng(2)
     for _ in range(5):
-        p = softmax_probs(rng.standard_normal(8) * 5.0)
-        eigs = np.linalg.eigvalsh(logit_hessian(p))
+        _, a = in_logit_space(rng.standard_normal(8) * 5.0)
+        eigs = np.linalg.eigvalsh(a)
         assert eigs.min() >= -1e-15
 
 
