@@ -6,7 +6,7 @@ prediction SNR/(SNR+1): per-logit gradients are a shared class mean plus
 i.i.d. residuals, and the mean pairwise cosine concentrates on the fraction
 of variance the mean carries.
 
-Part 2 exercises the ingestion path: a sampled gradient set is written to a
+Part 2 exercises the ingestion path: a sampled gradient tensor is written to a
 binary .lgrd dump and a .csv dump, read back, and scored; both round trips
 reproduce the in-memory statistics exactly, which is how externally measured
 gradients would be scored.

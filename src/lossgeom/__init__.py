@@ -40,7 +40,6 @@ from .experiments import (
     run_spectrum_experiment,
 )
 from .gradients import (
-    LogitGradientSet,
     model_hessian,
     sample_logit_gradients,
     sample_mean_logit_gradients,

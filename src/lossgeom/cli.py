@@ -23,8 +23,8 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 
 from .clustering import clustering_report, predicted_q_sl
-from .config import ConfigError, RunConfig, parse_config
-from .dumps import DumpError, read_dump
+from .config import RunConfig, parse_config
+from .dumps import read_dump
 from .experiments import (
     SweepRecord,
     SweepSpec,
@@ -244,7 +244,7 @@ def run_command(argv) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, DumpError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

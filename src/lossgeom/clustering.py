@@ -15,9 +15,8 @@ unit vectors (sums of all pairwise cosines reduce to norms of vector sums),
 so no pair subsampling is ever needed; brute-force all-pairs equivalence is
 covered by the tests at small N.
 
-Functions accept either a :class:`~lossgeom.gradients.LogitGradientSet` or a
-raw (N, C, D) array (e.g. an ingested dump), since the statistics only need
-the composed gradients.
+Functions take the (N, C, D) gradient tensor as an array, sampled or ingested
+from a dump alike.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .gradients import gradient_tensor
 
 @dataclass(frozen=True)
 class ClusteringReport:
-    """All clustering statistics of one gradient set (entries in [-1, 1])."""
+    """All clustering statistics of one gradient tensor (entries in [-1, 1])."""
 
     q_slsc: float
     q_sl: float
@@ -93,12 +92,19 @@ def predicted_q_sl(sigma_c: float, sigma_e: float) -> float:
 def clustering_report(grads, labels: np.ndarray) -> ClusteringReport:
     """All three statistics plus the per-class same-logit-same-class vector.
 
-    Errors if any class has fewer than two labeled examples, if N < 2 or
-    C < 2, or if any (example, logit) gradient row is zero.
+    Errors unless ``labels`` holds one label in [0, C) per example, if any
+    class has fewer than two labeled examples, if N < 2 or C < 2, or if any
+    (example, logit) gradient row is zero.
     """
     tensor = gradient_tensor(grads)
     labels = np.asarray(labels)
     n, c, _ = tensor.shape
+    if labels.shape != (n,):
+        raise ValueError(f"got labels of shape {labels.shape} for {n} examples")
+    outside = np.flatnonzero((labels < 0) | (labels >= c))
+    if outside.size:
+        mu = outside[0]
+        raise ValueError(f"label {labels[mu]} of example {mu} is outside [0, {c})")
     members = [np.flatnonzero(labels == k) for k in range(c)]
     for k, idx in enumerate(members):
         if idx.size < 2:

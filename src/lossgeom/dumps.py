@@ -74,7 +74,7 @@ def _csv_sidecar(path: str) -> str:
 
 
 def write_dump(path: str, grads, labels) -> None:
-    """Write a gradient set/tensor plus labels in the format ``path`` implies."""
+    """Write an (N, C, D) tensor plus labels in the format ``path`` implies."""
     tensor = gradient_tensor(grads)
     n, c, d = tensor.shape
     labels = np.asarray(labels, dtype=np.int32)

@@ -21,12 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clustering import ClusteringReport, clustering_report, q_sl
-from .gradients import (
-    LogitGradientSet,
-    model_hessian,
-    sample_logit_gradients,
-    weight_gradient,
-)
+from .gradients import model_hessian, sample_logit_gradients, weight_gradient
 from .logits import LogitEnsemble, freezing_stats, sample_ensemble
 from .params import ModelParams
 from .rng import substream
@@ -121,17 +116,19 @@ def point_means(records: list[SweepRecord], name: str) -> np.ndarray:
     return values.reshape(-1, repeats).mean(axis=1)
 
 
-def _check_memory(params: ModelParams) -> None:
-    """Fail before any draw if the dense Hessian and residuals would not fit.
+def _check_memory(params: ModelParams, hessian: bool = True) -> None:
+    """Fail before any draw if the residuals (and the dense Hessian) would not fit.
 
-    Residual sampling (Box-Muller buffers) and Hessian assembly (residuals,
-    composed, centered, weighted rows) each hold four N*C*D double arrays.
+    Box-Muller sampling is the peak, at about 3.5 N*C*D double arrays
+    (uniforms, radii, angles, output and half-size temporaries); Hessian
+    assembly holds two (the tensor and its centered, weighted rows). The
+    bound counts four. ``hessian=False`` checks the residual term alone,
+    for paths that build no Hessian.
     """
     n, c, d = params.n_examples, params.n_classes, params.n_weights
-    terms = {
-        f"dense {d}x{d} Hessian": 8 * d * d,
-        f"{n}x{c}x{d} residual tensor with its temporaries": 4 * 8 * n * c * d,
-    }
+    terms = {f"{n}x{c}x{d} residual tensor with its temporaries": 4 * 8 * n * c * d}
+    if hessian:
+        terms[f"dense {d}x{d} Hessian"] = 8 * d * d
     needed = sum(terms.values())
     if needed > DEFAULT_MEMORY_LIMIT:
         name = max(terms, key=terms.get)
@@ -143,13 +140,13 @@ def _check_memory(params: ModelParams) -> None:
 
 def _instance(
     params: ModelParams, prefix: str = ""
-) -> tuple[LogitEnsemble, LogitGradientSet, np.ndarray, SymmetricSpectrum]:
+) -> tuple[LogitEnsemble, np.ndarray, np.ndarray, SymmetricSpectrum]:
     """The one measurement path: sample, assemble the Hessian, solve it."""
     _check_memory(params)
     ensemble = sample_ensemble(params, prefix)
-    grads = sample_logit_gradients(params, prefix)
-    hessian = model_hessian(grads, ensemble)
-    return ensemble, grads, hessian, eigh(hessian)
+    tensor = sample_logit_gradients(params, prefix)
+    hessian = model_hessian(tensor, ensemble)
+    return ensemble, tensor, hessian, eigh(hessian)
 
 
 def _projected(params: ModelParams, prefix: str, hessian: np.ndarray) -> SymmetricSpectrum:
@@ -174,8 +171,8 @@ def run_overlap_experiment(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     Raises the zero-gradient error if every probability row is frozen
     exactly onto its label.
     """
-    ensemble, grads, _, spectrum = _instance(params)
-    return gradient_overlaps(spectrum, weight_gradient(grads, ensemble))
+    ensemble, tensor, _, spectrum = _instance(params)
+    return gradient_overlaps(spectrum, weight_gradient(tensor, ensemble))
 
 
 def run_projection_experiment(
@@ -187,7 +184,8 @@ def run_projection_experiment(
 
 
 def run_clustering_experiment(params: ModelParams) -> ClusteringReport:
-    """Clustering statistics of one model-sampled gradient set."""
+    """Clustering statistics of one model-sampled gradient tensor."""
+    _check_memory(params, hessian=False)
     labels = sample_ensemble(params).labels
     return clustering_report(sample_logit_gradients(params), labels)
 
@@ -226,9 +224,9 @@ def run_sigma_z_sweep(
 def _sweep_record(
     params: ModelParams, prefix: str, sigma_z: float, sigma_c: float, rep: int
 ) -> SweepRecord:
-    ensemble, grads, hessian, spectrum = _instance(params, prefix)
+    ensemble, tensor, hessian, spectrum = _instance(params, prefix)
     projected = _projected(params, prefix, hessian)
-    _, cumulative = gradient_overlaps(spectrum, weight_gradient(grads, ensemble))
+    _, cumulative = gradient_overlaps(spectrum, weight_gradient(tensor, ensemble))
     mean_entropy, mean_max_prob = freezing_stats(ensemble)
     report = detect_outliers(spectrum, max_candidates=3 * params.n_classes)
     return SweepRecord(
@@ -257,9 +255,9 @@ def run_snr_sweep(
             raise ValueError(f"snr values must be positive, got {snr!r}")
         sigma_e = 0.0 if math.isinf(snr) else params.sigma_c / math.sqrt(snr)
         point_params = replace(params, sigma_e=sigma_e)
-        _, grads, _, spectrum = _instance(point_params, f"snr:{i}:")
+        _, tensor, _, spectrum = _instance(point_params, f"snr:{i}:")
         report = detect_outliers(spectrum, max_candidates=3 * params.n_classes)
-        results.append((float(snr), report.n_outliers, q_sl(grads)))
+        results.append((float(snr), report.n_outliers, q_sl(tensor)))
     return results
 
 

@@ -1,11 +1,12 @@
 """Weight-space gradient and G-term Hessian of the random model.
 
 Logit gradients decompose into class means plus residuals,
-dz[mu,k]/dW = c[k] + E[mu,k], with c ~ N(0, sigma_c^2) (optionally
-length-varied per class) and E ~ N(0, sigma_e^2). The weight-space objects
-are
+J[mu,k] = dz[mu,k]/dW = c[k] + E[mu,k], with c ~ N(0, sigma_c^2) (optionally
+length-varied per class) and E ~ N(0, sigma_e^2). J is always one (N, C, D)
+array, sampled by :func:`sample_logit_gradients` or read from a dump. The
+weight-space objects are
 
-    g  = (1/N) sum_mu sum_k (y - p)[mu,k] (c[k] + E[mu,k])
+    g  = (1/N) sum_mu sum_k (y - p)[mu,k] J[mu,k]
     H  = (1/N) sum_mu J[mu]^T A[mu] J[mu],   A[mu] = diag(p) - p p^T
 
 H is assembled through the exact variance identity
@@ -18,8 +19,6 @@ cross-entropy loss (the finite-difference tests check -g).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .logits import LogitEnsemble
@@ -27,29 +26,8 @@ from .params import ModelParams
 from .rng import RngStream, gaussian_matrix, substream
 
 
-@dataclass(frozen=True)
-class LogitGradientSet:
-    """Mean logit gradients (C, D) plus residuals (N, C, D)."""
-
-    means: np.ndarray
-    residuals: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.residuals.shape
-
-    def composed(self) -> np.ndarray:
-        """The full (N, C, D) tensor means[k] + residuals[mu, k].
-
-        Materializes N*C*D doubles (24 MB at the reference scale).
-        """
-        return self.means[np.newaxis, :, :] + self.residuals
-
-
 def gradient_tensor(grads) -> np.ndarray:
-    """The (N, C, D) tensor of a :class:`LogitGradientSet` or of an array."""
-    if isinstance(grads, LogitGradientSet):
-        return grads.composed()
+    """``grads`` as a float (N, C, D) array; errors on any other shape."""
     tensor = np.asarray(grads, dtype=float)
     if tensor.ndim != 3:
         raise ValueError(f"expected an (N, C, D) tensor, got shape {tensor.shape}")
@@ -73,50 +51,50 @@ def sample_residuals(params: ModelParams, stream: RngStream) -> np.ndarray:
     return gaussian_matrix(stream, n * c, d, params.sigma_e).reshape(n, c, d)
 
 
-def sample_logit_gradients(params: ModelParams, label_prefix: str = "") -> LogitGradientSet:
-    """Draw means and residuals from the labeled substreams of params.seed."""
-    return LogitGradientSet(
-        means=sample_mean_logit_gradients(
-            params, substream(params.seed, label_prefix + "means")
-        ),
-        residuals=sample_residuals(
-            params, substream(params.seed, label_prefix + "residuals")
-        ),
-    )
+def sample_logit_gradients(params: ModelParams, label_prefix: str = "") -> np.ndarray:
+    """The (N, C, D) tensor J[mu,k] = c[k] + E[mu,k] at params.seed.
+
+    Residuals come from the ``<prefix>residuals`` substream and the class
+    means from ``<prefix>means``; the means are added in place.
+    """
+    seed = params.seed
+    tensor = sample_residuals(params, substream(seed, label_prefix + "residuals"))
+    means = sample_mean_logit_gradients(params, substream(seed, label_prefix + "means"))
+    tensor += means
+    return tensor
 
 
 def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return np.eye(n_classes)[np.asarray(labels)]
 
 
-def weight_gradient(grads: LogitGradientSet, ensemble: LogitEnsemble) -> np.ndarray:
-    """The D-vector g = (1/N) sum_{mu,k} (y - p)[mu,k] (c[k] + E[mu,k])."""
+def weight_gradient(tensor: np.ndarray, ensemble: LogitEnsemble) -> np.ndarray:
+    """The D-vector g = (1/N) sum_{mu,k} (y - p)[mu,k] J[mu,k]."""
     coef = _one_hot(ensemble.labels, ensemble.n_classes) - ensemble.probs
-    n = ensemble.n_examples
-    g_means = coef.sum(axis=0) @ grads.means
-    g_resid = np.einsum("nc,ncd->d", coef, grads.residuals)
-    return (g_means + g_resid) / n
+    return np.einsum("nc,ncd->d", coef, tensor) / ensemble.n_examples
 
 
 def _weighted_centered_rows(tensor: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Rows sqrt(p[mu,k]) (T[mu,k] - sum_l p[mu,l] T[mu,l]), flattened to (N*C, D).
 
     Building block of the variance identity: for X = this matrix,
-    X^T X = sum_mu T[mu]^T A[mu] T[mu] exactly.
+    X^T X = sum_mu T[mu]^T A[mu] T[mu] exactly. Allocates one tensor-size
+    array and never writes into ``tensor``.
     """
     n, c, d = tensor.shape
     w = np.einsum("nc,ncd->nd", probs, tensor)
     centered = tensor - w[:, np.newaxis, :]
-    return (np.sqrt(probs)[:, :, np.newaxis] * centered).reshape(n * c, d)
+    centered *= np.sqrt(probs)[:, :, np.newaxis]
+    return centered.reshape(n * c, d)
 
 
-def model_hessian(grads: LogitGradientSet, ensemble: LogitEnsemble) -> np.ndarray:
+def model_hessian(tensor: np.ndarray, ensemble: LogitEnsemble) -> np.ndarray:
     """Dense D x D G-term Hessian H = (1/N) sum_mu J[mu]^T A[mu] J[mu].
 
     Exact assembly via the variance identity (module docstring); PSD by
-    construction up to roundoff.
+    construction up to roundoff. ``tensor`` is left unchanged.
     """
-    n = grads.shape[0]
-    x = _weighted_centered_rows(grads.composed(), ensemble.probs)
+    n = tensor.shape[0]
+    x = _weighted_centered_rows(tensor, ensemble.probs)
     h = (x.T @ x) / n
     return (h + h.T) / 2.0

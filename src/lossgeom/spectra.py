@@ -19,7 +19,6 @@ from .params import ModelParams
 from .rng import RngStream, gaussian_matrix
 
 DEFAULT_GAP_THRESHOLD = 2.0
-DEFAULT_MAX_CANDIDATES = 30  # 3C at the 10-class reference configuration
 
 
 @dataclass(frozen=True)
@@ -81,10 +80,7 @@ def trace_norm_ratio(spectrum: SymmetricSpectrum) -> float:
     return float(spectrum.eigenvalues.sum()) / norm
 
 
-def detect_outliers(
-    spectrum: SymmetricSpectrum,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> OutlierReport:
+def detect_outliers(spectrum: SymmetricSpectrum, max_candidates: int) -> OutlierReport:
     """Declare outliers above the largest relative gap among the top eigenvalues.
 
     Scans the top ``max_candidates`` descending eigenvalues for the largest

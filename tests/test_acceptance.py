@@ -26,7 +26,6 @@ import scipy.stats
 from helpers import fd_gradient, fd_hessian
 from lossgeom import (
     LogitEnsemble,
-    LogitGradientSet,
     ModelParams,
     SweepSpec,
     detect_outliers,
@@ -191,13 +190,11 @@ def test_criterion_7_linear_network_oracle():
         probs = softmax_probs(tensor @ w_star)
         labels = rng.integers(0, c, n)
         ensemble = LogitEnsemble(logits=tensor @ w_star, probs=probs, labels=labels)
-        grads = LogitGradientSet(means=np.zeros((c, d)), residuals=tensor)
-
-        h = model_hessian(grads, ensemble)
+        h = model_hessian(tensor, ensemble)
         fd_h = fd_hessian(tensor, labels, w_star, step=1e-3)
         worst_h = max(worst_h, float(np.linalg.norm(fd_h - h) / np.linalg.norm(h)))
 
-        g = weight_gradient(grads, ensemble)
+        g = weight_gradient(tensor, ensemble)
         fd_g = fd_gradient(tensor, labels, w_star, step=1e-5)
         worst_g = max(worst_g, float(np.abs(fd_g + g).max()))
     print(f"criterion 7: worst Hessian rel err {worst_h:.2e}, "

@@ -216,7 +216,7 @@ def test_non_finite_dump_gives_exit_1_and_no_json(
     cfg_path, tmp_path, capsys, name, value
 ):
     params = ModelParams(n_examples=30, n_classes=4, n_weights=40, hyperplane_dim=4)
-    grads = sample_logit_gradients(params).composed()
+    grads = sample_logit_gradients(params)
     grads[2, 1, 3] = value
     dump = tmp_path / name
     write_dump(str(dump), grads, sample_ensemble(params).labels)

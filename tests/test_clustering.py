@@ -10,7 +10,8 @@ from lossgeom import (
     sample_ensemble,
     sample_logit_gradients,
 )
-from lossgeom.gradients import LogitGradientSet
+from lossgeom.gradients import sample_mean_logit_gradients
+from lossgeom.rng import substream
 
 
 def report(grads):
@@ -93,7 +94,7 @@ def test_orthonormal_means_give_zero_q_dl():
     # Rows along distinct coordinate axes: every cross-logit cosine is 0.
     n, c, d = 8, 4, 10
     means = np.eye(c, d)
-    grads = LogitGradientSet(means=means, residuals=np.zeros((n, c, d)))
+    grads = means[np.newaxis] + np.zeros((n, c, d))
     assert np.isclose(report(grads).q_dl, 0.0, atol=1e-14)
     assert np.isclose(q_sl(grads), 1.0, atol=1e-14)
 
@@ -173,9 +174,10 @@ def test_empirical_class_means_recover_planted_means():
     params = ModelParams(sigma_e=0.01, seed=13)
     ensemble = sample_ensemble(params)
     grads = sample_logit_gradients(params)
-    means = empirical_class_means(grads.composed(), ensemble.labels)
+    means = empirical_class_means(grads, ensemble.labels)
+    planted_means = sample_mean_logit_gradients(params, substream(params.seed, "means"))
     for k in range(params.n_classes):
-        planted = grads.means[k]
+        planted = planted_means[k]
         cos = means[k] @ planted / (np.linalg.norm(means[k]) * np.linalg.norm(planted))
         assert cos > 0.99
 
@@ -189,6 +191,15 @@ def test_tensor_input_validation():
         q_sl(np.ones((1, 2, 4)))
     with pytest.raises(ValueError, match="N >= 2"):
         clustering_report(np.ones((4, 1, 4)), np.zeros(4, dtype=int))
+
+
+def test_labels_must_give_one_class_per_example():
+    with pytest.raises(ValueError, match=r"labels of shape \(7,\) for 4 examples"):
+        clustering_report(np.ones((4, 2, 3)), [0, 0, 1, 1, 1, 1, 0])
+    with pytest.raises(ValueError, match=r"labels of shape \(4,\) for 6 examples"):
+        clustering_report(np.ones((6, 2, 3)), [0, 0, 1, 1])
+    with pytest.raises(ValueError, match=r"label 7 of example 4 is outside \[0, 2\)"):
+        clustering_report(np.ones((6, 2, 3)), [0, 0, 1, 1, 7, 7])
 
 
 def test_zero_row_at_a_labeled_entry_is_named():

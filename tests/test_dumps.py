@@ -29,7 +29,7 @@ def test_binary_round_trip_is_bit_exact(tmp_path):
     dump = read_dump(path)
     assert dump.version == 1
     assert dump.shape == (12, 4, 9)
-    assert np.array_equal(dump.data, grads.composed())
+    assert np.array_equal(dump.data, grads)
     assert np.array_equal(dump.labels, labels)
 
 
@@ -39,7 +39,7 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     path = str(tmp_path / "grads.csv")
     write_dump(path, grads, labels)
     dump = read_dump(path)
-    assert np.array_equal(dump.data, grads.composed())
+    assert np.array_equal(dump.data, grads)
     assert np.array_equal(dump.labels, labels)
     assert (tmp_path / "grads.labels.csv").exists()
 
@@ -146,7 +146,7 @@ def test_ingested_statistics_match_in_memory(tmp_path):
     path = str(tmp_path / "round.lgrd")
     write_dump(path, grads, labels)
     dump = read_dump(path)
-    assert q_sl(dump.data) == q_sl(grads.composed())
+    assert q_sl(dump.data) == q_sl(grads)
 
 
 def test_missing_file_raises_os_error(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from lossgeom import (
     ModelParams,
     SweepSpec,
+    run_clustering_experiment,
     run_freezing_experiment,
     run_overlap_experiment,
     run_sigma_z_sweep,
@@ -197,25 +198,37 @@ def test_freezing_experiment_simplex_coordinates_for_three_classes():
     assert simplex[:, 1].max() <= np.sqrt(3.0) / 2.0 + 1e-12
 
 
+TOO_MANY_RESIDUALS = ModelParams(n_examples=7000, n_classes=10, n_weights=1000)
+RESIDUALS_MESSAGE = (
+    "7000x10x1000 residual tensor with its temporaries needs 2240000000 bytes"
+)
+
+
 @pytest.mark.parametrize(
-    "params, message",
+    "run, params, message",
     [
         (
+            run_spectrum_experiment,
             ModelParams(n_examples=2, n_classes=2, n_weights=16385, hyperplane_dim=1),
             "dense 16385x16385 Hessian needs 2147745800 bytes",
         ),
-        (
-            ModelParams(n_examples=7000, n_classes=10, n_weights=1000),
-            "7000x10x1000 residual tensor with its temporaries needs 2240000000 bytes",
-        ),
+        (run_spectrum_experiment, TOO_MANY_RESIDUALS, RESIDUALS_MESSAGE),
+        (run_clustering_experiment, TOO_MANY_RESIDUALS, RESIDUALS_MESSAGE),
     ],
-    ids=["hessian", "residuals"],
+    ids=["hessian", "residuals", "cluster"],
 )
-def test_memory_guard_rejects_before_sampling(monkeypatch, params, message):
+def test_memory_guard_rejects_before_sampling(monkeypatch, run, params, message):
     def no_draws(*args, **kwargs):
         raise AssertionError("sampled before the memory check")
 
     monkeypatch.setattr(experiments, "sample_ensemble", no_draws)
     monkeypatch.setattr(experiments, "sample_logit_gradients", no_draws)
     with pytest.raises(ValueError, match=message):
-        run_spectrum_experiment(params)
+        run(params)
+
+
+def test_clustering_is_not_held_to_the_hessian_memory_term():
+    # 8 * 16385**2 bytes is over the limit, but clustering builds no Hessian.
+    params = ModelParams(n_examples=8, n_classes=2, n_weights=16385, hyperplane_dim=1)
+    report = run_clustering_experiment(params)
+    assert report.per_class_q.shape == (2,)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from helpers import (
@@ -10,7 +12,6 @@ from helpers import (
 )
 from lossgeom import (
     LogitEnsemble,
-    LogitGradientSet,
     ModelParams,
     model_hessian,
     sample_ensemble,
@@ -30,6 +31,14 @@ def small_instance(seed=0, n=8, c=3, d=12, **overrides):
     ensemble = sample_ensemble(params)
     grads = sample_logit_gradients(params)
     return params, ensemble, grads
+
+
+def planted_split(params, prefix=""):
+    """The class means and residuals that sample_logit_gradients adds up."""
+    seed = params.seed
+    means = sample_mean_logit_gradients(params, substream(seed, prefix + "means"))
+    residuals = sample_residuals(params, substream(seed, prefix + "residuals"))
+    return means, residuals
 
 
 def test_mean_gradient_shapes_and_row_scales():
@@ -72,23 +81,25 @@ def test_sample_logit_gradients_deterministic():
     a = sample_logit_gradients(params)
     b = sample_logit_gradients(params)
     c = sample_logit_gradients(params, label_prefix="x:")
-    assert np.array_equal(a.means, b.means)
-    assert np.array_equal(a.residuals, b.residuals)
-    assert not np.array_equal(a.means, c.means)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
-def test_composed_adds_means_to_residuals():
-    _, _, grads = small_instance()
-    full = grads.composed()
-    assert np.array_equal(full[3, 1], grads.means[1] + grads.residuals[3, 1])
+def test_sample_logit_gradients_is_means_plus_residuals_bit_for_bit():
+    for params, prefix in [
+        (ModelParams(n_examples=8, n_classes=3, n_weights=12, hyperplane_dim=4), ""),
+        (ModelParams(n_examples=20, n_weights=50, length_beta=0.5, seed=3), "x:"),
+    ]:
+        means, residuals = planted_split(params, prefix)
+        tensor = sample_logit_gradients(params, label_prefix=prefix)
+        assert tensor.shape == residuals.shape
+        assert np.array_equal(tensor, means[np.newaxis] + residuals)
 
 
 def test_weight_gradient_matches_brute_force_double_loop():
     _, ensemble, grads = small_instance()
     g = weight_gradient(grads, ensemble)
-    brute = brute_force_weight_gradient(
-        grads.composed(), ensemble.probs, ensemble.labels
-    )
+    brute = brute_force_weight_gradient(grads, ensemble.probs, ensemble.labels)
     assert np.abs(g - brute).max() < 1e-15
 
 
@@ -97,9 +108,7 @@ def test_weight_gradient_brute_force_at_reference_scale():
     ensemble = sample_ensemble(params)
     grads = sample_logit_gradients(params)
     g = weight_gradient(grads, ensemble)
-    brute = brute_force_weight_gradient(
-        grads.composed(), ensemble.probs, ensemble.labels
-    )
+    brute = brute_force_weight_gradient(grads, ensemble.probs, ensemble.labels)
     assert np.abs(g - brute).max() < 1e-12
 
 
@@ -120,7 +129,7 @@ def unit_gradient_hessian(probs):
     Then H is the class coupling matrix P = (1/N) sum_mu diag(p) - p p^T.
     """
     n, c = probs.shape
-    grads = LogitGradientSet(means=np.eye(c), residuals=np.zeros((n, c, c)))
+    grads = np.eye(c)[np.newaxis] + np.zeros((n, c, c))
     ensemble = LogitEnsemble(
         logits=np.zeros((n, c)), probs=probs, labels=np.zeros(n, dtype=int)
     )
@@ -152,9 +161,23 @@ def test_class_coupling_matrix_invariants():
 def test_model_hessian_matches_brute_force_assembly():
     _, ensemble, grads = small_instance()
     h = model_hessian(grads, ensemble)
-    brute = brute_force_hessian(grads.composed(), ensemble.probs)
+    brute = brute_force_hessian(grads, ensemble.probs)
     scale = np.abs(brute).max()
     assert np.abs(h - brute).max() < 1e-13 * max(1.0, scale)
+
+
+def test_model_hessian_holds_one_tensor_size_temporary():
+    _, ensemble, grads = small_instance(n=200, c=10, d=100)
+    before = grads.copy()
+    tracemalloc.start()
+    try:
+        model_hessian(grads, ensemble)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    print(f"model_hessian peak: {peak / grads.nbytes:.2f}x the tensor")
+    assert peak < 2 * grads.nbytes
+    assert np.array_equal(grads, before)  # the caller's tensor is not written
 
 
 def test_model_hessian_is_psd_by_construction():
@@ -179,9 +202,9 @@ def test_model_hessian_zero_for_frozen_onehot_rows():
 def test_model_hessian_zero_residuals_match_brute_force_with_rank_bound():
     params, ensemble, _ = small_instance(n=30, c=4, d=25, sigma_e=0.0)
     grads = sample_logit_gradients(params)
-    assert not grads.residuals.any()
+    assert not planted_split(params)[1].any()
     h = model_hessian(grads, ensemble)
-    brute = brute_force_hessian(grads.composed(), ensemble.probs)
+    brute = brute_force_hessian(grads, ensemble.probs)
     assert np.abs(h - brute).max() < 1e-14 * max(1.0, np.abs(brute).max())
     eigs = np.linalg.eigvalsh(h)
     rank = int(np.sum(eigs > 1e-12 * eigs.max()))
@@ -192,8 +215,9 @@ def test_zero_residual_gradient_lies_in_mean_row_space():
     params, ensemble, _ = small_instance(n=30, c=4, d=25, sigma_e=0.0)
     grads = sample_logit_gradients(params)
     g = weight_gradient(grads, ensemble)
-    coeffs, residual, _, _ = np.linalg.lstsq(grads.means.T, g, rcond=None)
-    recon = grads.means.T @ coeffs
+    means, _ = planted_split(params)
+    coeffs, residual, _, _ = np.linalg.lstsq(means.T, g, rcond=None)
+    recon = means.T @ coeffs
     assert np.linalg.norm(g - recon) < 1e-10 * max(1e-30, np.linalg.norm(g))
 
 
@@ -208,13 +232,11 @@ def test_hessian_and_gradient_match_finite_differences():
     probs = softmax_probs(logits)
     labels = rng.integers(0, c, n)
     ensemble = LogitEnsemble(logits=logits, probs=probs, labels=labels)
-    grads = LogitGradientSet(means=np.zeros((c, d)), residuals=tensor)
-
-    g = weight_gradient(grads, ensemble)
+    g = weight_gradient(tensor, ensemble)
     fd_g = fd_gradient(tensor, labels, w_star, step=1e-5)
     assert np.abs(fd_g + g).max() < 1e-6  # g is minus the loss gradient
 
-    h = model_hessian(grads, ensemble)
+    h = model_hessian(tensor, ensemble)
     fd_h = fd_hessian(tensor, labels, w_star, step=1e-3)
     rel = np.linalg.norm(fd_h - h) / np.linalg.norm(h)
     assert rel < 1e-5
@@ -223,7 +245,7 @@ def test_hessian_and_gradient_match_finite_differences():
 def test_hessian_scaling_covariance():
     # Doubling every logit gradient multiplies H by 4 and g by 2 exactly.
     _, ensemble, grads = small_instance(n=12, c=3, d=15)
-    doubled = LogitGradientSet(means=2.0 * grads.means, residuals=2.0 * grads.residuals)
+    doubled = 2.0 * grads
     h1 = model_hessian(grads, ensemble)
     h2 = model_hessian(doubled, ensemble)
     g1 = weight_gradient(grads, ensemble)
@@ -235,16 +257,16 @@ def test_hessian_scaling_covariance():
 def test_clustered_hessian_cross_term_identity():
     # H - signal - noise must equal the mean/residual cross-terms exactly;
     # verify against explicit per-example assembly of those cross-terms.
-    _, ensemble, grads = small_instance(n=6, c=3, d=8)
+    params, ensemble, grads = small_instance(n=6, c=3, d=8)
     h = model_hessian(grads, ensemble)
-    signal, noise = clustered_hessian(grads.means, grads.residuals, ensemble.probs)
+    means, residuals = planted_split(params)
+    signal, noise = clustered_hessian(means, residuals, ensemble.probs)
 
     n = ensemble.n_examples
     cross = np.zeros((8, 8))
-    means = grads.means
     for mu in range(n):
         a = np.diag(ensemble.probs[mu]) - np.outer(ensemble.probs[mu], ensemble.probs[mu])
-        e = grads.residuals[mu]
+        e = residuals[mu]
         cross += means.T @ a @ e + e.T @ a @ means
     cross /= n
 
@@ -255,7 +277,7 @@ def test_clustered_hessian_cross_term_identity():
 def test_clustered_hessian_zero_residuals_collapse_to_signal():
     params, ensemble, _ = small_instance(n=20, c=4, d=12, sigma_e=0.0)
     grads = sample_logit_gradients(params)
-    signal, noise = clustered_hessian(grads.means, grads.residuals, ensemble.probs)
+    signal, noise = clustered_hessian(*planted_split(params), ensemble.probs)
     h = model_hessian(grads, ensemble)
     assert not noise.any()
     assert np.abs(h - signal).max() < 1e-15 * max(1.0, np.abs(h).max())
@@ -266,7 +288,7 @@ def test_clustered_split_is_close_at_reference_scale():
     ensemble = sample_ensemble(params)
     grads = sample_logit_gradients(params)
     h = model_hessian(grads, ensemble)
-    signal, noise = clustered_hessian(grads.means, grads.residuals, ensemble.probs)
+    signal, noise = clustered_hessian(*planted_split(params), ensemble.probs)
     ratio = np.linalg.norm(h - signal - noise) / np.linalg.norm(h)
     # Cross-terms are zero-mean and self-average, so the split captures most
     # of H. No hard bound is claimed; we record the measured fraction (about

@@ -3,7 +3,6 @@ import pytest
 
 from lossgeom import (
     LogitEnsemble,
-    LogitGradientSet,
     ModelParams,
     assign_labels,
     freezing_stats,
@@ -24,7 +23,7 @@ def in_logit_space(logits, label=0):
     """
     z = np.asarray(logits, dtype=float)[np.newaxis, :]
     c = z.shape[1]
-    grads = LogitGradientSet(means=np.eye(c), residuals=np.zeros((1, c, c)))
+    grads = np.eye(c)[np.newaxis] + np.zeros((1, c, c))
     ensemble = LogitEnsemble(logits=z, probs=softmax_probs(z), labels=np.array([label]))
     return weight_gradient(grads, ensemble), model_hessian(grads, ensemble)
 

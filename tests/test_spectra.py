@@ -95,17 +95,17 @@ def test_detect_outliers_planted_pair():
     rng = np.random.default_rng(3)
     bulk = np.ones(98) + 0.01 * rng.standard_normal(98)
     h = np.diag(np.concatenate([[10.0, 10.0], bulk]))
-    report = detect_outliers(eigh(h))
+    report = detect_outliers(eigh(h), max_candidates=30)
     assert report.n_outliers == 2
     assert np.allclose(report.outlier_values, [10.0, 10.0], atol=1e-12)
     assert report.bulk_edge < 1.1
 
 
 def test_detect_outliers_featureless_spectra():
-    assert detect_outliers(eigh(np.eye(40))).n_outliers == 0
+    assert detect_outliers(eigh(np.eye(40)), max_candidates=30).n_outliers == 0
     # A GOE bulk has no detached eigenvalue and tiny edge gaps.
     rng = np.random.default_rng(4)
-    report = detect_outliers(eigh(random_symmetric(rng, 100)))
+    report = detect_outliers(eigh(random_symmetric(rng, 100)), max_candidates=30)
     assert report.n_outliers == 0
     assert report.bulk_edge == pytest.approx(
         float(eigh(random_symmetric(np.random.default_rng(4), 100)).eigenvalues[0])
@@ -118,22 +118,23 @@ def test_detect_outliers_adding_a_far_spike_increments_count():
     rng = np.random.default_rng(5)
     for trial in range(5):
         h = random_symmetric(rng, 80)
-        base = detect_outliers(eigh(h))
+        base = detect_outliers(eigh(h), max_candidates=30)
         assert base.n_outliers == 0
         top = eigh(h).eigenvalues[0]
         v = rng.standard_normal(80)
         v /= np.linalg.norm(v)
         spiked = h + 20.0 * abs(top) * np.outer(v, v)
-        report = detect_outliers(eigh(spiked))
+        report = detect_outliers(eigh(spiked), max_candidates=30)
         assert report.n_outliers == 1
 
 
 def test_detect_outliers_respects_threshold_and_window():
     h = np.diag(np.concatenate([[10.0], np.ones(20)]))
     spectrum = eigh(h)
-    assert detect_outliers(spectrum).n_outliers == 1
+    assert detect_outliers(spectrum, max_candidates=30).n_outliers == 1
     # A largest relative gap of 1.5 stays under the threshold of 2.
-    assert detect_outliers(eigh(np.diag([2.5] + [1.0] * 20))).n_outliers == 0
+    flat = eigh(np.diag([2.5] + [1.0] * 20))
+    assert detect_outliers(flat, max_candidates=30).n_outliers == 0
     # Window of 1 can still see the first gap.
     assert detect_outliers(spectrum, max_candidates=1).n_outliers == 1
 
@@ -141,7 +142,7 @@ def test_detect_outliers_respects_threshold_and_window():
 def test_detect_outliers_on_model_hessian():
     params = ModelParams()
     h = model_hessian(sample_logit_gradients(params), sample_ensemble(params))
-    report = detect_outliers(eigh(h))
+    report = detect_outliers(eigh(h), max_candidates=30)
     assert report.n_outliers == 9
     assert report.outlier_values.min() > report.bulk_edge
 
