@@ -83,7 +83,7 @@ def _cmd_spectrum(cfg: RunConfig, outdir: str, args) -> dict:
         "bulk_edge": report.bulk_edge,
         "outlier_values": [float(v) for v in report.outlier_values],
         "top_eigenvalue": float(spectrum.eigenvalues[0]),
-        "trace": float(spectrum.eigenvalues.sum()),
+        "trace": spectrum.trace,
         "trace_ratio": trace_norm_ratio(spectrum),
     }
     _write_json(os.path.join(outdir, "outliers.json"), payload)

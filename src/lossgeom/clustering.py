@@ -92,19 +92,19 @@ def predicted_q_sl(sigma_c: float, sigma_e: float) -> float:
 def clustering_report(grads, labels: np.ndarray) -> ClusteringReport:
     """All three statistics plus the per-class same-logit-same-class vector.
 
-    Errors unless ``labels`` holds one label in [0, C) per example, if any
-    class has fewer than two labeled examples, if N < 2 or C < 2, or if any
-    (example, logit) gradient row is zero.
+    Errors unless ``labels`` holds one integer label in [0, C) per example,
+    if any class has fewer than two labeled examples, if N < 2 or C < 2, or
+    if any (example, logit) gradient row is zero.
     """
     tensor = gradient_tensor(grads)
     labels = np.asarray(labels)
     n, c, _ = tensor.shape
     if labels.shape != (n,):
         raise ValueError(f"got labels of shape {labels.shape} for {n} examples")
-    outside = np.flatnonzero((labels < 0) | (labels >= c))
+    outside = np.flatnonzero((labels < 0) | (labels >= c) | (labels != np.floor(labels)))
     if outside.size:
         mu = outside[0]
-        raise ValueError(f"label {labels[mu]} of example {mu} is outside [0, {c})")
+        raise ValueError(f"label {labels[mu]} of example {mu} is not an integer in [0, {c})")
     members = [np.flatnonzero(labels == k) for k in range(c)]
     for k, idx in enumerate(members):
         if idx.size < 2:

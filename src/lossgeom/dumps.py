@@ -48,7 +48,7 @@ class DumpTruncatedError(DumpError):
 
 
 class DumpLabelError(DumpError):
-    """A label lies outside [0, C)."""
+    """A label is not an integer in [0, C)."""
 
 
 class DumpValueError(DumpError):
@@ -77,12 +77,15 @@ def write_dump(path: str, grads, labels) -> None:
     """Write an (N, C, D) tensor plus labels in the format ``path`` implies."""
     tensor = gradient_tensor(grads)
     n, c, d = tensor.shape
-    labels = np.asarray(labels, dtype=np.int32)
+    given = np.asarray(labels)
+    labels = given.astype(np.int32)
     if labels.shape != (n,):
         raise ValueError(f"labels shape {labels.shape} does not match N={n}")
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise DumpLabelError(f"labels must lie in [0, {c}), got range "
-                             f"[{labels.min()}, {labels.max()}]")
+    bad = np.flatnonzero((labels != given) | (labels < 0) | (labels >= c))
+    if bad.size:
+        raise DumpLabelError(
+            f"label {given[bad[0]]} at example {bad[0]} is not an integer in [0, {c})"
+        )
     if path.endswith(".csv"):
         np.savetxt(path, tensor.reshape(n * c, d), fmt="%.17g", delimiter=",")
         np.savetxt(_csv_sidecar(path), labels[:, np.newaxis], fmt="%d")

@@ -1,13 +1,13 @@
 """Experiment orchestration: the property experiments and the sweeps.
 
 Every Hessian measurement takes one path, :func:`_instance` (sample the
-ensemble and gradients, assemble H, solve it), and every projected spectrum
-another, :func:`_projected`. Each experiment is a pure function of a
-:class:`ModelParams` (plus a sweep spec where applicable): identical inputs
-give identical outputs. Sweep tasks draw from labeled substreams
-(``sweep:<point>:<repeat>:<role>``), so points and repeats are independent
-and could run concurrently; this implementation executes them serially in
-grid order, which is also the merge order.
+ensemble and gradients, assemble H, solve it for only what the output
+reads), and every projected spectrum another, :func:`_projected`. Each
+experiment is a pure function of a :class:`ModelParams` (plus a sweep spec
+where applicable): identical inputs give identical outputs. Sweep tasks draw
+from labeled substreams (``sweep:<point>:<repeat>:<role>``), so points and
+repeats are independent and could run concurrently; this implementation
+executes them serially in grid order, which is also the merge order.
 
 Labels are re-drawn per sweep point and repeat at the configured target
 accuracy: each point models a training snapshot at fixed accuracy.
@@ -139,29 +139,33 @@ def _check_memory(params: ModelParams, hessian: bool = True) -> None:
 
 
 def _instance(
-    params: ModelParams, prefix: str = ""
+    params: ModelParams, prefix: str = "", top: bool = False, vectors: bool = True
 ) -> tuple[LogitEnsemble, np.ndarray, np.ndarray, SymmetricSpectrum]:
-    """The one measurement path: sample, assemble the Hessian, solve it."""
+    """The one measurement path: sample, assemble the Hessian, solve it for
+    only what the output reads. ``top=True`` asks for the k = min(D, max(3C+1,
+    10)) largest pairs: the outlier scan reads 3C+1 eigenvalues, the top-10
+    gradient power 10 eigenvectors. ``vectors=False`` skips the eigenvectors."""
     _check_memory(params)
     ensemble = sample_ensemble(params, prefix)
     tensor = sample_logit_gradients(params, prefix)
     hessian = model_hessian(tensor, ensemble)
-    return ensemble, tensor, hessian, eigh(hessian)
+    k = min(params.n_weights, max(3 * params.n_classes + 1, 10)) if top else None
+    return ensemble, tensor, hessian, eigh(hessian, top=k, vectors=vectors)
 
 
 def _projected(params: ModelParams, prefix: str, hessian: np.ndarray) -> SymmetricSpectrum:
-    """Spectrum of H compressed onto the random ``<prefix>hyperplane`` basis."""
+    """Eigenvalues of H compressed onto the random ``<prefix>hyperplane`` basis."""
     basis = random_orthonormal_basis(
         params, substream(params.seed, prefix + "hyperplane")
     )
-    return eigh(project_hessian(hessian, basis))
+    return eigh(project_hessian(hessian, basis), vectors=False)
 
 
 def run_spectrum_experiment(
     params: ModelParams,
 ) -> tuple[SymmetricSpectrum, OutlierReport]:
-    """One full ensemble at params: Hessian eigensystem plus outlier report."""
-    spectrum = _instance(params)[3]
+    """One full ensemble at params: Hessian eigenvalues plus outlier report."""
+    spectrum = _instance(params, vectors=False)[3]
     return spectrum, detect_outliers(spectrum, max_candidates=3 * params.n_classes)
 
 
@@ -178,8 +182,8 @@ def run_overlap_experiment(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
 def run_projection_experiment(
     params: ModelParams,
 ) -> tuple[SymmetricSpectrum, SymmetricSpectrum]:
-    """Full Hessian spectrum and its compression onto a random hyperplane."""
-    _, _, hessian, spectrum = _instance(params)
+    """Hessian eigenvalues and those of its compression onto a random hyperplane."""
+    _, _, hessian, spectrum = _instance(params, vectors=False)
     return spectrum, _projected(params, "", hessian)
 
 
@@ -212,7 +216,7 @@ def run_sigma_z_sweep(
         for rep in range(spec.repeats):
             prefix = f"sweep:{i}:{rep}:"
             try:
-                record = _sweep_record(point_params, prefix, float(sigma_z), sigma_c, rep)
+                record = _sweep_record(point_params, prefix, rep)
             except ValueError as exc:
                 raise ValueError(
                     f"sweep point {i} (sigma_z={sigma_z:g}) repeat {rep}: {exc}"
@@ -221,19 +225,17 @@ def run_sigma_z_sweep(
     return records
 
 
-def _sweep_record(
-    params: ModelParams, prefix: str, sigma_z: float, sigma_c: float, rep: int
-) -> SweepRecord:
-    ensemble, tensor, hessian, spectrum = _instance(params, prefix)
+def _sweep_record(params: ModelParams, prefix: str, rep: int) -> SweepRecord:
+    ensemble, tensor, hessian, spectrum = _instance(params, prefix, top=True)
     projected = _projected(params, prefix, hessian)
     _, cumulative = gradient_overlaps(spectrum, weight_gradient(tensor, ensemble))
     mean_entropy, mean_max_prob = freezing_stats(ensemble)
     report = detect_outliers(spectrum, max_candidates=3 * params.n_classes)
     return SweepRecord(
-        sigma_z=sigma_z,
-        sigma_c=sigma_c,
+        sigma_z=params.sigma_z,
+        sigma_c=params.sigma_c,
         top_eigenvalue=float(spectrum.eigenvalues[0]),
-        trace=float(spectrum.eigenvalues.sum()),
+        trace=spectrum.trace,
         spectral_norm=spectral_norm(spectrum),
         trace_ratio=trace_norm_ratio(spectrum),
         projected_trace_ratio=trace_norm_ratio(projected),
@@ -255,7 +257,9 @@ def run_snr_sweep(
             raise ValueError(f"snr values must be positive, got {snr!r}")
         sigma_e = 0.0 if math.isinf(snr) else params.sigma_c / math.sqrt(snr)
         point_params = replace(params, sigma_e=sigma_e)
-        _, tensor, _, spectrum = _instance(point_params, f"snr:{i}:")
+        _, tensor, _, spectrum = _instance(
+            point_params, f"snr:{i}:", top=True, vectors=False
+        )
         report = detect_outliers(spectrum, max_candidates=3 * params.n_classes)
         results.append((float(snr), report.n_outliers, q_sl(tensor)))
     return results

@@ -64,13 +64,9 @@ def sample_logit_gradients(params: ModelParams, label_prefix: str = "") -> np.nd
     return tensor
 
 
-def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    return np.eye(n_classes)[np.asarray(labels)]
-
-
 def weight_gradient(tensor: np.ndarray, ensemble: LogitEnsemble) -> np.ndarray:
     """The D-vector g = (1/N) sum_{mu,k} (y - p)[mu,k] J[mu,k]."""
-    coef = _one_hot(ensemble.labels, ensemble.n_classes) - ensemble.probs
+    coef = np.eye(ensemble.n_classes)[ensemble.labels] - ensemble.probs
     return np.einsum("nc,ncd->d", coef, tensor) / ensemble.n_examples
 
 
@@ -92,9 +88,8 @@ def model_hessian(tensor: np.ndarray, ensemble: LogitEnsemble) -> np.ndarray:
     """Dense D x D G-term Hessian H = (1/N) sum_mu J[mu]^T A[mu] J[mu].
 
     Exact assembly via the variance identity (module docstring); PSD by
-    construction up to roundoff. ``tensor`` is left unchanged.
+    construction up to roundoff, and exactly symmetric (numpy forms X^T X
+    with one triangle-mirroring syrk). ``tensor`` is left unchanged.
     """
-    n = tensor.shape[0]
     x = _weighted_centered_rows(tensor, ensemble.probs)
-    h = (x.T @ x) / n
-    return (h + h.T) / 2.0
+    return (x.T @ x) / tensor.shape[0]

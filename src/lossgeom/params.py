@@ -40,18 +40,10 @@ class ModelParams:
             object.__setattr__(self, "sigma_c", 1.0 / math.sqrt(self.n_weights))
         if self.sigma_e is None:
             object.__setattr__(self, "sigma_e", 0.7 / math.sqrt(self.n_weights))
-        self._validate()
-
-    def _validate(self) -> None:
-        def positive_int(name: str) -> None:
+        for name in ("n_examples", "n_classes", "n_weights", "hyperplane_dim"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-
-        positive_int("n_examples")
-        positive_int("n_classes")
-        positive_int("n_weights")
-        positive_int("hyperplane_dim")
         if self.n_classes < 2:
             raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
         if self.hyperplane_dim > self.n_weights:

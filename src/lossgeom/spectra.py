@@ -1,11 +1,15 @@
 """Symmetric eigendecomposition and spectral diagnostics.
 
-Eigensystems are computed with LAPACK's dsyev (Householder tridiagonalization
-followed by implicit-shift QL/QR iteration, via scipy's driver='ev'), then
-reordered descending with a deterministic eigenvector sign convention. On top
-of that sit the diagnostics used by the experiments: largest-relative-gap
-outlier detection, gradient/eigenvector overlaps, the trace-to-spectral-norm
-ratio, and random-hyperplane projection.
+:func:`eigh` solves only for what its caller reads. Both of its LAPACK
+drivers first reduce the matrix to tridiagonal form by Householder
+reflections. The whole spectrum comes from dsyevd (scipy's driver='evd':
+divide and conquer for the eigenvectors, root-free QR for eigenvalues
+alone); the top k eigenpairs come from dsyevr (driver='evr': bisection for
+the eigenvalues and inverse iteration for the vectors, only the k wanted).
+Results are reordered descending with a deterministic eigenvector sign
+convention. On top of that sit the diagnostics used by the experiments:
+largest-relative-gap outlier detection, gradient/eigenvector overlaps, the
+trace-to-spectral-norm ratio, and random-hyperplane projection.
 """
 
 from __future__ import annotations
@@ -23,10 +27,12 @@ DEFAULT_GAP_THRESHOLD = 2.0
 
 @dataclass(frozen=True)
 class SymmetricSpectrum:
-    """Eigenvalues sorted descending with column-matched orthonormal eigenvectors."""
+    """Descending eigenvalues, the column-matched eigenvectors if solved for,
+    and the matrix's trace (read off its diagonal, so also exact for top k)."""
 
-    eigenvalues: np.ndarray  # (D,) descending
-    eigenvectors: np.ndarray  # (D, D), column i pairs with eigenvalues[i]
+    eigenvalues: np.ndarray  # (k,) descending; k = D unless only the top k
+    eigenvectors: np.ndarray | None  # (D, k), column i pairs with eigenvalues[i]
+    trace: float
 
 
 @dataclass(frozen=True)
@@ -42,33 +48,46 @@ class OutlierReport:
     outlier_values: np.ndarray
 
 
-def eigh(matrix: np.ndarray) -> SymmetricSpectrum:
-    """Full eigensystem of a symmetric matrix, descending order.
+def eigh(
+    matrix: np.ndarray, top: int | None = None, vectors: bool = True
+) -> SymmetricSpectrum:
+    """Eigenvalues of a symmetric matrix, descending, and optionally eigenvectors.
 
-    Requires symmetry within 1e-8 (scaled by the largest entry). Eigenvector
-    signs are fixed by making each column's largest-magnitude component
-    positive (first occurrence on ties). Non-convergence of the QL/QR
-    iteration raises scipy's LinAlgError; it is treated as fatal.
+    ``top=None`` solves for the whole spectrum (driver 'evd'); ``top=k`` for
+    the k largest eigenpairs only (driver 'evr'), with k >= D clamped to the
+    whole spectrum. ``vectors=False`` skips the eigenvectors. Requires
+    symmetry within 1e-8 (scaled by the largest entry); LAPACK reads the
+    lower triangle. Eigenvector signs are fixed by making each column's
+    largest-magnitude component positive (first occurrence on ties).
+    Non-convergence raises scipy's LinAlgError; it is treated as fatal.
     """
     h = np.asarray(matrix, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"matrix must be square, got shape {h.shape}")
+    if top is not None and top < 1:
+        raise ValueError(f"top must be at least 1, got {top}")
     scale = max(1.0, float(np.abs(h).max()) if h.size else 1.0)
     asym = float(np.abs(h - h.T).max()) if h.size else 0.0
     if asym > 1e-8 * scale:
         raise ValueError(f"matrix is not symmetric (max |H - H^T| = {asym:.3e})")
-    sym = (h + h.T) / 2.0
-    values, vectors = scipy.linalg.eigh(sym, driver="ev")
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1]
-    flat_idx = np.abs(vectors).argmax(axis=0)
-    signs = np.sign(vectors[flat_idx, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    return SymmetricSpectrum(eigenvalues=values, eigenvectors=vectors * signs)
+    d = h.shape[0]
+    k = d if top is None else min(int(top), d)
+    subset = None if k == d else [d - k, d - 1]
+    solved = scipy.linalg.eigh(
+        h, eigvals_only=not vectors, subset_by_index=subset,
+        driver="evd" if subset is None else "evr",
+    )
+    values, vecs = solved if vectors else (solved, None)
+    if vectors:
+        vecs = vecs[:, ::-1]
+        signs = np.sign(vecs[np.abs(vecs).argmax(axis=0), np.arange(k)])
+        vecs = vecs * np.where(signs == 0, 1.0, signs)
+    return SymmetricSpectrum(values[::-1].copy(), vecs, float(np.trace(h)))
 
 
 def spectral_norm(spectrum: SymmetricSpectrum) -> float:
-    """max |lambda_i|."""
+    """max |lambda_i| over the eigenvalues held: for the top k of a PSD
+    matrix, such as the Hessian, lambda_1, the norm of the whole matrix."""
     return float(np.abs(spectrum.eigenvalues).max())
 
 
@@ -77,7 +96,7 @@ def trace_norm_ratio(spectrum: SymmetricSpectrum) -> float:
     norm = spectral_norm(spectrum)
     if norm == 0.0:
         raise ValueError("trace/norm ratio undefined: spectral norm is zero")
-    return float(spectrum.eigenvalues.sum()) / norm
+    return spectrum.trace / norm
 
 
 def detect_outliers(spectrum: SymmetricSpectrum, max_candidates: int) -> OutlierReport:
@@ -89,17 +108,15 @@ def detect_outliers(spectrum: SymmetricSpectrum, max_candidates: int) -> Outlier
     ``DEFAULT_GAP_THRESHOLD``, everything above it is an outlier and the
     eigenvalue just below is the bulk edge; otherwise the report is empty.
     Ties on the largest gap resolve to the fewest outliers. Zero outliers is
-    a valid report.
+    a valid report. A top-k spectrum gives the same report when it holds
+    ``max_candidates + 1`` eigenvalues or the whole spectrum.
     """
     lam = spectrum.eigenvalues
-    m = min(int(max_candidates), lam.shape[0] - 1)
-    if m < 1:
-        return OutlierReport(0, float(lam[0]), np.empty(0))
-    top = lam[: m + 1]
+    top = lam[: max(int(max_candidates), 0) + 1]
     eps = 1e-12 * max(abs(float(lam[0])), np.finfo(float).tiny)
     gaps = (top[:-1] - top[1:]) / np.maximum(top[1:], eps)
-    best = int(np.argmax(gaps))
-    if gaps[best] <= DEFAULT_GAP_THRESHOLD:
+    best = int(np.argmax(gaps)) if gaps.size else 0
+    if not gaps.size or gaps[best] <= DEFAULT_GAP_THRESHOLD:
         return OutlierReport(0, float(lam[0]), np.empty(0))
     return OutlierReport(
         n_outliers=best + 1,
@@ -111,47 +128,36 @@ def detect_outliers(spectrum: SymmetricSpectrum, max_candidates: int) -> Outlier
 def gradient_overlaps(
     spectrum: SymmetricSpectrum, gradient: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cosines of the gradient against each eigenvector, plus cumulative power.
+    """Cosines of the gradient against each eigenvector held, plus cumulative power.
 
     cosines[i] = <g, v_i> / ||g||; cumulative_power[i] is the squared power
-    captured by the first i+1 eigenvectors, reaching 1 at the last index.
-    Errors on a zero gradient.
+    of the first i+1, reaching 1 at the last index of a whole eigensystem.
+    Errors on a zero gradient or a spectrum solved without eigenvectors.
     """
     g = np.asarray(gradient, dtype=float)
     norm = float(np.linalg.norm(g))
     if norm == 0.0:
         raise ValueError("gradient is zero; overlaps undefined")
+    if spectrum.eigenvectors is None:
+        raise ValueError("spectrum was solved without eigenvectors")
     cosines = spectrum.eigenvectors.T @ (g / norm)
     return cosines, np.cumsum(cosines**2)
 
 
 def top10_power(cumulative_power: np.ndarray) -> float:
-    """Gradient power captured by the top 10 eigenvectors (all when D < 10)."""
+    """Gradient power captured by the top 10 eigenvectors (all when fewer are held)."""
     return float(cumulative_power[min(10, cumulative_power.shape[0]) - 1])
 
 
 def random_orthonormal_basis(params: ModelParams, stream: RngStream) -> np.ndarray:
-    """D x d basis: modified Gram-Schmidt on d i.i.d. Gaussian columns.
+    """D x d basis: QR of d i.i.d. Gaussian columns with diag(R) made positive.
 
-    Redraws on numerical rank deficiency (probability ~0 for d <= D).
+    The sign fix makes it the Gram-Schmidt basis of the draw, which has full
+    rank with probability 1 for d <= D.
     """
-    d_big, d_small = params.n_weights, params.hyperplane_dim
-    for _ in range(8):
-        raw = gaussian_matrix(stream, d_big, d_small, 1.0)
-        basis = np.empty_like(raw)
-        ok = True
-        for j in range(d_small):
-            v = raw[:, j].copy()
-            for i in range(j):  # modified Gram-Schmidt: subtract as you go
-                v -= (basis[:, i] @ v) * basis[:, i]
-            norm = float(np.linalg.norm(v))
-            if norm < 1e-8 * np.sqrt(d_big):
-                ok = False
-                break
-            basis[:, j] = v / norm
-        if ok:
-            return basis
-    raise RuntimeError("random basis draw kept collapsing; giving up after 8 tries")
+    raw = gaussian_matrix(stream, params.n_weights, params.hyperplane_dim, 1.0)
+    q, r = np.linalg.qr(raw)
+    return q * np.sign(np.diag(r))
 
 
 def project_hessian(matrix: np.ndarray, basis: np.ndarray) -> np.ndarray:

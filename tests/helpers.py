@@ -1,11 +1,28 @@
 """Shared oracles for the test suite.
 
-Everything here is deliberately independent of the package internals: losses
+The oracles are deliberately independent of the package internals: losses
 are recomputed from first principles and derivatives come from central finite
 differences, so agreement with the library is evidence rather than tautology.
+The one exception, :func:`full_solve_sweep`, samples through the package and
+differs from it only in how it solves each Hessian.
 """
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
+
+from lossgeom import (
+    detect_outliers,
+    freezing_stats,
+    model_hessian,
+    project_hessian,
+    random_orthonormal_basis,
+    sample_ensemble,
+    sample_logit_gradients,
+    substream,
+    weight_gradient,
+)
 
 
 def reference_cross_entropy(tensor, labels, weights):
@@ -131,3 +148,52 @@ def empirical_class_means(tensor, labels):
             means[k] += tensor[mu, k]
         means[k] /= len(members)
     return means
+
+
+def gram_schmidt(raw):
+    """Modified Gram-Schmidt orthonormalization of the columns of ``raw``."""
+    basis = np.empty_like(raw)
+    for j in range(raw.shape[1]):
+        v = raw[:, j].copy()
+        for i in range(j):
+            v -= (basis[:, i] @ v) * basis[:, i]
+        basis[:, j] = v / np.linalg.norm(v)
+    return basis
+
+
+def full_solve_sweep(params, spec):
+    """run_sigma_z_sweep's records (tuples in field order) from whole eigensystems.
+
+    Samples as the default sweep mode does, then solves every Hessian with
+    numpy.linalg.eigh and reads each column off the whole spectrum: the trace
+    is the eigenvalue sum, the norm max |lambda|, the top-10 power from the
+    first 10 eigenvectors.
+    """
+    records = []
+    for i, sigma_z in enumerate(spec.grid()):
+        factor = (sigma_z / spec.sigma_z_ref) ** spec.gamma
+        point = replace(
+            params, sigma_z=float(sigma_z), sigma_c=params.sigma_c * factor,
+            sigma_e=params.sigma_e * factor,
+        )
+        for rep in range(spec.repeats):
+            prefix = f"sweep:{i}:{rep}:"
+            ensemble = sample_ensemble(point, prefix)
+            tensor = sample_logit_gradients(point, prefix)
+            hessian = model_hessian(tensor, ensemble)
+            lam, vec = np.linalg.eigh(hessian)
+            lam, vec = lam[::-1], vec[:, ::-1]
+            stream = substream(point.seed, prefix + "hyperplane")
+            basis = random_orthonormal_basis(point, stream)
+            mu = np.linalg.eigvalsh(project_hessian(hessian, basis))
+            g = weight_gradient(tensor, ensemble)
+            cosines = vec[:, :10].T @ g / np.linalg.norm(g)
+            whole = SimpleNamespace(eigenvalues=lam)
+            outliers = detect_outliers(whole, 3 * params.n_classes)
+            norm = np.abs(lam).max()
+            records.append((
+                float(sigma_z), point.sigma_c, lam[0], lam.sum(), norm, lam.sum() / norm,
+                mu.sum() / np.abs(mu).max(), *freezing_stats(ensemble),
+                outliers.n_outliers, float(cosines @ cosines), rep,
+            ))
+    return records

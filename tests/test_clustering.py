@@ -198,8 +198,21 @@ def test_labels_must_give_one_class_per_example():
         clustering_report(np.ones((4, 2, 3)), [0, 0, 1, 1, 1, 1, 0])
     with pytest.raises(ValueError, match=r"labels of shape \(4,\) for 6 examples"):
         clustering_report(np.ones((6, 2, 3)), [0, 0, 1, 1])
-    with pytest.raises(ValueError, match=r"label 7 of example 4 is outside \[0, 2\)"):
+    message = r"label 7 of example 4 is not an integer in \[0, 2\)"
+    with pytest.raises(ValueError, match=message):
         clustering_report(np.ones((6, 2, 3)), [0, 0, 1, 1, 7, 7])
+
+
+def test_non_integer_labels_are_rejected():
+    tensor = np.random.default_rng(8).standard_normal((6, 2, 3))
+    with pytest.raises(ValueError, match=r"label 0.5 of example 4 is not an integer"):
+        clustering_report(tensor, [0, 0, 1, 1, 0.5, 0.5])
+    with pytest.raises(ValueError, match=r"label nan of example 5 is not an integer"):
+        clustering_report(tensor, [0, 0, 1, 1, 1, np.nan])
+    # integral values of a float array are labels like any other
+    whole = clustering_report(tensor, np.array([0.0, 0.0, 1.0, 1.0, 1.0, 0.0]))
+    ints = clustering_report(tensor, [0, 0, 1, 1, 1, 0])
+    assert (whole.q_slsc, whole.q_sl, whole.q_dl) == (ints.q_slsc, ints.q_sl, ints.q_dl)
 
 
 def test_zero_row_at_a_labeled_entry_is_named():

@@ -107,6 +107,15 @@ def test_write_rejects_out_of_range_labels(tmp_path):
         write_dump(str(tmp_path / "x.lgrd"), tensor, np.array([0, 5]))
 
 
+@pytest.mark.parametrize("name", ["x.lgrd", "x.csv"])
+def test_write_rejects_non_integer_labels(tmp_path, name):
+    tensor = np.ones((6, 2, 4))
+    path = tmp_path / name
+    with pytest.raises(DumpLabelError, match="label 0.5 at example 4 is not an integer"):
+        write_dump(str(path), tensor, [0, 0, 1, 1, 0.5, 1.7])
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("name, value", [("nan.lgrd", np.nan), ("inf.csv", -np.inf)])
 def test_non_finite_value_raises_value_error(tmp_path, name, value):
     tensor = np.ones((3, 2, 4))

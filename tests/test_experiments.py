@@ -1,8 +1,12 @@
+from dataclasses import astuple, fields
+
 import numpy as np
 import pytest
 
+from helpers import full_solve_sweep
 from lossgeom import (
     ModelParams,
+    SweepRecord,
     SweepSpec,
     run_clustering_experiment,
     run_freezing_experiment,
@@ -105,6 +109,44 @@ def test_sweep_records_fields_and_determinism():
             assert rec.n_outliers >= 0
     again = run_sigma_z_sweep(SMALL, spec)
     assert records == again
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        # 3C+1 = 7 eigenvalues are fewer than the 10 eigenvectors of the power
+        ModelParams(n_examples=200, n_classes=2, n_weights=300, seed=4),
+        # D <= 3C+1: the top-k request clamps to the whole spectrum
+        ModelParams(n_examples=30, n_classes=4, n_weights=12, hyperplane_dim=5, seed=1),
+    ],
+    ids=["C=2", "D<=3C+1"],
+)
+def test_sweep_records_match_full_solve_at_small_c_and_d(params):
+    spec = SweepSpec(points=3, repeats=2)
+    records = run_sigma_z_sweep(params, spec)
+    names = [f.name for f in fields(SweepRecord)]
+    for record, want in zip(records, full_solve_sweep(params, spec), strict=True):
+        got = astuple(record)
+        for name, g, w in zip(names, got, want):
+            assert g == pytest.approx(w, rel=1e-12, abs=0), (name, record)
+        assert record.n_outliers == want[names.index("n_outliers")]
+
+
+def test_sweeps_never_ask_for_a_whole_eigensystem(monkeypatch):
+    calls = []
+    solve = experiments.eigh
+
+    def spy(matrix, top=None, vectors=True):
+        calls.append((matrix.shape[0], top, vectors))
+        return solve(matrix, top=top, vectors=vectors)
+
+    monkeypatch.setattr(experiments, "eigh", spy)
+    run_sigma_z_sweep(SMALL, SweepSpec(points=2, repeats=2))
+    k = 3 * SMALL.n_classes + 1
+    assert calls == [(120, k, True), (6, None, False)] * 4
+    calls.clear()
+    run_snr_sweep(SMALL, (10.0, 0.1))
+    assert calls == [(120, k, False)] * 2
 
 
 def test_sweep_repeats_differ():

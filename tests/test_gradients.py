@@ -180,6 +180,13 @@ def test_model_hessian_holds_one_tensor_size_temporary():
     assert np.array_equal(grads, before)  # the caller's tensor is not written
 
 
+def test_model_hessian_is_exactly_symmetric():
+    for n, c, d in [(8, 3, 12), (40, 5, 333), (1, 2, 3), (300, 10, 1000)]:
+        _, ensemble, grads = small_instance(n=n, c=c, d=d)
+        h = model_hessian(grads, ensemble)
+        assert np.array_equal(h, h.T), (n, c, d)
+
+
 def test_model_hessian_is_psd_by_construction():
     for seed in range(3):
         _, ensemble, grads = small_instance(seed=seed, n=20, c=5, d=30)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_symmetric
+from helpers import gram_schmidt, random_symmetric
 from lossgeom import (
     ModelParams,
     detect_outliers,
@@ -15,7 +15,7 @@ from lossgeom import (
     spectral_norm,
     trace_norm_ratio,
 )
-from lossgeom.rng import substream
+from lossgeom.rng import gaussian_matrix, substream
 
 
 def test_eigh_two_by_two():
@@ -54,6 +54,44 @@ def test_eigh_sign_convention_deterministic():
     peaks = vec[np.abs(vec).argmax(axis=0), np.arange(30)]
     assert (peaks > 0).all()
     assert np.array_equal(vec, eigh(h).eigenvectors)
+
+
+def test_eigh_top_k_matches_the_whole_solve():
+    rng = np.random.default_rng(11)
+    params = ModelParams(n_examples=60, n_classes=5, n_weights=120, hyperplane_dim=6)
+    psd = model_hessian(sample_logit_gradients(params), sample_ensemble(params))
+    for h in (random_symmetric(rng, 120), psd):
+        whole = eigh(h)
+        norm = spectral_norm(whole)
+        for k in (1, 10, 31):
+            top = eigh(h, top=k)
+            lam, vec = top.eigenvalues, top.eigenvectors
+            assert lam.shape == (k,) and vec.shape == (120, k)
+            assert np.all(np.diff(lam) <= 0)
+            assert np.abs(lam - whole.eigenvalues[:k]).max() <= 1e-12 * norm
+            assert np.abs(h @ vec - vec * lam).max() <= 1e-12 * norm
+            assert np.abs(vec.T @ vec - np.eye(k)).max() <= 1e-12
+            peaks = vec[np.abs(vec).argmax(axis=0), np.arange(k)]
+            assert (peaks > 0).all()  # the same sign convention
+            assert np.abs(vec - whole.eigenvectors[:, :k]).max() <= 1e-9
+            assert top.trace == whole.trace == float(np.trace(h))
+            values = eigh(h, top=k, vectors=False)
+            assert values.eigenvectors is None
+            assert np.abs(values.eigenvalues - lam).max() <= 1e-12 * norm
+    assert spectral_norm(eigh(psd, top=3)) == pytest.approx(norm, rel=1e-14)
+
+
+def test_eigh_top_k_clamps_to_the_whole_spectrum():
+    h = random_symmetric(np.random.default_rng(12), 8)
+    whole = eigh(h)
+    for top in (8, 9, 1000):
+        clamped = eigh(h, top=top)
+        assert np.array_equal(clamped.eigenvalues, whole.eigenvalues)
+        assert np.array_equal(clamped.eigenvectors, whole.eigenvectors)
+    values = eigh(h, top=9, vectors=False)
+    assert np.array_equal(values.eigenvalues, eigh(h, vectors=False).eigenvalues)
+    with pytest.raises(ValueError, match="top must be at least 1"):
+        eigh(h, top=0)
 
 
 def test_eigh_rejects_nonsymmetric_and_nonsquare():
@@ -168,6 +206,8 @@ def test_gradient_overlaps_cumulative_reaches_one():
 def test_gradient_overlaps_rejects_zero_gradient():
     with pytest.raises(ValueError, match="zero"):
         gradient_overlaps(eigh(np.eye(3)), np.zeros(3))
+    with pytest.raises(ValueError, match="without eigenvectors"):
+        gradient_overlaps(eigh(np.eye(3), vectors=False), np.ones(3))
 
 
 def test_random_orthonormal_basis_properties():
@@ -188,6 +228,14 @@ def test_random_orthonormal_basis_full_and_single_column():
     line = ModelParams(n_weights=12, hyperplane_dim=1)
     v = random_orthonormal_basis(line, substream(2, "b"))
     assert np.isclose(np.linalg.norm(v[:, 0]), 1.0, atol=1e-12)
+
+
+def test_random_orthonormal_basis_is_gram_schmidt_of_the_draw():
+    for d_big, d_small in ((200, 10), (12, 12), (30, 1)):
+        params = ModelParams(n_weights=d_big, hyperplane_dim=d_small)
+        basis = random_orthonormal_basis(params, substream(5, "gs"))
+        raw = gaussian_matrix(substream(5, "gs"), d_big, d_small, 1.0)
+        assert np.abs(basis - gram_schmidt(raw)).max() < 1e-13
 
 
 def test_project_hessian_identity_and_similarity():
