@@ -27,8 +27,8 @@ def main():
     args = parser.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
-    spec = SweepSpec(points=args.points, repeats=args.repeats)
-    records = run_sigma_z_sweep(ModelParams(seed=0), spec, fixed_sigma_e=True)
+    spec = SweepSpec(points=args.points, repeats=args.repeats, fixed_sigma_e=True)
+    records = run_sigma_z_sweep(ModelParams(seed=0), spec)
 
     grid = spec.grid()
     full = point_means(records, "trace_ratio")

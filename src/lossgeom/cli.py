@@ -27,7 +27,6 @@ from .config import RunConfig, parse_config
 from .dumps import read_dump
 from .experiments import (
     SweepRecord,
-    SweepSpec,
     point_means,
     run_clustering_experiment,
     run_freezing_experiment,
@@ -37,7 +36,6 @@ from .experiments import (
     run_snr_sweep,
     run_spectrum_experiment,
 )
-from .params import ModelParams
 from .spectra import spectral_norm, top10_power, trace_norm_ratio
 from .svgplot import emit_svg
 
@@ -105,7 +103,7 @@ def _cmd_overlap(cfg: RunConfig, outdir: str, args) -> dict:
 
 
 def _cmd_sweep_sigmaz(cfg: RunConfig, outdir: str, args) -> dict:
-    records = run_sigma_z_sweep(cfg.params, cfg.sweep, fixed_sigma_e=cfg.fixed_sigma_e)
+    records = run_sigma_z_sweep(cfg.params, cfg.sweep)
     _write_csv(
         os.path.join(outdir, "sweep.csv"),
         SWEEP_CSV_HEADER,
@@ -119,7 +117,7 @@ def _cmd_sweep_sigmaz(cfg: RunConfig, outdir: str, args) -> dict:
     return {
         "points": cfg.sweep.points,
         "repeats": cfg.sweep.repeats,
-        "fixed_sigma_e": cfg.fixed_sigma_e,
+        "fixed_sigma_e": cfg.sweep.fixed_sigma_e,
         "peak_sigma_z": float(grid[int(np.argmax(tops))]),
         "trace_ratio_first": float(ratios[0]),
         "trace_ratio_last": float(ratios[-1]),
@@ -230,10 +228,7 @@ def run_command(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.config is not None:
-            cfg = parse_config(args.config)
-        else:
-            cfg = RunConfig(params=ModelParams(), sweep=SweepSpec())
+        cfg = RunConfig() if args.config is None else parse_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, params=replace(cfg.params, seed=args.seed))
         outdir = args.out if args.out is not None else cfg.output_dir

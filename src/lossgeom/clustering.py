@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import gradient_tensor
+from .gradients import class_labels, gradient_tensor
 
 
 @dataclass(frozen=True)
@@ -97,14 +97,8 @@ def clustering_report(grads, labels: np.ndarray) -> ClusteringReport:
     if any (example, logit) gradient row is zero.
     """
     tensor = gradient_tensor(grads)
-    labels = np.asarray(labels)
     n, c, _ = tensor.shape
-    if labels.shape != (n,):
-        raise ValueError(f"got labels of shape {labels.shape} for {n} examples")
-    outside = np.flatnonzero((labels < 0) | (labels >= c) | (labels != np.floor(labels)))
-    if outside.size:
-        mu = outside[0]
-        raise ValueError(f"label {labels[mu]} of example {mu} is not an integer in [0, {c})")
+    labels = class_labels(labels, n, c)
     members = [np.flatnonzero(labels == k) for k in range(c)]
     for k, idx in enumerate(members):
         if idx.size < 2:

@@ -16,7 +16,7 @@ output_dir and emit_svg.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
 from .experiments import SweepSpec
@@ -29,9 +29,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    params: ModelParams
-    sweep: SweepSpec
-    fixed_sigma_e: bool = False
+    params: ModelParams = field(default_factory=ModelParams)
+    sweep: SweepSpec = field(default_factory=SweepSpec)
     output_dir: str = "out"
     emit_svg: bool = False
 

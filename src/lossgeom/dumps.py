@@ -17,7 +17,8 @@ C is inferred from the row count.
 Malformed inputs raise distinct diagnostics: :class:`DumpMagicError`,
 :class:`DumpTruncatedError` (with expected vs. actual byte counts),
 :class:`DumpLabelError` and :class:`DumpValueError` (a NaN or infinite
-gradient entry).
+gradient entry). Reading and writing check labels by the rule and message
+of scoring (:func:`~lossgeom.gradients.class_labels`), prefixed by the path.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import gradient_tensor
+from .gradients import class_labels, gradient_tensor
 
 MAGIC = b"LGRD"
 VERSION = 1
@@ -59,13 +60,8 @@ class DumpValueError(DumpError):
 class LogitGradientDump:
     """An ingested (N, C, D) gradient tensor with per-example labels."""
 
-    version: int
     data: np.ndarray  # (N, C, D) float64
     labels: np.ndarray  # (N,) int32
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.data.shape
 
 
 def _csv_sidecar(path: str) -> str:
@@ -77,15 +73,7 @@ def write_dump(path: str, grads, labels) -> None:
     """Write an (N, C, D) tensor plus labels in the format ``path`` implies."""
     tensor = gradient_tensor(grads)
     n, c, d = tensor.shape
-    given = np.asarray(labels)
-    labels = given.astype(np.int32)
-    if labels.shape != (n,):
-        raise ValueError(f"labels shape {labels.shape} does not match N={n}")
-    bad = np.flatnonzero((labels != given) | (labels < 0) | (labels >= c))
-    if bad.size:
-        raise DumpLabelError(
-            f"label {given[bad[0]]} at example {bad[0]} is not an integer in [0, {c})"
-        )
+    labels = _labels(path, labels, n, c)
     if path.endswith(".csv"):
         np.savetxt(path, tensor.reshape(n * c, d), fmt="%.17g", delimiter=",")
         np.savetxt(_csv_sidecar(path), labels[:, np.newaxis], fmt="%d")
@@ -101,29 +89,29 @@ def read_dump(path: str) -> LogitGradientDump:
     if path.endswith(".csv"):
         return _read_csv_dump(path)
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size or blob[:4] != MAGIC:
-        raise DumpMagicError(
-            f"{path}: not an LGRD dump (magic {blob[:4]!r}, need {MAGIC!r})"
-        )
-    _, version, n, c, d = _HEADER.unpack_from(blob)
-    if version != VERSION:
-        raise DumpMagicError(f"{path}: unsupported LGRD version {version}")
-    expected = _HEADER.size + n * c * d * 8 + n * 4
-    if len(blob) != expected:
-        raise DumpTruncatedError(
-            f"{path}: expected {expected} bytes for N={n} C={c} D={d}, "
-            f"found {len(blob)}"
-        )
-    offset = _HEADER.size
-    data = np.frombuffer(blob, dtype="<f8", count=n * c * d, offset=offset)
-    labels = np.frombuffer(blob, dtype="<i4", count=n, offset=offset + n * c * d * 8)
-    return _checked(path, data.reshape(n, c, d).copy(), labels.copy(), version)
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size or header[:4] != MAGIC:
+            raise DumpMagicError(
+                f"{path}: not an LGRD dump (magic {header[:4]!r}, need {MAGIC!r})"
+            )
+        _, version, n, c, d = _HEADER.unpack(header)
+        if version != VERSION:
+            raise DumpMagicError(f"{path}: unsupported LGRD version {version}")
+        expected = _HEADER.size + n * c * d * 8 + n * 4
+        found = os.fstat(fh.fileno()).st_size
+        if found != expected:
+            raise DumpTruncatedError(
+                f"{path}: expected {expected} bytes for N={n} C={c} D={d}, "
+                f"found {found}"
+            )
+        data = np.fromfile(fh, dtype="<f8", count=n * c * d).reshape(n, c, d)
+        labels = np.fromfile(fh, dtype="<i4", count=n)
+    return _checked(path, data, labels)
 
 
 def _read_csv_dump(path: str) -> LogitGradientDump:
     sidecar = _csv_sidecar(path)
-    labels = np.loadtxt(sidecar, dtype=np.int64, ndmin=1)
+    labels = np.loadtxt(sidecar, ndmin=1)  # reals, so the label rule sees 0.5
     data = np.loadtxt(path, delimiter=",", ndmin=2)
     n = labels.shape[0]
     rows = data.shape[0]
@@ -133,12 +121,17 @@ def _read_csv_dump(path: str) -> LogitGradientDump:
             f"{n} labels in {sidecar}"
         )
     c = rows // n
-    return _checked(path, data.reshape(n, c, data.shape[1]), labels, VERSION)
+    return _checked(path, data.reshape(n, c, data.shape[1]), labels)
 
 
-def _checked(
-    path: str, data: np.ndarray, labels: np.ndarray, version: int
-) -> LogitGradientDump:
+def _labels(path: str, labels, n: int, c: int) -> np.ndarray:
+    try:
+        return class_labels(labels, n, c)
+    except ValueError as exc:
+        raise DumpLabelError(f"{path}: {exc}") from None
+
+
+def _checked(path: str, data: np.ndarray, labels: np.ndarray) -> LogitGradientDump:
     # min and max propagate NaN and expose +-inf without a full-size mask
     if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
         mu, k, j = (int(i) for i in np.argwhere(~np.isfinite(data))[0])
@@ -146,13 +139,5 @@ def _checked(
             f"{path}: non-finite value {float(data[mu, k, j])} at example {mu}, "
             f"logit {k}, weight {j}"
         )
-    c = data.shape[1]
-    bad = (labels < 0) | (labels >= c)
-    if bad.any():
-        mu = int(np.flatnonzero(bad)[0])
-        raise DumpLabelError(
-            f"{path}: label {int(labels[mu])} at example {mu} outside [0, {c})"
-        )
-    return LogitGradientDump(
-        version=version, data=data, labels=labels.astype(np.int32)
-    )
+    n, c, _ = data.shape
+    return LogitGradientDump(data=data, labels=_labels(path, labels, n, c))

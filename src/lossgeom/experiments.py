@@ -46,12 +46,14 @@ _SIMPLEX_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid definition for the logit-variance sweep.
+    """Grid, noise mode and repeats of the logit-variance sweep.
 
     ``gamma`` is the mean-gradient growth exponent: at grid value sigma_z the
-    ensemble uses sigma_c(sigma_z) = sigma_c_base * (sigma_z/sigma_z_ref)^gamma,
-    with sigma_e scaled by the same factor so sigma_c/sigma_e stays constant
-    (see :func:`run_sigma_z_sweep` for the fixed-sigma_e alternate mode).
+    ensemble uses sigma_c(sigma_z) = sigma_c_base * (sigma_z/sigma_z_ref)^gamma.
+    The tied mode scales sigma_e by the same factor (constant sigma_c/sigma_e);
+    ``fixed_sigma_e=True`` holds sigma_e at its base value. A linear grid from
+    sigma_z = 0 is rejected where that point cannot run: gamma < 0 (infinite
+    sigma_c, either mode), and gamma > 0 in tied mode (sigma_c = sigma_e = 0).
     """
 
     sigma_z_min: float = 1e-3
@@ -61,10 +63,13 @@ class SweepSpec:
     gamma: float = 0.5
     sigma_z_ref: float = 15.0
     repeats: int = 5
+    fixed_sigma_e: bool = False
 
     def __post_init__(self) -> None:
         if self.scale not in ("log", "linear"):
             raise ValueError(f"scale must be 'log' or 'linear', got {self.scale!r}")
+        if not math.isfinite(self.sigma_z_max):
+            raise ValueError(f"sigma_z_max must be finite, got {self.sigma_z_max!r}")
         if not self.sigma_z_min < self.sigma_z_max:
             raise ValueError(
                 f"need sigma_z_min < sigma_z_max, got {self.sigma_z_min} "
@@ -78,10 +83,17 @@ class SweepSpec:
             raise ValueError(f"need at least 2 grid points, got {self.points}")
         if self.repeats < 1:
             raise ValueError(f"need at least 1 repeat, got {self.repeats}")
-        if not self.sigma_z_ref > 0:
-            raise ValueError(f"sigma_z_ref must be positive, got {self.sigma_z_ref}")
+        if not 0 < self.sigma_z_ref < math.inf:
+            raise ValueError(f"need 0 < sigma_z_ref < inf, got {self.sigma_z_ref}")
         if not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma!r}")
+        tied = not self.fixed_sigma_e
+        if self.sigma_z_min == 0 and (self.gamma < 0 or self.gamma > 0 and tied):
+            cause = "an infinite sigma_c" if self.gamma < 0 else "sigma_c = sigma_e = 0"
+            raise ValueError(
+                f"sigma_z_min = 0 with gamma = {self.gamma:g} in "
+                f"{'tied' if tied else 'fixed'} sigma_e mode gives {cause} at point 0"
+            )
 
     def grid(self) -> np.ndarray:
         if self.scale == "log":
@@ -122,13 +134,14 @@ def _check_memory(params: ModelParams, hessian: bool = True) -> None:
     Box-Muller sampling is the peak, at about 3.5 N*C*D double arrays
     (uniforms, radii, angles, output and half-size temporaries); Hessian
     assembly holds two (the tensor and its centered, weighted rows). The
-    bound counts four. ``hessian=False`` checks the residual term alone,
-    for paths that build no Hessian.
+    bound counts four. Besides H, the solve allocates 2.0x H for eigenvalues
+    or the top k and 3.0x H for a whole eigensystem (tracemalloc, D=600), so
+    the bound counts four D*D doubles. ``hessian=False`` skips that term.
     """
     n, c, d = params.n_examples, params.n_classes, params.n_weights
     terms = {f"{n}x{c}x{d} residual tensor with its temporaries": 4 * 8 * n * c * d}
     if hessian:
-        terms[f"dense {d}x{d} Hessian"] = 8 * d * d
+        terms[f"dense {d}x{d} Hessian with its eigensolve"] = 4 * 8 * d * d
     needed = sum(terms.values())
     if needed > DEFAULT_MEMORY_LIMIT:
         name = max(terms, key=terms.get)
@@ -194,22 +207,19 @@ def run_clustering_experiment(params: ModelParams) -> ClusteringReport:
     return clustering_report(sample_logit_gradients(params), labels)
 
 
-def run_sigma_z_sweep(
-    params: ModelParams, spec: SweepSpec, fixed_sigma_e: bool = False
-) -> list[SweepRecord]:
+def run_sigma_z_sweep(params: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
     """Sweep sigma_z over spec's grid, one record per (point, repeat).
 
-    Default mode scales sigma_e together with sigma_c (constant
-    sigma_c/sigma_e); ``fixed_sigma_e=True`` is the alternate mode that
-    holds sigma_e at its base value while sigma_c still grows, provided for
-    comparison. Records appear in grid order, repeats innermost. A failing
-    task re-raises its ValueError prefixed with the point, sigma_z and repeat.
+    sigma_c grows with sigma_z, and sigma_e with it unless
+    ``spec.fixed_sigma_e`` holds it at its base value (see :class:`SweepSpec`).
+    Records appear in grid order, repeats innermost. A failing task re-raises
+    its ValueError prefixed with the point, sigma_z and repeat.
     """
     records: list[SweepRecord] = []
     for i, sigma_z in enumerate(spec.grid()):
         factor = (sigma_z / spec.sigma_z_ref) ** spec.gamma
         sigma_c = params.sigma_c * factor
-        sigma_e = params.sigma_e if fixed_sigma_e else params.sigma_e * factor
+        sigma_e = params.sigma_e if spec.fixed_sigma_e else params.sigma_e * factor
         point_params = replace(
             params, sigma_z=float(sigma_z), sigma_c=sigma_c, sigma_e=sigma_e
         )

@@ -34,6 +34,18 @@ def gradient_tensor(grads) -> np.ndarray:
     return tensor
 
 
+def class_labels(labels, n: int, c: int) -> np.ndarray:
+    """``labels`` as (N,) int32; errors unless each is an integer in [0, C)."""
+    given = np.asarray(labels)
+    if given.shape != (n,):
+        raise ValueError(f"got labels of shape {given.shape} for {n} examples")
+    bad = np.flatnonzero((given < 0) | (given >= c) | (given != np.floor(given)))
+    if bad.size:
+        mu = bad[0]
+        raise ValueError(f"label {given[mu]} of example {mu} is not an integer in [0, {c})")
+    return given.astype(np.int32)
+
+
 def sample_mean_logit_gradients(params: ModelParams, stream: RngStream) -> np.ndarray:
     """C x D class-mean gradients, row k scaled by 1 + length_beta*k/(C-1)."""
     base = gaussian_matrix(stream, params.n_classes, params.n_weights, params.sigma_c)

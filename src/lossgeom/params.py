@@ -36,14 +36,14 @@ class ModelParams:
     hyperplane_dim: int = 10
 
     def __post_init__(self) -> None:
+        for name in ("n_examples", "n_classes", "n_weights", "hyperplane_dim"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v < 2**63:
+                raise ValueError(f"{name} must be a positive integer < 2**63, got {v!r}")
         if self.sigma_c is None:
             object.__setattr__(self, "sigma_c", 1.0 / math.sqrt(self.n_weights))
         if self.sigma_e is None:
             object.__setattr__(self, "sigma_e", 0.7 / math.sqrt(self.n_weights))
-        for name in ("n_examples", "n_classes", "n_weights", "hyperplane_dim"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.n_classes < 2:
             raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
         if self.hyperplane_dim > self.n_weights:

@@ -2,8 +2,8 @@
 
 Purely presentational: nothing downstream depends on these files. Sweep
 plots draw one polyline per statistic (each min-max normalized to the plot
-height, since the statistics span wildly different scales) against a log
-sigma_z axis; spectra are drawn as sorted-eigenvalue scatter plots.
+height, as the statistics span wildly different scales) against a log
+sigma_z axis (linear from 0); spectra are sorted-eigenvalue scatter plots.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ def _document(body: list[str]) -> str:
 
 def _sweep_svg(records: Sequence) -> str:
     grid = np.unique([r.sigma_z for r in records])
-    xs = _x_positions(grid, log_x=True)
+    log_x = grid.min() > 0
+    xs = _x_positions(grid, log_x)
     body = []
     for color, name in zip(PALETTE, SWEEP_STATISTICS):
         ys = _y_positions(point_means(records, name))
@@ -69,16 +70,17 @@ def _sweep_svg(records: Sequence) -> str:
             f'<text x="{MARGIN + 8}" y="{MARGIN + 14 * (i + 1)}" '
             f'fill="{color}" font-size="11">{name} (normalized)</text>'
         )
-    lo, hi = math.log10(grid.min()), math.log10(grid.max())
-    for exp in range(math.ceil(lo), math.floor(hi) + 1):
-        x = _x_positions(np.array([10.0**exp, grid.min(), grid.max()]), True)[0]
-        body.append(
-            f'<text x="{x:.2f}" y="{HEIGHT - MARGIN + 16}" font-size="10" '
-            f'text-anchor="middle">1e{exp}</text>'
-        )
+    if log_x:
+        lo, hi = math.log10(grid.min()), math.log10(grid.max())
+        for exp in range(math.ceil(lo), math.floor(hi) + 1):
+            x = _x_positions(np.array([10.0**exp, grid.min(), grid.max()]), True)[0]
+            body.append(
+                f'<text x="{x:.2f}" y="{HEIGHT - MARGIN + 16}" font-size="10" '
+                f'text-anchor="middle">1e{exp}</text>'
+            )
     body.append(
         f'<text x="{WIDTH / 2}" y="{HEIGHT - 12}" font-size="12" '
-        f'text-anchor="middle">sigma_z (log scale)</text>'
+        f'text-anchor="middle">sigma_z ({"log" if log_x else "linear"} scale)</text>'
     )
     return _document(body)
 

@@ -160,7 +160,7 @@ def test_criterion_6_goldilocks_trace_ratio_decay(default_sweep):
     rho = float(scipy.stats.spearmanr(ratios, projected).statistic)
     print(f"criterion 6: tied mode decay {decay:.2f}x, Spearman {rho:.3f}")
 
-    alt_records = run_sigma_z_sweep(ModelParams(seed=0), SweepSpec(), fixed_sigma_e=True)
+    alt_records = run_sigma_z_sweep(ModelParams(seed=0), SweepSpec(fixed_sigma_e=True))
     alt_ratios = point_means(alt_records, "trace_ratio")
     alt_projected = point_means(alt_records, "projected_trace_ratio")
     alt_decay = alt_ratios[0] / alt_ratios[-1]

@@ -96,13 +96,46 @@ def test_sweep_csv_rows_round_trip_to_records(cfg_path, tmp_path):
 
 
 def test_failing_sweep_point_is_named(tmp_path, capsys):
-    cfg = tmp_path / "zero.cfg"
-    cfg.write_text(SMALL_CFG + "scale = linear\nsigma_z_min = 0\n")
+    # every row frozen onto its label: a zero gradient that only the draw shows
+    cfg = tmp_path / "frozen.cfg"
+    cfg.write_text(
+        SMALL_CFG + "target_accuracy = 1\nsigma_z_min = 1e5\nsigma_z_max = 1e6\n"
+    )
     out = tmp_path / "out"
     assert run(["sweep-sigmaz", "--config", cfg, "--out", out]) == 1
     err = capsys.readouterr().err
-    assert "sweep point 0 (sigma_z=0) repeat 0: gradient is zero" in err
+    assert "sweep point 0 (sigma_z=100000) repeat 0: gradient is zero" in err
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("gamma = 0.5", "gamma = 0.5 in tied sigma_e mode gives sigma_c = sigma_e = 0"),
+        ("gamma = -0.5", "gamma = -0.5 in tied sigma_e mode gives an infinite sigma_c"),
+        ("gamma = -0.5\nfixed_sigma_e = true", "gamma = -0.5 in fixed sigma_e mode"),
+    ],
+)
+def test_sweep_from_zero_that_cannot_run_is_rejected_by_the_config(
+    tmp_path, capsys, extra, message
+):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(SMALL_CFG + f"scale = linear\nsigma_z_min = 0\n{extra}\n")
+    out = tmp_path / "out"
+    assert run(["sweep-sigmaz", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert f"zero.cfg: sigma_z_min = 0 with {message}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_weights", [0, -4])
+def test_nonpositive_n_weights_is_a_config_error(tmp_path, capsys, n_weights):
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text(f"n_weights = {n_weights}\n")
+    assert run(["spectrum", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert "n_weights must be a positive integer" in err
+    assert f"got {n_weights}\n" in err
 
 
 def test_sweep_sigmaz_reruns_byte_identical(cfg_path, tmp_path):

@@ -1,6 +1,12 @@
-import pytest
+import re
+from pathlib import Path
 
-from lossgeom import ConfigError, ModelParams, SweepSpec, parse_config
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from lossgeom import ConfigError, ModelParams, RunConfig, SweepSpec, parse_config
+from lossgeom import config
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -13,7 +19,7 @@ def test_empty_file_gives_all_defaults(tmp_path):
     cfg = parse_config(write(tmp_path, ""))
     assert cfg.params == ModelParams()
     assert cfg.sweep == SweepSpec()
-    assert cfg.fixed_sigma_e is False
+    assert cfg.sweep.fixed_sigma_e is False
     assert cfg.output_dir == "out"
     assert cfg.emit_svg is False
 
@@ -53,7 +59,7 @@ emit_svg = true
     assert cfg.sweep.points == 7
     assert cfg.sweep.gamma == 0.25
     assert cfg.sweep.repeats == 3
-    assert cfg.fixed_sigma_e is True
+    assert cfg.sweep.fixed_sigma_e is True
     assert cfg.output_dir == "results"
     assert cfg.emit_svg is True
 
@@ -112,3 +118,40 @@ def test_boolean_spellings(tmp_path):
     for word, value in (("true", True), ("no", False), ("1", True), ("0", False)):
         cfg = parse_config(write(tmp_path, f"emit_svg = {word}\n", name=f"{word}.cfg"))
         assert cfg.emit_svg is value
+
+
+# Fuzzed configs are only parsed, never run: a `points` or `n_weights` in the
+# billions parses fine and would then allocate.
+FUZZ = settings(
+    max_examples=300, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+VALUES = st.one_of(
+    st.integers().map(str),
+    st.sampled_from(["0", "-1", "-4", "1" + "0" * 400, "2e3", "0x10", "1_000"]),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "-0.0", "5e-324"]),
+    st.sampled_from(["true", "no", "log", "linear", "out"]),
+    st.text(alphabet="abcxyz_-./", min_size=1, max_size=8),
+)
+
+
+@FUZZ
+@given(st.dictionaries(st.sampled_from(sorted(config._KEY_TYPES)), VALUES, max_size=8))
+@example(entries={"n_weights": "0"})
+@example(entries={"n_weights": "1" + "0" * 400})  # too large for a float
+def test_fuzzed_configs_parse_or_raise_config_error(tmp_path, entries):
+    path = write(tmp_path, "".join(f"{k} = {v}\n" for k, v in entries.items()))
+    try:
+        cfg = parse_config(path)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+
+
+def test_readme_config_block_parses_and_names_every_key(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+    assert isinstance(parse_config(write(tmp_path, block)), RunConfig)
+    keys = {line.split("=")[0].strip() for line in block.splitlines() if "=" in line}
+    assert keys == set(config._KEY_TYPES)

@@ -1,4 +1,4 @@
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -30,7 +30,9 @@ def test_sweep_spec_grid_endpoints_and_scale():
     ratios = grid[1:] / grid[:-1]
     assert np.allclose(ratios, ratios[0], rtol=1e-12)
 
-    linear = SweepSpec(sigma_z_min=0.0, sigma_z_max=1.0, points=5, scale="linear")
+    linear = SweepSpec(
+        sigma_z_min=0.0, sigma_z_max=1.0, points=5, scale="linear", gamma=0.0
+    )
     assert np.allclose(linear.grid(), [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-15)
 
 
@@ -47,6 +49,26 @@ def test_sweep_spec_validation():
         SweepSpec(repeats=0)
     with pytest.raises(ValueError):
         SweepSpec(sigma_z_ref=0.0)
+    with pytest.raises(ValueError, match="need 0 < sigma_z_ref < inf"):
+        SweepSpec(sigma_z_ref=float("inf"))
+    with pytest.raises(ValueError, match="sigma_z_max must be finite"):
+        SweepSpec(sigma_z_max=float("inf"))
+    # a linear grid from 0 that cannot run its first point
+    zero = dict(sigma_z_min=0.0, sigma_z_max=1.0, scale="linear")
+    for gamma, fixed in ((0.5, False), (-0.5, False), (-0.5, True)):
+        with pytest.raises(ValueError, match="sigma_z_min = 0 with gamma"):
+            SweepSpec(**zero, gamma=gamma, fixed_sigma_e=fixed)
+
+
+@pytest.mark.parametrize("gamma, fixed", [(0.5, True), (0.0, False), (0.0, True)])
+def test_accepted_sweeps_from_zero_complete(gamma, fixed):
+    spec = SweepSpec(
+        sigma_z_min=0.0, sigma_z_max=1.0, points=2, scale="linear", gamma=gamma,
+        repeats=1, fixed_sigma_e=fixed,
+    )
+    records = run_sigma_z_sweep(SMALL, spec)
+    assert [r.sigma_z for r in records] == [0.0, 1.0]
+    assert all(np.isfinite(astuple(r)).all() for r in records)
 
 
 def test_spectrum_experiment_reference_outlier_count():
@@ -181,7 +203,7 @@ def test_sweep_fixed_sigma_e_mode_decays_harder():
     # hence the trace ratio down much harder across the grid.
     spec = SweepSpec(points=6, repeats=2)
     tied = run_sigma_z_sweep(SMALL, spec)
-    fixed = run_sigma_z_sweep(SMALL, spec, fixed_sigma_e=True)
+    fixed = run_sigma_z_sweep(SMALL, replace(spec, fixed_sigma_e=True))
 
     def endpoint_means(records):
         first = np.mean([r.trace_ratio for r in records[:2]])
@@ -252,12 +274,18 @@ RESIDUALS_MESSAGE = (
         (
             run_spectrum_experiment,
             ModelParams(n_examples=2, n_classes=2, n_weights=16385, hyperplane_dim=1),
-            "dense 16385x16385 Hessian needs 2147745800 bytes",
+            "dense 16385x16385 Hessian with its eigensolve needs 8590983200 bytes",
+        ),
+        (
+            # 8 * D**2 fits, the solve's 4 * 8 * D**2 does not
+            run_spectrum_experiment,
+            ModelParams(n_examples=2, n_classes=2, n_weights=12000, hyperplane_dim=1),
+            "dense 12000x12000 Hessian with its eigensolve needs 4608000000 bytes",
         ),
         (run_spectrum_experiment, TOO_MANY_RESIDUALS, RESIDUALS_MESSAGE),
         (run_clustering_experiment, TOO_MANY_RESIDUALS, RESIDUALS_MESSAGE),
     ],
-    ids=["hessian", "residuals", "cluster"],
+    ids=["hessian", "hessian-solve", "residuals", "cluster"],
 )
 def test_memory_guard_rejects_before_sampling(monkeypatch, run, params, message):
     def no_draws(*args, **kwargs):

@@ -30,6 +30,21 @@ def test_sweep_svg_is_well_formed_with_one_polyline_per_statistic(tmp_path):
         assert any(name in (label or "") for label in labels)
 
 
+def test_sweep_svg_of_a_grid_from_zero_has_a_linear_axis(tmp_path):
+    params = ModelParams(n_examples=30, n_classes=4, n_weights=40, hyperplane_dim=4)
+    spec = SweepSpec(
+        sigma_z_min=0.0, sigma_z_max=2.0, points=3, scale="linear", gamma=0.0, repeats=1
+    )
+    path = tmp_path / "sweep.svg"
+    emit_svg(run_sigma_z_sweep(params, spec), "sweep", str(path))
+    root = ET.parse(path).getroot()
+    for poly in root.findall(f"{SVG}polyline"):
+        assert "nan" not in poly.attrib["points"]
+    labels = [t.text for t in root.findall(f"{SVG}text")]
+    assert "sigma_z (linear scale)" in labels
+    assert not any(label.startswith("1e") for label in labels)
+
+
 def test_spectrum_svg_has_one_circle_per_eigenvalue(tmp_path):
     path = tmp_path / "spectrum.svg"
     eigenvalues = np.linspace(5.0, 0.0, 37)
