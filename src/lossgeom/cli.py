@@ -8,8 +8,10 @@ stdout). Exit codes: 0 success, 1 validation error (bad arguments, config,
 parameters or dump contents), 2 I/O error.
 
 All CSVs are written with 17 significant digits so they re-parse to the
-exact values computed. The same config, seed, numpy/scipy/BLAS build and BLAS
-thread count give byte-identical files.
+exact values computed. The same config, seed and numpy/scipy/BLAS build give
+byte-identical files. Every measurement holds each OpenBLAS it finds loaded
+to one thread, so where the BLAS is OpenBLAS the bytes do not depend on its
+thread count (``OPENBLAS_NUM_THREADS``).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .config import RunConfig, parse_config
 from .dumps import read_dump
 from .experiments import (
     SweepRecord,
+    one_blas_thread,
     point_means,
     run_clustering_experiment,
     run_freezing_experiment,
@@ -153,7 +156,8 @@ def _cmd_freeze(cfg: RunConfig, outdir: str, args) -> dict:
 def _cmd_cluster(cfg: RunConfig, outdir: str, args) -> dict:
     if args.input is not None:
         dump = read_dump(args.input)
-        report = clustering_report(dump.data, dump.labels)
+        with one_blas_thread:
+            report = clustering_report(dump.data, dump.labels)
         payload = {"source": args.input}
     else:
         report = run_clustering_experiment(cfg.params)

@@ -7,7 +7,9 @@ experiment is a pure function of a :class:`ModelParams` (plus a sweep spec
 where applicable): identical inputs give identical outputs. Sweep tasks draw
 from labeled substreams (``sweep:<point>:<repeat>:<role>``), so points and
 repeats are independent and could run concurrently; this implementation
-executes them serially in grid order, which is also the merge order.
+executes them serially in grid order, which is also the merge order. Every
+public ``run_*`` function runs under :data:`one_blas_thread`, so its outputs
+do not depend on the BLAS thread count.
 
 Labels are re-drawn per sweep point and repeat at the configured target
 accuracy: each point models a training snapshot at fixed accuracy.
@@ -15,7 +17,11 @@ accuracy: each point models a training snapshot at fixed accuracy.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -121,6 +127,57 @@ class SweepRecord:
     repeat: int
 
 
+@functools.cache
+def _openblas_threads() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS loaded in this process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {ln[ln.index("/"):].strip() for ln in fh if "openblas" in ln.lower()}
+    except OSError:  # no /proc: no OpenBLAS is found
+        return ()
+    found = []
+    for lib in map(ctypes.CDLL, sorted(paths)):
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    return tuple(found)
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Hold every loaded OpenBLAS to one thread, restoring the counts on exit.
+
+    Each BLAS or LAPACK call then runs on the calling thread, so results do
+    not depend on the BLAS thread count, and no BLAS worker competes with the
+    sampling threads (:mod:`lossgeom.rng`) for the cores. The libraries are
+    found at the first hold, not at import. A nested hold re-enters; holds
+    in other threads wait for it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+        self._saved: list[list] = []  # (set, count) per library, one list per hold
+
+    def __enter__(self) -> None:
+        libs = _openblas_threads()
+        self._lock.acquire()
+        self._saved.append([(put, get()) for get, put in libs])
+        for put, _ in self._saved[-1]:
+            put(1)
+
+    def __exit__(self, *exc) -> None:
+        for put, count in self._saved.pop():
+            put(count)
+        self._lock.release()
+
+
+one_blas_thread = _OneBlasThread()
+
+
 def point_means(records: list[SweepRecord], name: str) -> np.ndarray:
     """Per-point mean of field ``name`` over the repeats, records in sweep order."""
     repeats = records[-1].repeat + 1
@@ -131,10 +188,11 @@ def point_means(records: list[SweepRecord], name: str) -> np.ndarray:
 def _check_memory(params: ModelParams, hessian: bool = True) -> None:
     """Fail before any draw if the residuals (and the dense Hessian) would not fit.
 
-    Box-Muller sampling is the peak, at about 3.5 N*C*D double arrays
-    (uniforms, radii, angles, output and half-size temporaries); Hessian
-    assembly holds two (the tensor and its centered, weighted rows). The
-    bound counts four. Besides H, the solve allocates 2.0x H for eigenvalues
+    Box-Muller sampling writes straight into the tensor and holds only
+    fixed per-chunk temporaries (about 1.3 MB per core): tracemalloc reads
+    1.14 N*C*D doubles at the reference config. Hessian assembly holds two
+    (the tensor and its centered, weighted rows) and is the peak. The bound
+    counts four. Besides H, the solve allocates 2.0x H for eigenvalues
     or the top k and 3.0x H for a whole eigensystem (tracemalloc, D=600), so
     the bound counts four D*D doubles. ``hessian=False`` skips that term.
     """
@@ -174,6 +232,7 @@ def _projected(params: ModelParams, prefix: str, hessian: np.ndarray) -> Symmetr
     return eigh(project_hessian(hessian, basis), vectors=False)
 
 
+@one_blas_thread
 def run_spectrum_experiment(
     params: ModelParams,
 ) -> tuple[SymmetricSpectrum, OutlierReport]:
@@ -182,6 +241,7 @@ def run_spectrum_experiment(
     return spectrum, detect_outliers(spectrum, max_candidates=3 * params.n_classes)
 
 
+@one_blas_thread
 def run_overlap_experiment(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Gradient/eigenvector cosines and cumulative power at params.
 
@@ -192,6 +252,7 @@ def run_overlap_experiment(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     return gradient_overlaps(spectrum, weight_gradient(tensor, ensemble))
 
 
+@one_blas_thread
 def run_projection_experiment(
     params: ModelParams,
 ) -> tuple[SymmetricSpectrum, SymmetricSpectrum]:
@@ -200,6 +261,7 @@ def run_projection_experiment(
     return spectrum, _projected(params, "", hessian)
 
 
+@one_blas_thread
 def run_clustering_experiment(params: ModelParams) -> ClusteringReport:
     """Clustering statistics of one model-sampled gradient tensor."""
     _check_memory(params, hessian=False)
@@ -207,6 +269,7 @@ def run_clustering_experiment(params: ModelParams) -> ClusteringReport:
     return clustering_report(sample_logit_gradients(params), labels)
 
 
+@one_blas_thread
 def run_sigma_z_sweep(params: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
     """Sweep sigma_z over spec's grid, one record per (point, repeat).
 
@@ -215,24 +278,46 @@ def run_sigma_z_sweep(params: ModelParams, spec: SweepSpec) -> list[SweepRecord]
     Records appear in grid order, repeats innermost. A failing task re-raises
     its ValueError prefixed with the point, sigma_z and repeat.
     """
-    records: list[SweepRecord] = []
+    points: list[ModelParams] = []
     for i, sigma_z in enumerate(spec.grid()):
-        factor = (sigma_z / spec.sigma_z_ref) ** spec.gamma
-        sigma_c = params.sigma_c * factor
-        sigma_e = params.sigma_e if spec.fixed_sigma_e else params.sigma_e * factor
-        point_params = replace(
-            params, sigma_z=float(sigma_z), sigma_c=sigma_c, sigma_e=sigma_e
-        )
+        with _sweep_task(i, sigma_z, 0):
+            points.append(_sweep_point(params, spec, float(sigma_z)))
+    records: list[SweepRecord] = []
+    for i, point in enumerate(points):
         for rep in range(spec.repeats):
-            prefix = f"sweep:{i}:{rep}:"
-            try:
-                record = _sweep_record(point_params, prefix, rep)
-            except ValueError as exc:
-                raise ValueError(
-                    f"sweep point {i} (sigma_z={sigma_z:g}) repeat {rep}: {exc}"
-                ) from exc
-            records.append(record)
+            with _sweep_task(i, point.sigma_z, rep):
+                records.append(_sweep_record(point, f"sweep:{i}:{rep}:", rep))
     return records
+
+
+@contextlib.contextmanager
+def _sweep_task(i: int, sigma_z: float, rep: int):
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(
+            f"sweep point {i} (sigma_z={sigma_z:g}) repeat {rep}: {exc}"
+        ) from exc
+
+
+def _sweep_point(params: ModelParams, spec: SweepSpec, sigma_z: float) -> ModelParams:
+    """params at grid value sigma_z, checked before any draw: the scaled sigmas
+    must not underflow to zero together, and each must have a finite square."""
+    try:
+        factor = (sigma_z / spec.sigma_z_ref) ** spec.gamma
+    except OverflowError:
+        factor = math.inf
+    sigma_c = params.sigma_c * factor
+    sigma_e = params.sigma_e if spec.fixed_sigma_e else params.sigma_e * factor
+    if sigma_c == sigma_e == 0 < params.sigma_c + params.sigma_e:
+        raise ValueError("(sigma_z/sigma_z_ref)^gamma underflows to sigma_c = sigma_e = 0")
+    for name, value in (("sigma_c", sigma_c), ("sigma_e", sigma_e)):
+        if not math.isfinite(value * value):
+            raise ValueError(
+                f"(sigma_z/sigma_z_ref)^gamma = {factor:g} gives {name} = {value:g}, "
+                "whose square overflows"
+            )
+    return replace(params, sigma_z=sigma_z, sigma_c=sigma_c, sigma_e=sigma_e)
 
 
 def _sweep_record(params: ModelParams, prefix: str, rep: int) -> SweepRecord:
@@ -257,6 +342,7 @@ def _sweep_record(params: ModelParams, prefix: str, rep: int) -> SweepRecord:
     )
 
 
+@one_blas_thread
 def run_snr_sweep(
     params: ModelParams, snr_grid
 ) -> list[tuple[float, int, float]]:
@@ -275,6 +361,7 @@ def run_snr_sweep(
     return results
 
 
+@one_blas_thread
 def run_freezing_experiment(
     params: ModelParams, sigma_z_grid
 ) -> list[tuple[float, float, float, np.ndarray]]:

@@ -11,7 +11,7 @@ that results are bit-reproducible across platforms:
   ``SHA-256(seed as 8 little-endian bytes || 0x1F || label as UTF-8)``,
   interpreted as two little-endian unsigned 64-bit words.
 * Uniform doubles come from ``Generator.random()`` (53-bit mantissa fill,
-  stable across numpy versions).
+  stable across numpy versions), one 64-bit word each, in stream order.
 * Gaussians are produced by an explicit Box-Muller transform on those
   uniforms (see :meth:`RngStream.gaussians`) rather than numpy's ziggurat,
   so the uniform->normal mapping is pinned by this module, not by numpy
@@ -20,6 +20,12 @@ that results are bit-reproducible across platforms:
 * Bounded integers use the floor method ``floor(u * n)``; the modulo bias is
   below n/2^53, negligible for every n used here.
 
+A stream is its key plus the count of uniforms drawn so far. Gaussian draws
+split their pairs into fixed chunks, run on a thread pool of one thread per
+usable core (started at the first such draw, not at import); each chunk reads
+its uniforms at its own offset, so the draws and the stream's position after
+them are those of the serial transform whatever the core count.
+
 Streams with distinct labels are derived from cryptographically separated
 keys and are treated as independent. A stream is stateful and must not be
 shared by two concurrent consumers; derive one substream per task instead.
@@ -27,9 +33,26 @@ shared by two concurrent consumers; derive one substream per task instead.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+CHUNK_PAIRS = 1 << 15  # Box-Muller pairs per pool task
+_pool: dict[str, ThreadPoolExecutor] = {}  # made at the first chunked draw
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_pool.clear)
+
+
+def _executor() -> ThreadPoolExecutor:
+    # racing first draws agree on one pool; a losing candidate never starts a thread
+    if "pool" not in _pool:
+        affinity = getattr(os, "sched_getaffinity", None)  # Linux: the usable cores
+        cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+        _pool.setdefault("pool", ThreadPoolExecutor(cores))
+    return _pool["pool"]
 
 
 class RngStream:
@@ -44,44 +67,78 @@ class RngStream:
         digest = hashlib.sha256(
             int(seed).to_bytes(8, "little") + b"\x1f" + label.encode("utf-8")
         ).digest()
-        key = np.frombuffer(digest[:16], dtype="<u8")
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._key = np.frombuffer(digest[:16], dtype="<u8")
+        self._drawn = 0  # uniforms consumed so far
+
+    def _take(self, n: int, uniforms: int) -> int:
+        """Check a draw count n and count ``uniforms`` more as drawn; returns
+        the offset of the first."""
+        if n < 0:
+            raise ValueError(f"draw count must be nonnegative, got {n}")
+        self._drawn += uniforms
+        return self._drawn - uniforms
+
+    def _at(self, offset: int) -> np.random.Generator:
+        """A generator whose next uniform is the stream's draw number ``offset``."""
+        bits = np.random.Philox(key=self._key)
+        bits.advance(offset // 4)  # one Philox block is four 64-bit words
+        gen = np.random.Generator(bits)
+        gen.random(offset % 4)
+        return gen
 
     def uniforms(self, n: int) -> np.ndarray:
         """n i.i.d. uniform doubles in [0, 1)."""
         n = int(n)
-        if n < 0:
-            raise ValueError(f"draw count must be nonnegative, got {n}")
-        return self._gen.random(n)
+        return self._at(self._take(n, n)).random(n)
 
-    def gaussians(self, n: int) -> np.ndarray:
-        """n i.i.d. standard normals via Box-Muller.
+    def gaussians(self, n: int, sigma: float = 1.0) -> np.ndarray:
+        """n i.i.d. Normal(0, sigma^2) draws via Box-Muller.
 
-        Consumes ceil(n/2) pairs of uniforms (u1, u2) and forms
-        r = sqrt(-2 ln(1 - u1)), z = (r cos(2 pi u2), r sin(2 pi u2)).
-        Using 1 - u1 keeps the log argument in (0, 1].
+        Consumes m = ceil(n/2) pairs: pair j takes the stream's next uniforms
+        u1 = draw j and u2 = draw m + j, and gives draws 2j and 2j+1,
+        sigma * (r cos theta) and sigma * (r sin theta) with
+        r = sqrt(-2 ln(1 - u1)) and theta = 2 pi u2 (odd n drops the last
+        sine). Using 1 - u1 keeps the log argument in (0, 1]. ``sigma = 0``
+        returns zeros and computes nothing, but still consumes the pairs.
         """
+        if not sigma >= 0:
+            raise ValueError(f"sigma must be nonnegative, got {sigma!r}")
         n = int(n)
-        if n < 0:
-            raise ValueError(f"draw count must be nonnegative, got {n}")
         m = (n + 1) // 2
-        u = self._gen.random((2, m))
-        r = np.sqrt(-2.0 * np.log1p(-u[0]))
-        theta = 2.0 * np.pi * u[1]
-        z = np.empty(2 * m)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
-        return z[:n]
+        start = self._take(n, 2 * m)
+        if sigma == 0 or m == 0:
+            return np.zeros(n)
+        out = np.empty(n)
+        fill = functools.partial(self._box_muller, out, start, m, sigma)
+        chunks = range(0, m, CHUNK_PAIRS)
+        if len(chunks) == 1:
+            fill(0)
+        else:
+            list(_executor().map(fill, chunks))  # reads every result: errors surface
+        return out
+
+    def _box_muller(self, out: np.ndarray, start: int, m: int, sigma: float, a: int):
+        """Write pairs [a, a + CHUNK_PAIRS) of the m-pair draw at ``start``."""
+        b = min(a + CHUNK_PAIRS, m)
+        u1 = self._at(start + a).random(b - a)
+        u2 = self._at(start + m + a).random(b - a)
+        r = np.sqrt(-2.0 * np.log1p(-u1))
+        theta = 2.0 * np.pi * u2
+        for phase, trig in enumerate((np.cos, np.sin)):
+            z = r * trig(theta)
+            z *= sigma
+            dest = out[2 * a + phase : 2 * b : 2]  # odd n: the last sine is short
+            dest[...] = z[: dest.size]
 
     def permutation(self, n: int) -> np.ndarray:
         """A uniform permutation of range(n), via argsort of n uniforms."""
-        return np.argsort(self.uniforms(int(n)), kind="stable")
+        return np.argsort(self.uniforms(n), kind="stable")
 
     def integers(self, n: int, size: int) -> np.ndarray:
         """``size`` i.i.d. integers uniform over {0, ..., n-1} (floor method)."""
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-        return np.minimum((self.uniforms(int(size)) * n).astype(np.int64), n - 1)
+        return np.minimum((self.uniforms(size) * n).astype(np.int64), n - 1)
 
 
 def substream(seed: int, label: str) -> RngStream:
@@ -98,9 +155,4 @@ def gaussian_matrix(stream: RngStream, rows: int, cols: int, sigma: float) -> np
     rows, cols = int(rows), int(cols)
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix shape must be positive, got {rows}x{cols}")
-    if not sigma >= 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma!r}")
-    z = stream.gaussians(rows * cols).reshape(rows, cols)
-    if sigma == 0:
-        return np.zeros((rows, cols))
-    return sigma * z
+    return stream.gaussians(rows * cols, sigma).reshape(rows, cols)

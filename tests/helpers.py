@@ -7,6 +7,7 @@ The one exception, :func:`full_solve_sweep`, samples through the package and
 differs from it only in how it solves each Hessian.
 """
 
+import hashlib
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -23,6 +24,26 @@ from lossgeom import (
     substream,
     weight_gradient,
 )
+
+
+def philox_generator(seed, label):
+    """The Philox generator rng.py documents for (seed, label), at draw 0."""
+    digest = hashlib.sha256(
+        int(seed).to_bytes(8, "little") + b"\x1f" + label.encode("utf-8")
+    ).digest()
+    return np.random.Generator(np.random.Philox(key=np.frombuffer(digest[:16], "<u8")))
+
+
+def serial_gaussians(gen, n):
+    """n Box-Muller normals from ``gen``, one whole-array pass over ceil(n/2) pairs."""
+    m = (n + 1) // 2
+    u = gen.random((2, m))
+    r = np.sqrt(-2.0 * np.log1p(-u[0]))
+    theta = 2.0 * np.pi * u[1]
+    z = np.empty(2 * m)
+    z[0::2] = r * np.cos(theta)
+    z[1::2] = r * np.sin(theta)
+    return z[:n]
 
 
 def reference_cross_entropy(tensor, labels, weights):

@@ -13,6 +13,7 @@ from lossgeom import (
     sample_logit_gradients,
     write_dump,
 )
+from lossgeom import experiments
 from lossgeom.cli import SWEEP_CSV_HEADER, _write_json, run_command
 
 
@@ -126,6 +127,36 @@ def test_sweep_from_zero_that_cannot_run_is_rejected_by_the_config(
     err = capsys.readouterr().err
     assert f"zero.cfg: sigma_z_min = 0 with {message}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        # (1e-3/15)^200 underflows: sigma_c = sigma_e = 0 in tied mode
+        ("gamma = 200", "sweep point 0 (sigma_z=0.001) repeat 0: (sigma_z/sigma_z_ref)"
+         "^gamma underflows to sigma_c = sigma_e = 0"),
+        # point 0 runs, but point 1's sigma_c^2 and with it H overflow
+        ("sigma_z_min = 20\ngamma = 400", "sweep point 1 (sigma_z=44.7214) repeat 0: "
+         "(sigma_z/sigma_z_ref)^gamma = 5.8816e+189 gives sigma_c = 5.36914e+188, "
+         "whose square overflows"),
+    ],
+    ids=["underflow", "overflow"],
+)
+def test_sweep_whose_scaling_cannot_run_fails_before_any_draw(
+    tmp_path, capsys, monkeypatch, extra, message
+):
+    calls = []
+    monkeypatch.setattr(
+        experiments, "sample_logit_gradients", lambda *a: calls.append(a)
+    )
+    cfg = tmp_path / "scale.cfg"
+    small = SMALL_CFG.replace("points = 4", "points = 3").replace("repeats = 2", "repeats = 1")
+    cfg.write_text(small + extra + "\n")
+    out = tmp_path / "out"
+    assert run(["sweep-sigmaz", "--config", cfg, "--out", out]) == 1
+    assert message in capsys.readouterr().err
+    assert calls == []
+    assert not (out / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("n_weights", [0, -4])

@@ -1,7 +1,21 @@
+import hashlib
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from lossgeom.rng import RngStream, gaussian_matrix, substream
+from helpers import philox_generator, serial_gaussians
+from lossgeom import rng
+from lossgeom.rng import CHUNK_PAIRS, RngStream, gaussian_matrix, substream
+
+# draw counts around the chunk edges, in normals (two per pair)
+CHUNK_EDGE_COUNTS = [
+    0, 1, 2, 3, 7, CHUNK_PAIRS - 1, CHUNK_PAIRS, CHUNK_PAIRS + 1,
+    2 * CHUNK_PAIRS - 1, 2 * CHUNK_PAIRS, 2 * CHUNK_PAIRS + 1, 3 * CHUNK_PAIRS + 5,
+]
 
 
 def test_same_seed_and_label_reproduce_exactly():
@@ -112,3 +126,81 @@ def test_stream_rejects_bad_arguments():
         RngStream(0, "")
     with pytest.raises(ValueError):
         RngStream(0, "x").gaussians(-1)
+
+
+@pytest.mark.parametrize("before", range(6))
+@pytest.mark.parametrize("n", CHUNK_EDGE_COUNTS)
+def test_chunked_gaussians_match_the_serial_transform_bit_for_bit(n, before):
+    # 1-5 earlier uniforms leave the stream off a Philox block boundary
+    stream, oracle = RngStream(9, "chunks"), philox_generator(9, "chunks")
+    assert np.array_equal(stream.uniforms(before), oracle.random(before))
+    z = stream.gaussians(n)
+    assert z.tobytes() == serial_gaussians(oracle, n).tobytes()
+    # the stream continues where the serial transform left it
+    assert np.array_equal(stream.uniforms(5), oracle.random(5))
+    expected = np.argsort(oracle.random(33), kind="stable")
+    assert np.array_equal(stream.permutation(33), expected)
+
+
+def test_scaled_gaussians_are_sigma_times_the_serial_transform():
+    n = 3 * CHUNK_PAIRS + 5
+    z = gaussian_matrix(RngStream(4, "scaled"), 1, n, 0.3).ravel()
+    assert z.tobytes() == (0.3 * serial_gaussians(philox_generator(4, "scaled"), n)).tobytes()
+
+
+def test_gaussians_are_pinned():
+    z = RngStream(0, "golden").gaussians(1_000_003)
+    assert hashlib.sha256(z.tobytes()).hexdigest() == (
+        "365b0f592a9c1f302a37fa1731b09cb80a680bb546e1b71758f22799ba34daaa"
+    )
+
+
+def test_concurrent_streams_share_the_sampling_pool_exactly():
+    n = 3 * CHUNK_PAIRS + 5
+    labels = [f"worker{i}" for i in range(2 * os.cpu_count() + 2)]
+    results = {}
+
+    def draw(label):
+        results[label] = RngStream(1, label).gaussians(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(label,)) for label in labels]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for label in labels:
+        expected = serial_gaussians(philox_generator(1, label), n)
+        assert np.array_equal(results[label], expected)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_sampling_pool():
+    n = 3 * CHUNK_PAIRS + 5
+    expected = serial_gaussians(philox_generator(2, "fork"), n)
+    RngStream(2, "warm").gaussians(n)
+    assert rng._pool
+    pid = os.fork()
+    if pid == 0:  # the child exits here whatever happens
+        code = 1
+        try:
+            fresh = not rng._pool
+            if fresh and np.array_equal(RngStream(2, "fork").gaussians(n), expected):
+                code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    if not done:  # a child stuck on the parent's pool never returns
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    assert done and os.waitstatus_to_exitcode(status) == 0
