@@ -13,7 +13,8 @@ adds, from one normalization of the tensor:
 All pair averages are computed exactly at any N through closed forms over
 unit vectors (sums of all pairwise cosines reduce to norms of vector sums),
 so no pair subsampling is ever needed; brute-force all-pairs equivalence is
-covered by the tests at small N.
+covered by the tests at small N. The vector sums come from one blocked pass
+(:func:`_unit_sums`) that never copies the whole tensor.
 
 Functions take the (N, C, D) gradient tensor as an array, sampled or ingested
 from a dump alike.
@@ -38,12 +39,34 @@ class ClusteringReport:
     per_class_q: np.ndarray  # (C,) per-class same-logit-same-class averages
 
 
-def _unit_rows(tensor: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(tensor, axis=-1)
-    if np.any(norms == 0.0):
-        mu, k = np.argwhere(norms == 0.0)[0]
-        raise ValueError(f"zero gradient vector at example {mu}, logit {k}")
-    return tensor / norms[..., np.newaxis]
+_BLOCK_BYTES = 1 << 20  # tensor bytes per block of _unit_sums
+
+
+def _unit_sums(tensor: np.ndarray, labels: np.ndarray | None = None):
+    """Sums of the unit rows u[mu, k] = tensor[mu, k] / |tensor[mu, k]|: per logit
+    over examples (C, D) and, given ``labels``, per class of u[mu, labels[mu]]
+    (C, D) and per example over logits (N, D), else None. One pass normalizes
+    ``_BLOCK_BYTES`` of examples at a time and adds rows in example order, as
+    numpy's axis-0 reduction does, so every sum keeps the whole-tensor bits."""
+    n, c, d = tensor.shape
+    step = max(1, _BLOCK_BYTES // (8 * c * d))
+    per_logit = np.zeros((c, d))
+    per_class = None if labels is None else np.zeros((c, d))
+    per_example = None if labels is None else np.empty((n, d))
+    for start in range(0, n, step):
+        block = tensor[start : start + step]
+        norms = np.linalg.norm(block, axis=-1)
+        if np.any(norms == 0.0):
+            mu, k = np.argwhere(norms == 0.0)[0]
+            raise ValueError(f"zero gradient vector at example {start + mu}, logit {k}")
+        units = block / norms[..., np.newaxis]
+        for mu, rows in enumerate(units, start):
+            per_logit += rows
+            if labels is not None:
+                per_class[labels[mu]] += rows[labels[mu]]
+        if labels is not None:
+            units.sum(axis=1, out=per_example[start : start + len(units)])
+    return per_logit, per_class, per_example
 
 
 def _pair_mean(unit_sum: np.ndarray, count: int) -> float:
@@ -61,22 +84,7 @@ def q_sl(grads) -> float:
     n = tensor.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 examples, got {n}")
-    return _same_logit(_unit_rows(tensor).sum(axis=0), n)
-
-
-def _q_dl(units: np.ndarray, per_logit: np.ndarray) -> float:
-    """Different-logits statistic: mean cosine over pairs with k != l, mu != nu."""
-    n, c, _ = units.shape
-    per_example = units.sum(axis=1)  # (N, D) sums over logits
-    total = per_logit.sum(axis=0)
-    # inclusion-exclusion over the constraints mu != nu and k != l
-    pair_sum = (
-        float(total @ total)
-        - float((per_logit * per_logit).sum())
-        - float((per_example * per_example).sum())
-        + n * c
-    )
-    return pair_sum / (n * (n - 1) * c * (c - 1))
+    return _same_logit(_unit_sums(tensor)[0], n)
 
 
 def predicted_q_sl(sigma_c: float, sigma_e: float) -> float:
@@ -99,23 +107,22 @@ def clustering_report(grads, labels: np.ndarray) -> ClusteringReport:
     tensor = gradient_tensor(grads)
     n, c, _ = tensor.shape
     labels = class_labels(labels, n, c)
-    members = [np.flatnonzero(labels == k) for k in range(c)]
-    for k, idx in enumerate(members):
-        if idx.size < 2:
-            raise ValueError(
-                f"class {k} has {idx.size} labeled example(s); need at least 2"
-            )
+    counts = np.bincount(labels, minlength=c).tolist()
+    for k, count in enumerate(counts):
+        if count < 2:
+            raise ValueError(f"class {k} has {count} labeled example(s); need at least 2")
     if n < 2 or c < 2:
         raise ValueError(f"need N >= 2 and C >= 2, got N={n}, C={c}")
-    units = _unit_rows(tensor)
-    per_logit = units.sum(axis=0)  # (C, D) sums over examples
+    per_logit, per_class, per_example = _unit_sums(tensor, labels)
     # per class k: mean pairwise cosine of {dz[mu,k]/dW : label(mu) = k}
-    per_class = np.array(
-        [_pair_mean(units[idx, k].sum(axis=0), idx.size) for k, idx in enumerate(members)]
-    )
+    per_class_q = np.array([_pair_mean(sums, m) for sums, m in zip(per_class, counts)])
+    # different logits (k != l, mu != nu) by inclusion-exclusion over both
+    total = per_logit.sum(axis=0)
+    pair_sum = float(total @ total) - float((per_logit * per_logit).sum())
+    pair_sum = pair_sum - float((per_example * per_example).sum()) + n * c
     return ClusteringReport(
-        q_slsc=float(per_class.mean()),
+        q_slsc=float(per_class_q.mean()),
         q_sl=_same_logit(per_logit, n),
-        q_dl=_q_dl(units, per_logit),
-        per_class_q=per_class,
+        q_dl=pair_sum / (n * (n - 1) * c * (c - 1)),
+        per_class_q=per_class_q,
     )

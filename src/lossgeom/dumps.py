@@ -70,7 +70,9 @@ def _csv_sidecar(path: str) -> str:
 
 
 def write_dump(path: str, grads, labels) -> None:
-    """Write an (N, C, D) tensor plus labels in the format ``path`` implies."""
+    """Write an (N, C, D) tensor plus labels in the format ``path`` implies.
+
+    A binary write copies only a tensor that is not C-ordered ``<f8``."""
     tensor = gradient_tensor(grads)
     n, c, d = tensor.shape
     labels = _labels(path, labels, n, c)
@@ -80,12 +82,12 @@ def write_dump(path: str, grads, labels) -> None:
         return
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, n, c, d))
-        fh.write(tensor.astype("<f8").tobytes(order="C"))
+        np.ascontiguousarray(tensor, dtype="<f8").tofile(fh)
         fh.write(labels.astype("<i4").tobytes())
 
 
 def read_dump(path: str) -> LogitGradientDump:
-    """Read a dump file (binary or CSV, by extension) into memory."""
+    """Read a dump file (binary or CSV, by extension) into one array."""
     if path.endswith(".csv"):
         return _read_csv_dump(path)
     with open(path, "rb") as fh:

@@ -192,7 +192,7 @@ def _check_memory(params: ModelParams, hessian: bool = True) -> None:
     fixed per-chunk temporaries (about 1.3 MB per core): tracemalloc reads
     1.14 N*C*D doubles at the reference config. Hessian assembly holds two
     (the tensor and its centered, weighted rows) and is the peak. The bound
-    counts four. Besides H, the solve allocates 2.0x H for eigenvalues
+    counts four. Besides H, the solve allocates 1.1x H for eigenvalues
     or the top k and 3.0x H for a whole eigensystem (tracemalloc, D=600), so
     the bound counts four D*D doubles. ``hessian=False`` skips that term.
     """

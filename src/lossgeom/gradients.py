@@ -104,4 +104,6 @@ def model_hessian(tensor: np.ndarray, ensemble: LogitEnsemble) -> np.ndarray:
     with one triangle-mirroring syrk). ``tensor`` is left unchanged.
     """
     x = _weighted_centered_rows(tensor, ensemble.probs)
-    return (x.T @ x) / tensor.shape[0]
+    h = x.T @ x
+    h /= tensor.shape[0]
+    return h

@@ -66,11 +66,14 @@ def eigh(
         raise ValueError(f"matrix must be square, got shape {h.shape}")
     if top is not None and top < 1:
         raise ValueError(f"top must be at least 1, got {top}")
-    scale = max(1.0, float(np.abs(h).max()) if h.size else 1.0)
-    asym = float(np.abs(h - h.T).max()) if h.size else 0.0
+    d = h.shape[0]
+    scale = max(1.0, float(max(h.max(), -h.min())) if h.size else 1.0)
+    # max |H - H^T| over blocks of about 1 MB of rows: no D x D temporary
+    rows = 1 + (1 << 17) // max(d, 1)
+    gaps = [np.abs(h[i : i + rows] - h[:, i : i + rows].T).max() for i in range(0, d, rows)]
+    asym = float(np.max(gaps, initial=0.0))
     if asym > 1e-8 * scale:
         raise ValueError(f"matrix is not symmetric (max |H - H^T| = {asym:.3e})")
-    d = h.shape[0]
     k = d if top is None else min(int(top), d)
     subset = None if k == d else [d - k, d - 1]
     solved = scipy.linalg.eigh(

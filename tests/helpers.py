@@ -8,6 +8,7 @@ differs from it only in how it solves each Hessian.
 """
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -138,6 +139,48 @@ def brute_force_pair_cosines(tensor, mode):
                     total += float(units[mu, k] @ units[nu, l])
                     count += 1
     return total / count
+
+
+def whole_tensor_clustering(tensor, labels):
+    """(q_slsc, q_sl, q_dl, per_class_q) from one unit-row copy of the whole tensor.
+
+    The closed forms of lossgeom.clustering written over whole-tensor
+    reductions; the blocked pass must give the same bits.
+    """
+    n, c, _ = tensor.shape
+    units = tensor / np.linalg.norm(tensor, axis=-1)[..., np.newaxis]
+
+    def pair_mean(unit_sum, count):
+        return (float(unit_sum @ unit_sum) - count) / (count * (count - 1))
+
+    per_logit = units.sum(axis=0)
+    q_sl = float(np.mean([pair_mean(row, n) for row in per_logit]))
+    if labels is None:
+        return None, q_sl, None, None
+    members = [np.flatnonzero(labels == k) for k in range(c)]
+    per_class = np.array(
+        [pair_mean(units[idx, k].sum(axis=0), idx.size) for k, idx in enumerate(members)]
+    )
+    per_example = units.sum(axis=1)
+    total = per_logit.sum(axis=0)
+    pair_sum = (
+        float(total @ total)
+        - float((per_logit * per_logit).sum())
+        - float((per_example * per_example).sum())
+        + n * c
+    )
+    q_dl = pair_sum / (n * (n - 1) * c * (c - 1))
+    return float(per_class.mean()), q_sl, q_dl, per_class
+
+
+def peak_bytes(fn, *args):
+    """Peak bytes numpy and Python allocate while ``fn(*args)`` runs (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def class_coupling_matrix(probs):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import brute_force_pair_cosines, empirical_class_means
+from helpers import (
+    brute_force_pair_cosines,
+    empirical_class_means,
+    peak_bytes,
+    whole_tensor_clustering,
+)
 from lossgeom import (
     ModelParams,
     clustering_report,
@@ -10,6 +15,7 @@ from lossgeom import (
     sample_ensemble,
     sample_logit_gradients,
 )
+from lossgeom import clustering
 from lossgeom.gradients import sample_mean_logit_gradients
 from lossgeom.rng import substream
 
@@ -221,3 +227,62 @@ def test_zero_row_at_a_labeled_entry_is_named():
     labels = np.array([0, 0, 0, 1, 1, 1])
     with pytest.raises(ValueError, match="zero gradient vector at example 1, logit 0"):
         clustering_report(tensor, labels)
+
+
+def assert_matches_whole_tensor_formula(tensor, labels):
+    q_slsc, q_sl_whole, q_dl, per_class_q = whole_tensor_clustering(tensor, labels)
+    result = clustering_report(tensor, labels)
+    assert (result.q_slsc, result.q_sl, result.q_dl) == (q_slsc, q_sl_whole, q_dl)
+    assert result.per_class_q.tobytes() == per_class_q.tobytes()
+    assert q_sl(tensor) == q_sl_whole
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, 4, 100])
+def test_blocked_pass_matches_the_whole_tensor_formula_bit_for_bit(
+    monkeypatch, rows_per_block
+):
+    # N = 11 is not a multiple of 3 or 4; classes hold 6, 3 and 2 examples
+    n, c, d = 11, 3, 7
+    monkeypatch.setattr(clustering, "_BLOCK_BYTES", rows_per_block * 8 * c * d)
+    tensor = np.random.default_rng(20).standard_normal((n, c, d)) + 0.4
+    labels = np.array([0, 1, 0, 2, 0, 1, 0, 0, 2, 1, 0])
+    assert_matches_whole_tensor_formula(tensor, labels)
+
+
+def test_blocked_pass_matches_the_whole_tensor_formula_at_full_blocks():
+    # about 1 MB per block: 10 examples of 3 x 4096, so 37 ends in a short block
+    rng = np.random.default_rng(21)
+    tensor = rng.standard_normal((37, 3, 4096)) * 0.02 + rng.standard_normal((3, 4096)) * 0.03
+    labels = np.array([2] * 5 + [1] * 20 + [0] * 12)
+    assert_matches_whole_tensor_formula(tensor, labels)
+
+
+def test_q_sl_matches_the_whole_tensor_formula_at_two_examples(monkeypatch):
+    tensor = np.random.default_rng(22).standard_normal((2, 4, 9))
+    assert q_sl(tensor) == whole_tensor_clustering(tensor, None)[1]
+    monkeypatch.setattr(clustering, "_BLOCK_BYTES", 8)  # one example per block
+    assert q_sl(tensor) == whole_tensor_clustering(tensor, None)[1]
+
+
+def test_zero_row_past_the_first_block_names_its_global_index(monkeypatch):
+    n, c, d = 10, 2, 5
+    monkeypatch.setattr(clustering, "_BLOCK_BYTES", 3 * 8 * c * d)
+    tensor = np.random.default_rng(23).standard_normal((n, c, d))
+    tensor[7, 1] = 0.0
+    message = "zero gradient vector at example 7, logit 1"
+    with pytest.raises(ValueError, match=message):
+        clustering_report(tensor, np.arange(n) % c)
+    with pytest.raises(ValueError, match=message):
+        q_sl(tensor)
+
+
+def test_scoring_holds_well_under_a_tensor_size_copy():
+    params = ModelParams(seed=24)
+    grads = sample_logit_gradients(params)
+    labels = sample_ensemble(params).labels
+    for name, peak in [
+        ("clustering_report", peak_bytes(clustering_report, grads, labels)),
+        ("q_sl", peak_bytes(q_sl, grads)),
+    ]:
+        print(f"{name} peak: {peak / grads.nbytes:.3f}x the tensor")
+        assert peak < 0.25 * grads.nbytes

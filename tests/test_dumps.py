@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from helpers import peak_bytes
 from lossgeom import (
     DumpError,
     DumpLabelError,
@@ -55,6 +56,32 @@ def test_raw_tensor_input(tmp_path):
     write_dump(path, tensor, labels)
     dump = read_dump(path)
     assert np.array_equal(dump.data, tensor)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "sliced", "big-endian"])
+def test_binary_write_of_any_layout_is_the_c_ordered_file(tmp_path, layout):
+    base = np.random.default_rng(3).standard_normal((9, 4, 12))
+    tensor = {
+        "fortran": np.asfortranarray(base),
+        "sliced": base[::2, 1:, ::3],
+        "big-endian": base.astype(">f8"),
+    }[layout]
+    labels = np.arange(tensor.shape[0]) % tensor.shape[1]
+    path, plain = tmp_path / "layout.lgrd", tmp_path / "plain.lgrd"
+    write_dump(str(path), tensor, labels)
+    write_dump(str(plain), np.array(tensor, dtype="<f8", order="C"), labels)
+    assert path.read_bytes() == plain.read_bytes()
+    dump = read_dump(str(path))
+    assert dump.data.tobytes() == np.ascontiguousarray(tensor, dtype="<f8").tobytes()
+    assert np.array_equal(dump.labels, labels)
+
+
+def test_binary_write_holds_no_copy_of_the_tensor(tmp_path):
+    tensor = np.random.default_rng(5).standard_normal((300, 10, 1000))
+    labels = np.arange(300) % 10
+    peak = peak_bytes(write_dump, str(tmp_path / "big.lgrd"), tensor, labels)
+    print(f"write_dump peak: {peak / tensor.nbytes:.4f}x the tensor")
+    assert peak < 0.05 * tensor.nbytes
 
 
 def test_bad_magic_raises_magic_error(tmp_path):

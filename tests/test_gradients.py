@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 
 from helpers import (
@@ -9,6 +7,7 @@ from helpers import (
     clustered_hessian,
     fd_gradient,
     fd_hessian,
+    peak_bytes,
 )
 from lossgeom import (
     LogitEnsemble,
@@ -169,12 +168,7 @@ def test_model_hessian_matches_brute_force_assembly():
 def test_model_hessian_holds_one_tensor_size_temporary():
     _, ensemble, grads = small_instance(n=200, c=10, d=100)
     before = grads.copy()
-    tracemalloc.start()
-    try:
-        model_hessian(grads, ensemble)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(model_hessian, grads, ensemble)
     print(f"model_hessian peak: {peak / grads.nbytes:.2f}x the tensor")
     assert peak < 2 * grads.nbytes
     assert np.array_equal(grads, before)  # the caller's tensor is not written

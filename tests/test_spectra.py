@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import gram_schmidt, random_symmetric
+from helpers import gram_schmidt, peak_bytes, random_symmetric
 from lossgeom import (
     ModelParams,
     detect_outliers,
@@ -99,6 +99,23 @@ def test_eigh_rejects_nonsymmetric_and_nonsquare():
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="square"):
         eigh(np.zeros((3, 4)))
+
+
+def test_symmetry_check_reports_the_largest_asymmetry_in_any_block():
+    # about 1 MB of rows per block: 328 rows of D = 400, so row 390 is in the second
+    h = random_symmetric(np.random.default_rng(3), 400)
+    h[390, 2] += 0.25
+    h[7, 1] -= 0.125
+    with pytest.raises(ValueError, match=r"max \|H - H\^T\| = 2\.500e-01"):
+        eigh(h)
+
+
+def test_eigh_values_hold_no_matrix_size_temporary_besides_lapacks_copy():
+    h = random_symmetric(np.random.default_rng(5), 600)
+    for kwargs in ({"vectors": False}, {"top": 31, "vectors": False}):
+        peak = peak_bytes(lambda: eigh(h, **kwargs))
+        print(f"eigh {kwargs} peak: {peak / h.nbytes:.2f}x the matrix")
+        assert peak < 1.5 * h.nbytes
 
 
 def test_eigh_accepts_roundoff_asymmetry():
