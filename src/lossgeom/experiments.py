@@ -188,16 +188,15 @@ def point_means(records: list[SweepRecord], name: str) -> np.ndarray:
 def _check_memory(params: ModelParams, hessian: bool = True) -> None:
     """Fail before any draw if the residuals (and the dense Hessian) would not fit.
 
-    Box-Muller sampling writes straight into the tensor and holds only
-    fixed per-chunk temporaries (about 1.3 MB per core): tracemalloc reads
-    1.14 N*C*D doubles at the reference config. Hessian assembly holds two
-    (the tensor and its centered, weighted rows) and is the peak. The bound
-    counts four. Besides H, the solve allocates 1.1x H for eigenvalues
-    or the top k and 3.0x H for a whole eigensystem (tracemalloc, D=600), so
-    the bound counts four D*D doubles. ``hessian=False`` skips that term.
+    tracemalloc reads 1.14 N*C*D doubles for sampling and 1.34 for a whole
+    instance, whose assembly overwrites the tensor, at the reference config
+    (1.20 and 1.21 at N=1000, C=10, D=200), so the bound counts two. Besides
+    H, the solve allocates 1.1x H for eigenvalues or the top k and 3.0x H for
+    a whole eigensystem (tracemalloc, D=600 and D=1000), so the bound counts
+    four D*D doubles. ``hessian=False`` skips that term.
     """
     n, c, d = params.n_examples, params.n_classes, params.n_weights
-    terms = {f"{n}x{c}x{d} residual tensor with its temporaries": 4 * 8 * n * c * d}
+    terms = {f"{n}x{c}x{d} residual tensor with its temporaries": 2 * 8 * n * c * d}
     if hessian:
         terms[f"dense {d}x{d} Hessian with its eigensolve"] = 4 * 8 * d * d
     needed = sum(terms.values())
@@ -210,18 +209,23 @@ def _check_memory(params: ModelParams, hessian: bool = True) -> None:
 
 
 def _instance(
-    params: ModelParams, prefix: str = "", top: bool = False, vectors: bool = True
-) -> tuple[LogitEnsemble, np.ndarray, np.ndarray, SymmetricSpectrum]:
-    """The one measurement path: sample, assemble the Hessian, solve it for
-    only what the output reads. ``top=True`` asks for the k = min(D, max(3C+1,
-    10)) largest pairs: the outlier scan reads 3C+1 eigenvalues, the top-10
-    gradient power 10 eigenvectors. ``vectors=False`` skips the eigenvectors."""
+    params: ModelParams, prefix: str = "", top: bool = False, vectors: bool = True,
+    reads=None,
+) -> tuple[LogitEnsemble, object, np.ndarray, SymmetricSpectrum]:
+    """The one measurement path: sample, read ``reads(tensor, ensemble)``
+    (returned in the tensor's place, as assembly overwrites it), assemble the
+    Hessian, solve it for only what the output reads. ``top=True`` asks for
+    the k = min(D, max(3C+1, 10)) largest pairs: the outlier scan reads 3C+1
+    eigenvalues, the top-10 gradient power 10 eigenvectors. ``vectors=False``
+    skips the eigenvectors."""
     _check_memory(params)
     ensemble = sample_ensemble(params, prefix)
     tensor = sample_logit_gradients(params, prefix)
+    read = reads(tensor, ensemble) if reads else None
     hessian = model_hessian(tensor, ensemble)
+    del tensor
     k = min(params.n_weights, max(3 * params.n_classes + 1, 10)) if top else None
-    return ensemble, tensor, hessian, eigh(hessian, top=k, vectors=vectors)
+    return ensemble, read, hessian, eigh(hessian, top=k, vectors=vectors)
 
 
 def _projected(params: ModelParams, prefix: str, hessian: np.ndarray) -> SymmetricSpectrum:
@@ -248,8 +252,8 @@ def run_overlap_experiment(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     Raises the zero-gradient error if every probability row is frozen
     exactly onto its label.
     """
-    ensemble, tensor, _, spectrum = _instance(params)
-    return gradient_overlaps(spectrum, weight_gradient(tensor, ensemble))
+    _, gradient, _, spectrum = _instance(params, reads=weight_gradient)
+    return gradient_overlaps(spectrum, gradient)
 
 
 @one_blas_thread
@@ -321,9 +325,11 @@ def _sweep_point(params: ModelParams, spec: SweepSpec, sigma_z: float) -> ModelP
 
 
 def _sweep_record(params: ModelParams, prefix: str, rep: int) -> SweepRecord:
-    ensemble, tensor, hessian, spectrum = _instance(params, prefix, top=True)
+    ensemble, gradient, hessian, spectrum = _instance(
+        params, prefix, top=True, reads=weight_gradient
+    )
     projected = _projected(params, prefix, hessian)
-    _, cumulative = gradient_overlaps(spectrum, weight_gradient(tensor, ensemble))
+    _, cumulative = gradient_overlaps(spectrum, gradient)
     mean_entropy, mean_max_prob = freezing_stats(ensemble)
     report = detect_outliers(spectrum, max_candidates=3 * params.n_classes)
     return SweepRecord(
@@ -353,11 +359,11 @@ def run_snr_sweep(
             raise ValueError(f"snr values must be positive, got {snr!r}")
         sigma_e = 0.0 if math.isinf(snr) else params.sigma_c / math.sqrt(snr)
         point_params = replace(params, sigma_e=sigma_e)
-        _, tensor, _, spectrum = _instance(
-            point_params, f"snr:{i}:", top=True, vectors=False
+        _, same_logit_q, _, spectrum = _instance(
+            point_params, f"snr:{i}:", top=True, vectors=False, reads=lambda t, _: q_sl(t),
         )
         report = detect_outliers(spectrum, max_candidates=3 * params.n_classes)
-        results.append((float(snr), report.n_outliers, q_sl(tensor)))
+        results.append((float(snr), report.n_outliers, same_logit_q))
     return results
 
 

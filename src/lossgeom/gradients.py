@@ -11,7 +11,7 @@ weight-space objects are
 
 H is assembled through the exact variance identity
 J^T A J = sum_k p_k (J_k - w)(J_k - w)^T with w = sum_l p_l J_l, which keeps
-it PSD by construction.
+it PSD by construction. :func:`model_hessian` writes sqrt(p_k) (J_k - w) over J.
 
 Sign convention: g uses y - p, so g is minus the gradient of the
 cross-entropy loss (the finite-difference tests check -g).
@@ -82,28 +82,21 @@ def weight_gradient(tensor: np.ndarray, ensemble: LogitEnsemble) -> np.ndarray:
     return np.einsum("nc,ncd->d", coef, tensor) / ensemble.n_examples
 
 
-def _weighted_centered_rows(tensor: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Rows sqrt(p[mu,k]) (T[mu,k] - sum_l p[mu,l] T[mu,l]), flattened to (N*C, D).
-
-    Building block of the variance identity: for X = this matrix,
-    X^T X = sum_mu T[mu]^T A[mu] T[mu] exactly. Allocates one tensor-size
-    array and never writes into ``tensor``.
-    """
-    n, c, d = tensor.shape
-    w = np.einsum("nc,ncd->nd", probs, tensor)
-    centered = tensor - w[:, np.newaxis, :]
-    centered *= np.sqrt(probs)[:, :, np.newaxis]
-    return centered.reshape(n * c, d)
-
-
 def model_hessian(tensor: np.ndarray, ensemble: LogitEnsemble) -> np.ndarray:
     """Dense D x D G-term Hessian H = (1/N) sum_mu J[mu]^T A[mu] J[mu].
 
-    Exact assembly via the variance identity (module docstring); PSD by
-    construction up to roundoff, and exactly symmetric (numpy forms X^T X
-    with one triangle-mirroring syrk). ``tensor`` is left unchanged.
+    Overwrites ``tensor`` with X, the rows sqrt(p[mu,k]) (J[mu,k] - w[mu])
+    of the variance identity (module docstring), and returns X^T X / N: PSD
+    up to roundoff, exactly symmetric (numpy's X^T X is one syrk). Raises
+    ValueError, rather than work on a copy, unless ``tensor`` is writable float64.
     """
-    x = _weighted_centered_rows(tensor, ensemble.probs)
+    if tensor.dtype != np.float64 or not tensor.flags.writeable:
+        raise ValueError("model_hessian overwrites its tensor: need a writable float64 "
+                         f"array, got {tensor.dtype} (writeable={tensor.flags.writeable})")
+    n, c, d = tensor.shape
+    tensor -= np.einsum("nc,ncd->nd", ensemble.probs, tensor)[:, np.newaxis, :]
+    tensor *= np.sqrt(ensemble.probs)[:, :, np.newaxis]
+    x = tensor.reshape(n * c, d)
     h = x.T @ x
-    h /= tensor.shape[0]
+    h /= n
     return h

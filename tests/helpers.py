@@ -244,7 +244,7 @@ def full_solve_sweep(params, spec):
             prefix = f"sweep:{i}:{rep}:"
             ensemble = sample_ensemble(point, prefix)
             tensor = sample_logit_gradients(point, prefix)
-            hessian = model_hessian(tensor, ensemble)
+            hessian = model_hessian(tensor.copy(), ensemble)
             lam, vec = np.linalg.eigh(hessian)
             lam, vec = lam[::-1], vec[:, ::-1]
             stream = substream(point.seed, prefix + "hyperplane")

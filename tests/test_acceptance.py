@@ -190,7 +190,7 @@ def test_criterion_7_linear_network_oracle():
         probs = softmax_probs(tensor @ w_star)
         labels = rng.integers(0, c, n)
         ensemble = LogitEnsemble(logits=tensor @ w_star, probs=probs, labels=labels)
-        h = model_hessian(tensor, ensemble)
+        h = model_hessian(tensor.copy(), ensemble)
         fd_h = fd_hessian(tensor, labels, w_star, step=1e-3)
         worst_h = max(worst_h, float(np.linalg.norm(fd_h - h) / np.linalg.norm(h)))
 

@@ -1,19 +1,27 @@
+import math
 from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
 
-from helpers import full_solve_sweep
+from helpers import full_solve_sweep, peak_bytes
 from lossgeom import (
     ModelParams,
     SweepRecord,
     SweepSpec,
+    eigh,
+    gradient_overlaps,
+    model_hessian,
+    q_sl,
     run_clustering_experiment,
     run_freezing_experiment,
     run_overlap_experiment,
     run_sigma_z_sweep,
     run_snr_sweep,
     run_spectrum_experiment,
+    sample_ensemble,
+    sample_logit_gradients,
+    weight_gradient,
 )
 from lossgeom import experiments
 
@@ -238,6 +246,34 @@ def test_snr_sweep_accepts_infinite_snr_and_rejects_nonpositive():
         run_snr_sweep(params, (0.0,))
 
 
+def test_outputs_read_the_gradients_before_assembly_overwrites_them():
+    # a fresh draw at the same prefix holds the gradients each output must read
+    for i, (snr, _, q) in enumerate(run_snr_sweep(SMALL, (2.0, 0.5))):
+        point = replace(SMALL, sigma_e=SMALL.sigma_c / math.sqrt(snr))
+        assert q == q_sl(sample_logit_gradients(point, f"snr:{i}:"))
+    cosines, cumulative = run_overlap_experiment(SMALL)
+    with experiments.one_blas_thread:
+        ensemble, tensor = sample_ensemble(SMALL), sample_logit_gradients(SMALL)
+        gradient = weight_gradient(tensor, ensemble)
+        expected = gradient_overlaps(eigh(model_hessian(tensor, ensemble)), gradient)
+    assert np.array_equal(cosines, expected[0])
+    assert np.array_equal(cumulative, expected[1])
+
+
+def test_an_instance_holds_one_tensor():
+    # Assembly overwrites the sampled tensor, so an instance peaks near the
+    # tensor plus H: 1.34x the tensor here, against 2.34x with a second copy.
+    params = ModelParams()
+    tensor_bytes = 8 * params.n_examples * params.n_classes * params.n_weights
+    peaks = {
+        "sweep record": peak_bytes(experiments._sweep_record, params, "sweep:0:0:", 0),
+        "overlap": peak_bytes(run_overlap_experiment, params),
+    }
+    for name, peak in peaks.items():
+        print(f"{name} peak: {peak / tensor_bytes:.2f}x the tensor")
+        assert peak < 1.6 * tensor_bytes, name
+
+
 def test_freezing_experiment_curve_and_simplex():
     params = ModelParams(n_examples=3000, n_classes=10, seed=5)
     results = run_freezing_experiment(params, (1e-3, 15.0, 1e4))
@@ -262,9 +298,9 @@ def test_freezing_experiment_simplex_coordinates_for_three_classes():
     assert simplex[:, 1].max() <= np.sqrt(3.0) / 2.0 + 1e-12
 
 
-TOO_MANY_RESIDUALS = ModelParams(n_examples=7000, n_classes=10, n_weights=1000)
+TOO_MANY_RESIDUALS = ModelParams(n_examples=14000, n_classes=10, n_weights=1000)
 RESIDUALS_MESSAGE = (
-    "7000x10x1000 residual tensor with its temporaries needs 2240000000 bytes"
+    "14000x10x1000 residual tensor with its temporaries needs 2240000000 bytes"
 )
 
 
@@ -302,3 +338,8 @@ def test_clustering_is_not_held_to_the_hessian_memory_term():
     params = ModelParams(n_examples=8, n_classes=2, n_weights=16385, hyperplane_dim=1)
     report = run_clustering_experiment(params)
     assert report.per_class_q.shape == (2,)
+
+
+def test_memory_guard_counts_two_tensors():
+    # 2 * 8 * N*C*D = 1.12e9 plus 4 * 8 * D**2 = 3.2e7 bytes fit in 2**31
+    experiments._check_memory(ModelParams(n_examples=7000, n_classes=10, n_weights=1000))

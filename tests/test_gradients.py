@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from helpers import (
     brute_force_hessian,
@@ -159,19 +160,40 @@ def test_class_coupling_matrix_invariants():
 
 def test_model_hessian_matches_brute_force_assembly():
     _, ensemble, grads = small_instance()
-    h = model_hessian(grads, ensemble)
+    h = model_hessian(grads.copy(), ensemble)
     brute = brute_force_hessian(grads, ensemble.probs)
     scale = np.abs(brute).max()
     assert np.abs(h - brute).max() < 1e-13 * max(1.0, scale)
 
 
-def test_model_hessian_holds_one_tensor_size_temporary():
+def test_model_hessian_writes_its_rows_into_the_tensor():
     _, ensemble, grads = small_instance(n=200, c=10, d=100)
+    n, c, d = grads.shape
+    tensor = grads.copy()
+    peak = peak_bytes(model_hessian, tensor, ensemble)
+    h = model_hessian(grads.copy(), ensemble)
+    # the tensor now holds X: rows sqrt(p_k) (J_k - sum_l p_l J_l) of each example
+    for mu in range(n):
+        p = ensemble.probs[mu]
+        rows = np.sqrt(p)[:, None] * (grads[mu] - p @ grads[mu])
+        assert np.allclose(tensor[mu], rows, rtol=0.0, atol=1e-15)
+    x = tensor.reshape(n * c, d)
+    assert np.array_equal(x.T @ x / n, h)
+    # besides H, only the (N, D) per-example means: 0.09x the tensor here
+    besides_h = (peak - h.nbytes) / grads.nbytes
+    print(f"model_hessian peak besides H: {besides_h:.3f}x the tensor")
+    assert besides_h < 0.2
+
+
+def test_model_hessian_rejects_a_tensor_it_cannot_overwrite():
+    _, ensemble, grads = small_instance()
+    with pytest.raises(ValueError, match=r"got float32 \(writeable=True\)"):
+        model_hessian(grads.astype(np.float32), ensemble)
     before = grads.copy()
-    peak = peak_bytes(model_hessian, grads, ensemble)
-    print(f"model_hessian peak: {peak / grads.nbytes:.2f}x the tensor")
-    assert peak < 2 * grads.nbytes
-    assert np.array_equal(grads, before)  # the caller's tensor is not written
+    grads.setflags(write=False)
+    with pytest.raises(ValueError, match=r"got float64 \(writeable=False\)"):
+        model_hessian(grads, ensemble)
+    assert np.array_equal(grads, before)
 
 
 def test_model_hessian_is_exactly_symmetric():
@@ -204,7 +226,7 @@ def test_model_hessian_zero_residuals_match_brute_force_with_rank_bound():
     params, ensemble, _ = small_instance(n=30, c=4, d=25, sigma_e=0.0)
     grads = sample_logit_gradients(params)
     assert not planted_split(params)[1].any()
-    h = model_hessian(grads, ensemble)
+    h = model_hessian(grads.copy(), ensemble)
     brute = brute_force_hessian(grads, ensemble.probs)
     assert np.abs(h - brute).max() < 1e-14 * max(1.0, np.abs(brute).max())
     eigs = np.linalg.eigvalsh(h)
@@ -237,7 +259,7 @@ def test_hessian_and_gradient_match_finite_differences():
     fd_g = fd_gradient(tensor, labels, w_star, step=1e-5)
     assert np.abs(fd_g + g).max() < 1e-6  # g is minus the loss gradient
 
-    h = model_hessian(tensor, ensemble)
+    h = model_hessian(tensor.copy(), ensemble)
     fd_h = fd_hessian(tensor, labels, w_star, step=1e-3)
     rel = np.linalg.norm(fd_h - h) / np.linalg.norm(h)
     assert rel < 1e-5
@@ -247,8 +269,8 @@ def test_hessian_scaling_covariance():
     # Doubling every logit gradient multiplies H by 4 and g by 2 exactly.
     _, ensemble, grads = small_instance(n=12, c=3, d=15)
     doubled = 2.0 * grads
-    h1 = model_hessian(grads, ensemble)
-    h2 = model_hessian(doubled, ensemble)
+    h1 = model_hessian(grads.copy(), ensemble)
+    h2 = model_hessian(doubled.copy(), ensemble)
     g1 = weight_gradient(grads, ensemble)
     g2 = weight_gradient(doubled, ensemble)
     assert np.allclose(h2, 4.0 * h1, rtol=0.0, atol=1e-15 * np.abs(h1).max())
