@@ -28,6 +28,7 @@ from .dumps import (
     write_dump,
 )
 from .experiments import (
+    SweepError,
     SweepRecord,
     SweepSpec,
     point_means,

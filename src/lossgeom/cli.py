@@ -5,7 +5,9 @@ project. Common flags: --config PATH (flat key=value file, see
 :mod:`lossgeom.config`), --out DIR (overrides the config's output_dir),
 --seed INT (overrides the config's seed), --json (print a summary to
 stdout). Exit codes: 0 success, 1 validation error (bad arguments, config,
-parameters or dump contents), 2 I/O error.
+parameters or dump contents), 2 I/O error. A sweep-sigmaz task that fails
+exits 1 after writing the records finished before it to sweep.csv (no file
+when none finished, and no SVG or summary).
 
 All CSVs are written with 17 significant digits so they re-parse to the
 exact values computed. The same config, seed and numpy/scipy/BLAS build give
@@ -28,6 +30,7 @@ from .clustering import clustering_report, predicted_q_sl
 from .config import RunConfig, parse_config
 from .dumps import read_dump
 from .experiments import (
+    SweepError,
     SweepRecord,
     one_blas_thread,
     point_means,
@@ -106,12 +109,15 @@ def _cmd_overlap(cfg: RunConfig, outdir: str, args) -> dict:
 
 
 def _cmd_sweep_sigmaz(cfg: RunConfig, outdir: str, args) -> dict:
-    records = run_sigma_z_sweep(cfg.params, cfg.sweep)
-    _write_csv(
-        os.path.join(outdir, "sweep.csv"),
-        SWEEP_CSV_HEADER,
-        (astuple(r) for r in records),
-    )
+    csv_path = os.path.join(outdir, "sweep.csv")
+    try:
+        records = run_sigma_z_sweep(cfg.params, cfg.sweep)
+    except SweepError as exc:
+        # keep the rows finished before the failure; a partial grid has no summary
+        if exc.records:
+            _write_csv(csv_path, SWEEP_CSV_HEADER, map(astuple, exc.records))
+        raise
+    _write_csv(csv_path, SWEEP_CSV_HEADER, map(astuple, records))
     if cfg.emit_svg:
         emit_svg(records, "sweep", os.path.join(outdir, "sweep.svg"))
     grid = cfg.sweep.grid()

@@ -1,15 +1,20 @@
 """Experiment orchestration: the property experiments and the sweeps.
 
-Every Hessian measurement takes one path, :func:`_instance` (sample the
-ensemble and gradients, assemble H, solve it for only what the output
-reads), and every projected spectrum another, :func:`_projected`. Each
-experiment is a pure function of a :class:`ModelParams` (plus a sweep spec
-where applicable): identical inputs give identical outputs. Sweep tasks draw
-from labeled substreams (``sweep:<point>:<repeat>:<role>``), so points and
-repeats are independent and could run concurrently; this implementation
-executes them serially in grid order, which is also the merge order. Every
-public ``run_*`` function runs under :data:`one_blas_thread`, so its outputs
-do not depend on the BLAS thread count.
+Every Hessian measurement runs the same stages: :func:`_draw` (sample the
+ensemble and gradients, read what the output needs from the gradients),
+assembly (:func:`model_hessian`, which overwrites the gradients), and a
+solve for only what the output reads. :func:`_instance` runs them back to
+back; every projected spectrum takes :func:`_projected`. Each experiment is
+a pure function of a :class:`ModelParams` (plus a sweep spec where
+applicable): identical inputs give identical outputs. Sweep tasks draw from
+labeled substreams (``sweep:<point>:<repeat>:<role>``), so points and
+repeats are independent. :func:`run_sigma_z_sweep` pipelines its tasks in
+grid order on two threads: the calling thread samples and assembles, and
+one worker thread, started by the call and joined before it returns, solves
+each Hessian and builds its record while the caller samples the next task.
+Every other run is serial on the calling thread. Every public ``run_*``
+function runs under :data:`one_blas_thread`, so its outputs do not depend
+on the BLAS thread count.
 
 Labels are re-drawn per sweep point and repeat at the configured target
 accuracy: each point models a training snapshot at fixed accuracy.
@@ -22,6 +27,7 @@ import ctypes
 import functools
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,6 +133,18 @@ class SweepRecord:
     repeat: int
 
 
+class SweepError(ValueError):
+    """A sweep task's error, prefixed with its point, sigma_z and repeat.
+
+    ``records`` holds the records finished before the failing task, in grid
+    order (empty when it failed before any record).
+    """
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.records: list[SweepRecord] = []
+
+
 @functools.cache
 def _openblas_threads() -> tuple:
     """(get, set) thread-count functions of each OpenBLAS loaded in this process."""
@@ -191,9 +209,11 @@ def _check_memory(params: ModelParams, hessian: bool = True) -> None:
     tracemalloc reads 1.14 N*C*D doubles for sampling and 1.34 for a whole
     instance, whose assembly overwrites the tensor, at the reference config
     (1.20 and 1.21 at N=1000, C=10, D=200), so the bound counts two. Besides
-    H, the solve allocates 1.1x H for eigenvalues or the top k and 3.0x H for
-    a whole eigensystem (tracemalloc, D=600 and D=1000), so the bound counts
-    four D*D doubles. ``hessian=False`` skips that term.
+    H, the solve allocates 1.1x H for eigenvalues, almost nothing for the top
+    k (solved in H's buffer) and 3.0x H for a whole eigensystem (tracemalloc,
+    D=600 and D=1000), so the bound counts four D*D doubles. The pipelined
+    sweep keeps within the same bound: one tensor, reused task after task,
+    one H and one solve are live at a time. ``hessian=False`` skips that term.
     """
     n, c, d = params.n_examples, params.n_classes, params.n_weights
     terms = {f"{n}x{c}x{d} residual tensor with its temporaries": 2 * 8 * n * c * d}
@@ -208,24 +228,36 @@ def _check_memory(params: ModelParams, hessian: bool = True) -> None:
         )
 
 
+def _draw(params: ModelParams, prefix: str = "", reads=None, out=None):
+    """Sample the ensemble and the tensor (into ``out``, an earlier tensor,
+    when given) and read ``reads(tensor, ensemble)`` before assembly
+    overwrites the tensor. Returns (ensemble, tensor, read)."""
+    _check_memory(params)
+    ensemble = sample_ensemble(params, prefix)
+    tensor = sample_logit_gradients(params, prefix, out=out)
+    return ensemble, tensor, reads(tensor, ensemble) if reads else None
+
+
+def _top_k(params: ModelParams) -> int:
+    """k = min(D, max(3C+1, 10)): the outlier scan reads 3C+1 eigenvalues,
+    the top-10 gradient power 10 eigenvectors."""
+    return min(params.n_weights, max(3 * params.n_classes + 1, 10))
+
+
 def _instance(
     params: ModelParams, prefix: str = "", top: bool = False, vectors: bool = True,
     reads=None,
-) -> tuple[LogitEnsemble, object, np.ndarray, SymmetricSpectrum]:
-    """The one measurement path: sample, read ``reads(tensor, ensemble)``
-    (returned in the tensor's place, as assembly overwrites it), assemble the
-    Hessian, solve it for only what the output reads. ``top=True`` asks for
-    the k = min(D, max(3C+1, 10)) largest pairs: the outlier scan reads 3C+1
-    eigenvalues, the top-10 gradient power 10 eigenvectors. ``vectors=False``
-    skips the eigenvectors."""
-    _check_memory(params)
-    ensemble = sample_ensemble(params, prefix)
-    tensor = sample_logit_gradients(params, prefix)
-    read = reads(tensor, ensemble) if reads else None
+) -> tuple[LogitEnsemble, object, np.ndarray | None, SymmetricSpectrum]:
+    """The serial measurement path: draw and read (``reads``' value is
+    returned in the tensor's place), assemble the Hessian, solve it for only
+    what the output reads. ``top=True`` asks for the :func:`_top_k` largest
+    pairs; that solve consumes H, so None is returned in its place.
+    ``vectors=False`` skips the eigenvectors."""
+    ensemble, tensor, read = _draw(params, prefix, reads)
     hessian = model_hessian(tensor, ensemble)
     del tensor
-    k = min(params.n_weights, max(3 * params.n_classes + 1, 10)) if top else None
-    return ensemble, read, hessian, eigh(hessian, top=k, vectors=vectors)
+    spectrum = eigh(hessian, top=_top_k(params) if top else None, vectors=vectors)
+    return ensemble, read, None if top else hessian, spectrum
 
 
 def _projected(params: ModelParams, prefix: str, hessian: np.ndarray) -> SymmetricSpectrum:
@@ -279,19 +311,52 @@ def run_sigma_z_sweep(params: ModelParams, spec: SweepSpec) -> list[SweepRecord]
 
     sigma_c grows with sigma_z, and sigma_e with it unless
     ``spec.fixed_sigma_e`` holds it at its base value (see :class:`SweepSpec`).
-    Records appear in grid order, repeats innermost. A failing task re-raises
-    its ValueError prefixed with the point, sigma_z and repeat.
+    Records appear in grid order, repeats innermost.
+
+    Tasks run as a pipeline: this thread samples task i+1, into the tensor
+    of task i, while one worker thread projects and solves task i's Hessian
+    and builds its record. Task i+1's assembly waits for that record, so one
+    tensor, one H and one solve are live at a time, and each stage computes
+    what it would serially. The worker lives only for this call. A failing
+    task re-raises its ValueError as a :class:`SweepError` prefixed with the
+    point, sigma_z and repeat of the first failing task in grid order, and
+    carrying the records finished before it.
     """
     points: list[ModelParams] = []
     for i, sigma_z in enumerate(spec.grid()):
         with _sweep_task(i, sigma_z, 0):
             points.append(_sweep_point(params, spec, float(sigma_z)))
     records: list[SweepRecord] = []
-    for i, point in enumerate(points):
-        for rep in range(spec.repeats):
-            with _sweep_task(i, point.sigma_z, rep):
-                records.append(_sweep_record(point, f"sweep:{i}:{rep}:", rep))
+    tensor = pending = None
+    try:
+        with ThreadPoolExecutor(1) as worker:
+            for i, point in enumerate(points):
+                for rep in range(spec.repeats):
+                    prefix = f"sweep:{i}:{rep}:"
+                    try:
+                        with _sweep_task(i, point.sigma_z, rep):
+                            ensemble, tensor, gradient = _draw(
+                                point, prefix, weight_gradient, out=tensor
+                            )
+                    finally:  # the task before comes first, even when this draw failed
+                        if pending is not None:
+                            _collect(pending, records)
+                    hessian = [model_hessian(tensor, ensemble)]
+                    pending = (i, point.sigma_z, rep), worker.submit(
+                        _sweep_record, point, prefix, rep, ensemble, gradient, hessian
+                    )
+            _collect(pending, records)
+    except SweepError as exc:
+        exc.records = records
+        raise
     return records
+
+
+def _collect(pending, records: list[SweepRecord]) -> None:
+    """Append a submitted task's record, or raise its error with its prefix."""
+    (i, sigma_z, rep), future = pending
+    with _sweep_task(i, sigma_z, rep):
+        records.append(future.result())
 
 
 @contextlib.contextmanager
@@ -299,7 +364,7 @@ def _sweep_task(i: int, sigma_z: float, rep: int):
     try:
         yield
     except ValueError as exc:
-        raise ValueError(
+        raise SweepError(
             f"sweep point {i} (sigma_z={sigma_z:g}) repeat {rep}: {exc}"
         ) from exc
 
@@ -324,11 +389,19 @@ def _sweep_point(params: ModelParams, spec: SweepSpec, sigma_z: float) -> ModelP
     return replace(params, sigma_z=sigma_z, sigma_c=sigma_c, sigma_e=sigma_e)
 
 
-def _sweep_record(params: ModelParams, prefix: str, rep: int) -> SweepRecord:
-    ensemble, gradient, hessian, spectrum = _instance(
-        params, prefix, top=True, reads=weight_gradient
-    )
-    projected = _projected(params, prefix, hessian)
+def _sweep_record(
+    params: ModelParams, prefix: str, rep: int, ensemble: LogitEnsemble,
+    gradient: np.ndarray, hessian: list[np.ndarray],
+) -> SweepRecord:
+    """One task's record. ``hessian`` is a one-element list holding H: the
+    record takes H out, so H is freed once solved, not when the executor
+    drops this call's arguments, which may be after the caller has assembled
+    the next H. Projects H first, then hands it to the top-k solve, which
+    consumes it."""
+    h = hessian.pop()
+    projected = _projected(params, prefix, h)
+    spectrum = eigh(h, top=_top_k(params))
+    del h
     _, cumulative = gradient_overlaps(spectrum, gradient)
     mean_entropy, mean_max_prob = freezing_stats(ensemble)
     report = detect_outliers(spectrum, max_candidates=3 * params.n_classes)

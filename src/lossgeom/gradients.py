@@ -54,23 +54,30 @@ def sample_mean_logit_gradients(params: ModelParams, stream: RngStream) -> np.nd
     return base * lengths[:, np.newaxis]
 
 
-def sample_residuals(params: ModelParams, stream: RngStream) -> np.ndarray:
+def sample_residuals(
+    params: ModelParams, stream: RngStream, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """(N, C, D) i.i.d. Normal(0, sigma_e^2) residual tensor.
 
-    Drawn example-major, logit-next, weight-last (matching the dump layout).
+    Drawn example-major, logit-next, weight-last (matching the dump layout),
+    into ``out`` when given (see :meth:`RngStream.gaussians`).
     """
     n, c, d = params.n_examples, params.n_classes, params.n_weights
-    return gaussian_matrix(stream, n * c, d, params.sigma_e).reshape(n, c, d)
+    return gaussian_matrix(stream, n * c, d, params.sigma_e, out=out).reshape(n, c, d)
 
 
-def sample_logit_gradients(params: ModelParams, label_prefix: str = "") -> np.ndarray:
+def sample_logit_gradients(
+    params: ModelParams, label_prefix: str = "", *, out: np.ndarray | None = None
+) -> np.ndarray:
     """The (N, C, D) tensor J[mu,k] = c[k] + E[mu,k] at params.seed.
 
     Residuals come from the ``<prefix>residuals`` substream and the class
-    means from ``<prefix>means``; the means are added in place.
+    means from ``<prefix>means``; the means are added in place. ``out``, an
+    N*C*D-element buffer such as an earlier tensor, is reused rather than
+    allocating the tensor.
     """
     seed = params.seed
-    tensor = sample_residuals(params, substream(seed, label_prefix + "residuals"))
+    tensor = sample_residuals(params, substream(seed, label_prefix + "residuals"), out=out)
     means = sample_mean_logit_gradients(params, substream(seed, label_prefix + "means"))
     tensor += means
     return tensor

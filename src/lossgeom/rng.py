@@ -91,7 +91,8 @@ class RngStream:
         n = int(n)
         return self._at(self._take(n, n)).random(n)
 
-    def gaussians(self, n: int, sigma: float = 1.0) -> np.ndarray:
+    def gaussians(self, n: int, sigma: float = 1.0, *, out: np.ndarray | None = None
+                  ) -> np.ndarray:
         """n i.i.d. Normal(0, sigma^2) draws via Box-Muller.
 
         Consumes m = ceil(n/2) pairs: pair j takes the stream's next uniforms
@@ -100,16 +101,26 @@ class RngStream:
         r = sqrt(-2 ln(1 - u1)) and theta = 2 pi u2 (odd n drops the last
         sine). Using 1 - u1 keeps the log argument in (0, 1]. ``sigma = 0``
         returns zeros and computes nothing, but still consumes the pairs.
+        ``out``, a writable C-contiguous float64 array of n elements (any
+        shape), receives the draws in row-major order and is returned; it is
+        checked before anything is drawn.
         """
         if not sigma >= 0:
             raise ValueError(f"sigma must be nonnegative, got {sigma!r}")
         n = int(n)
+        if out is not None and not (
+            isinstance(out, np.ndarray) and out.dtype == np.float64 and out.size == n
+            and out.flags.c_contiguous and out.flags.writeable
+        ):
+            raise ValueError(f"out must be a writable C-contiguous float64 array of {n} elements")
         m = (n + 1) // 2
         start = self._take(n, 2 * m)
+        if out is None:
+            out = np.empty(n)
         if sigma == 0 or m == 0:
-            return np.zeros(n)
-        out = np.empty(n)
-        fill = functools.partial(self._box_muller, out, start, m, sigma)
+            out.fill(0.0)
+            return out
+        fill = functools.partial(self._box_muller, out.reshape(-1), start, m, sigma)
         chunks = range(0, m, CHUNK_PAIRS)
         if len(chunks) == 1:
             fill(0)
@@ -146,13 +157,16 @@ def substream(seed: int, label: str) -> RngStream:
     return RngStream(seed, label)
 
 
-def gaussian_matrix(stream: RngStream, rows: int, cols: int, sigma: float) -> np.ndarray:
+def gaussian_matrix(
+    stream: RngStream, rows: int, cols: int, sigma: float, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """rows x cols matrix of i.i.d. Normal(0, sigma^2) entries.
 
     Entries are drawn row-major from ``stream`` (so the same stream state and
     shape always yield the same matrix). ``sigma=0`` returns exact zeros.
+    ``out`` is filled as in :meth:`RngStream.gaussians`; the matrix is a view of it.
     """
     rows, cols = int(rows), int(cols)
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix shape must be positive, got {rows}x{cols}")
-    return stream.gaussians(rows * cols, sigma).reshape(rows, cols)
+    return stream.gaussians(rows * cols, sigma, out=out).reshape(rows, cols)

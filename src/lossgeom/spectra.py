@@ -4,20 +4,29 @@
 drivers first reduce the matrix to tridiagonal form by Householder
 reflections. The whole spectrum comes from dsyevd (scipy's driver='evd':
 divide and conquer for the eigenvectors, root-free QR for eigenvalues
-alone); the top k eigenpairs come from dsyevr (driver='evr': bisection for
-the eigenvalues and inverse iteration for the vectors, only the k wanted).
-Results are reordered descending with a deterministic eigenvector sign
-convention. On top of that sit the diagnostics used by the experiments:
-largest-relative-gap outlier detection, gradient/eigenvector overlaps, the
-trace-to-spectral-norm ratio, and random-hyperplane projection.
+alone); the top k eigenpairs come from dsyevr (bisection for the eigenvalues
+and inverse iteration for the vectors, only the k wanted). dsyevr is called
+through the function pointer scipy exports in ``scipy.linalg.cython_lapack``,
+the routine and LAPACK build behind scipy's driver='evr', so its results are
+scipy's to the bit. The call goes through ctypes, which releases the GIL, so
+other threads run Python while it solves. It works in the matrix's own
+buffer: a top-k solve consumes its matrix. Results are reordered descending
+with a deterministic eigenvector sign convention. On top of that sit the
+diagnostics used by the experiments: largest-relative-gap outlier detection,
+gradient/eigenvector overlaps, the trace-to-spectral-norm ratio, and
+random-hyperplane projection.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cython_lapack
 
 from .params import ModelParams
 from .rng import RngStream, gaussian_matrix
@@ -54,38 +63,112 @@ def eigh(
     """Eigenvalues of a symmetric matrix, descending, and optionally eigenvectors.
 
     ``top=None`` solves for the whole spectrum (driver 'evd'); ``top=k`` for
-    the k largest eigenpairs only (driver 'evr'), with k >= D clamped to the
-    whole spectrum. ``vectors=False`` skips the eigenvectors. Requires
-    symmetry within 1e-8 (scaled by the largest entry); LAPACK reads the
-    lower triangle. Eigenvector signs are fixed by making each column's
-    largest-magnitude component positive (first occurrence on ties).
-    Non-convergence raises scipy's LinAlgError; it is treated as fatal.
+    the k largest eigenpairs only (dsyevr, see the module docstring), with
+    k >= D clamped to the whole spectrum. ``vectors=False`` skips the
+    eigenvectors. Requires finite entries (else scipy's message) and symmetry
+    within 1e-8 (scaled by the largest entry). LAPACK reads the lower
+    triangle; a top-k solve reads H's row-major buffer as column-major, that
+    is the upper triangle, which is the same matrix for an exactly symmetric
+    H such as an assembled Hessian. The trace is read before the solve.
+
+    A top-k solve consumes ``matrix``: LAPACK overwrites it, so afterwards its
+    contents are unspecified. It raises ValueError, rather than work on a
+    copy, unless ``matrix`` is a writable C-contiguous float64 array.
+    Eigenvector signs are fixed by making each column's largest-magnitude
+    component positive (first occurrence on ties). Non-convergence raises
+    LinAlgError; it is treated as fatal.
     """
     h = np.asarray(matrix, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"matrix must be square, got shape {h.shape}")
     if top is not None and top < 1:
         raise ValueError(f"top must be at least 1, got {top}")
+    if top is not None and (h is not matrix or not h.flags.writeable
+                            or not h.flags.c_contiguous):
+        raise ValueError(
+            "a top-k eigh overwrites its matrix: need a writable C-contiguous float64 "
+            f"array, got {np.asarray(matrix).dtype} (writeable={h.flags.writeable}, "
+            f"c_contiguous={h.flags.c_contiguous})"
+        )
     d = h.shape[0]
-    scale = max(1.0, float(max(h.max(), -h.min())) if h.size else 1.0)
-    # max |H - H^T| over blocks of about 1 MB of rows: no D x D temporary
-    rows = 1 + (1 << 17) // max(d, 1)
-    gaps = [np.abs(h[i : i + rows] - h[:, i : i + rows].T).max() for i in range(0, d, rows)]
-    asym = float(np.max(gaps, initial=0.0))
+    high, low = (float(h.max()), float(h.min())) if h.size else (0.0, 0.0)
+    if not (math.isfinite(high) and math.isfinite(low)):  # max and min propagate NaN
+        raise ValueError("array must not contain infs or NaNs")
+    scale = max(1.0, high, -low)
+    # max |H - H^T| over blocks of about 1 MB of rows: one such temporary at a time
+    rows, asym = 1 + (1 << 17) // max(d, 1), 0.0
+    for i in range(0, d, rows):
+        gap = h[i : i + rows] - h[:, i : i + rows].T
+        asym = max(asym, float(gap.max()), -float(gap.min()))
+        del gap
     if asym > 1e-8 * scale:
         raise ValueError(f"matrix is not symmetric (max |H - H^T| = {asym:.3e})")
+    trace = float(np.trace(h))
     k = d if top is None else min(int(top), d)
-    subset = None if k == d else [d - k, d - 1]
-    solved = scipy.linalg.eigh(
-        h, eigvals_only=not vectors, subset_by_index=subset,
-        driver="evd" if subset is None else "evr",
-    )
-    values, vecs = solved if vectors else (solved, None)
+    if k == d:
+        solved = scipy.linalg.eigh(h, eigvals_only=not vectors, driver="evd",
+                                   check_finite=False)
+        values, vecs = solved if vectors else (solved, None)
+    else:
+        values, vecs = _top_eigenpairs(h, k, vectors)
     if vectors:
         vecs = vecs[:, ::-1]
         signs = np.sign(vecs[np.abs(vecs).argmax(axis=0), np.arange(k)])
         vecs = vecs * np.where(signs == 0, 1.0, signs)
-    return SymmetricSpectrum(values[::-1].copy(), vecs, float(np.trace(h)))
+    return SymmetricSpectrum(values[::-1].copy(), vecs, trace)
+
+
+@functools.cache
+def _dsyevr():
+    """LAPACK dsyevr from the pointer scipy.linalg.cython_lapack exports.
+
+    A CFUNCTYPE call releases the GIL. Made at the first top-k solve.
+    """
+    capsule = cython_lapack.__pyx_capi__["dsyevr"]
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    char, ptr = ctypes.c_char_p, ctypes.c_void_p
+    # jobz, range, uplo, then 18 pointers: the Fortran argument list (no string lengths)
+    return ctypes.CFUNCTYPE(None, char, char, char, *[ptr] * 18)(
+        pointer(capsule, name(capsule))
+    )
+
+
+def _top_eigenpairs(
+    h: np.ndarray, k: int, vectors: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """dsyevr's k largest eigenpairs, ascending, solved in h's own buffer.
+
+    The arguments are scipy's for driver='evr' with subset_by_index
+    [D-k, D-1]: range 'I', the lower triangle, abstol 0, and the optimal
+    workspace from a query. The eigenvectors come back as a column-major
+    (D, k) array, as scipy returns them.
+    """
+    d = h.shape[0]
+    dsyevr, addr = _dsyevr(), ctypes.byref
+    values = np.empty(d)
+    z = np.empty((k, d) if vectors else (1, 1))  # column-major D x k, LDZ = D
+    isuppz = np.empty(2 * k, dtype=np.intc)
+    found, info = ctypes.c_int(), ctypes.c_int()
+
+    def solve(work: np.ndarray, iwork: np.ndarray, lwork: int, liwork: int) -> None:
+        zero, i = ctypes.c_double(0.0), ctypes.c_int
+        dsyevr(b"V" if vectors else b"N", b"I", b"L", addr(i(d)), h.ctypes.data,
+               addr(i(d)), addr(zero), addr(zero), addr(i(d - k + 1)), addr(i(d)),
+               addr(zero), addr(found), values.ctypes.data, z.ctypes.data,
+               addr(i(z.shape[1])), isuppz.ctypes.data, work.ctypes.data, addr(i(lwork)),
+               iwork.ctypes.data, addr(i(liwork)), addr(info))
+        if info.value != 0:
+            raise np.linalg.LinAlgError(f"LAPACK dsyevr failed with info = {info.value}")
+
+    work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
+    solve(work, iwork, -1, -1)  # workspace query
+    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.intc)
+    solve(work, iwork, work.size, iwork.size)
+    return values[:k], z.T if vectors else None
 
 
 def spectral_norm(spectrum: SymmetricSpectrum) -> float:

@@ -109,6 +109,31 @@ def test_failing_sweep_point_is_named(tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("stage", ["_sweep_record", "_draw"])
+def test_failing_sweep_keeps_the_rows_finished_before_it(tmp_path, capsys, monkeypatch, stage):
+    cfg = tmp_path / "svg.cfg"
+    cfg.write_text(SMALL_CFG + "emit_svg = true\n")
+    full = tmp_path / "full"
+    assert run(["sweep-sigmaz", "--config", cfg, "--out", full]) == 0
+    original = getattr(experiments, stage)
+
+    def fail_at_task_3(point, prefix, *args, **kwargs):
+        if prefix == "sweep:1:1:":  # 4 points x 2 repeats: the fourth task
+            raise ValueError("planted failure")
+        return original(point, prefix, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, stage, fail_at_task_3)
+    out = tmp_path / "partial"
+    assert run(["sweep-sigmaz", "--config", cfg, "--out", out, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert "sweep point 1 (sigma_z=0.0464159) repeat 1: planted failure" in captured.err
+    assert captured.out == ""
+    # the header and tasks 0-2, byte for byte; no SVG and no summary
+    rows = (full / "sweep.csv").read_bytes().splitlines(keepends=True)[:4]
+    assert (out / "sweep.csv").read_bytes() == b"".join(rows)
+    assert [p.name for p in out.iterdir()] == ["sweep.csv"]
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [

@@ -7,6 +7,7 @@ import pytest
 from helpers import full_solve_sweep, peak_bytes
 from lossgeom import (
     ModelParams,
+    SweepError,
     SweepRecord,
     SweepSpec,
     eigh,
@@ -173,10 +174,61 @@ def test_sweeps_never_ask_for_a_whole_eigensystem(monkeypatch):
     monkeypatch.setattr(experiments, "eigh", spy)
     run_sigma_z_sweep(SMALL, SweepSpec(points=2, repeats=2))
     k = 3 * SMALL.n_classes + 1
-    assert calls == [(120, k, True), (6, None, False)] * 4
+    assert calls == [(6, None, False), (120, k, True)] * 4  # each record projects H first
     calls.clear()
     run_snr_sweep(SMALL, (10.0, 0.1))
     assert calls == [(120, k, False)] * 2
+
+
+def test_pipelined_sweep_equals_its_stages_run_serially():
+    # 100,000 normals per tensor: the draw runs chunked on the sampling pool
+    # while the worker solves, into the tensor the previous task assembled over
+    params = ModelParams(n_examples=200, n_classes=5, n_weights=100, hyperplane_dim=6)
+    spec = SweepSpec(points=3, repeats=2)
+    serial = []
+    with experiments.one_blas_thread:
+        for i, sigma_z in enumerate(spec.grid()):
+            point = experiments._sweep_point(params, spec, float(sigma_z))
+            for rep in range(spec.repeats):
+                prefix = f"sweep:{i}:{rep}:"
+                ensemble, tensor, gradient = experiments._draw(point, prefix, weight_gradient)
+                hessian = model_hessian(tensor, ensemble)
+                serial.append(experiments._sweep_record(
+                    point, prefix, rep, ensemble, gradient, [hessian]
+                ))
+    assert run_sigma_z_sweep(params, spec) == serial
+
+
+def _fail_at(monkeypatch, stage, prefix):
+    """Make ``experiments.<stage>`` raise for the task with label prefix ``prefix``."""
+    original = getattr(experiments, stage)
+
+    def failing(point, task_prefix, *args, **kwargs):
+        if task_prefix == prefix:
+            raise ValueError(f"{stage} failed")
+        return original(point, task_prefix, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, stage, failing)
+
+
+def test_sweep_error_names_the_first_failing_task_and_keeps_the_records_before_it(
+    monkeypatch,
+):
+    spec = SweepSpec(points=3, repeats=2)
+    full = run_sigma_z_sweep(SMALL, spec)
+    # task 2 fails on the worker while the caller's draw of task 3 fails
+    _fail_at(monkeypatch, "_sweep_record", "sweep:1:0:")
+    _fail_at(monkeypatch, "_draw", "sweep:1:1:")
+    with pytest.raises(SweepError) as caught:
+        run_sigma_z_sweep(SMALL, spec)
+    sigma_z = spec.grid()[1]
+    assert str(caught.value) == f"sweep point 1 (sigma_z={sigma_z:g}) repeat 0: _sweep_record failed"
+    assert caught.value.records == full[:2]
+    monkeypatch.undo()
+    _fail_at(monkeypatch, "_draw", "sweep:1:1:")
+    with pytest.raises(SweepError, match=r"repeat 1: _draw failed$") as caught:
+        run_sigma_z_sweep(SMALL, spec)
+    assert caught.value.records == full[:3]
 
 
 def test_sweep_repeats_differ():
@@ -263,10 +315,13 @@ def test_outputs_read_the_gradients_before_assembly_overwrites_them():
 def test_an_instance_holds_one_tensor():
     # Assembly overwrites the sampled tensor, so an instance peaks near the
     # tensor plus H: 1.34x the tensor here, against 2.34x with a second copy.
+    # The pipelined sweep samples the next task into the same tensor while
+    # this one solves, and assembles only after the record, so it holds one
+    # tensor, one H and one solve too.
     params = ModelParams()
     tensor_bytes = 8 * params.n_examples * params.n_classes * params.n_weights
     peaks = {
-        "sweep record": peak_bytes(experiments._sweep_record, params, "sweep:0:0:", 0),
+        "2-task sweep": peak_bytes(run_sigma_z_sweep, params, SweepSpec(points=2, repeats=1)),
         "overlap": peak_bytes(run_overlap_experiment, params),
     }
     for name, peak in peaks.items():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import gram_schmidt, peak_bytes, random_symmetric
 from lossgeom import (
@@ -15,7 +16,13 @@ from lossgeom import (
     spectral_norm,
     trace_norm_ratio,
 )
+from lossgeom import spectra
 from lossgeom.rng import gaussian_matrix, substream
+
+
+def model_hessian_at(n, c, d):
+    params = ModelParams(n_examples=n, n_classes=c, n_weights=d, hyperplane_dim=6)
+    return model_hessian(sample_logit_gradients(params), sample_ensemble(params))
 
 
 def test_eigh_two_by_two():
@@ -64,7 +71,7 @@ def test_eigh_top_k_matches_the_whole_solve():
         whole = eigh(h)
         norm = spectral_norm(whole)
         for k in (1, 10, 31):
-            top = eigh(h, top=k)
+            top = eigh(h.copy(), top=k)  # a top-k solve consumes its matrix
             lam, vec = top.eigenvalues, top.eigenvectors
             assert lam.shape == (k,) and vec.shape == (120, k)
             assert np.all(np.diff(lam) <= 0)
@@ -75,23 +82,82 @@ def test_eigh_top_k_matches_the_whole_solve():
             assert (peaks > 0).all()  # the same sign convention
             assert np.abs(vec - whole.eigenvectors[:, :k]).max() <= 1e-9
             assert top.trace == whole.trace == float(np.trace(h))
-            values = eigh(h, top=k, vectors=False)
+            values = eigh(h.copy(), top=k, vectors=False)
             assert values.eigenvectors is None
             assert np.abs(values.eigenvalues - lam).max() <= 1e-12 * norm
-    assert spectral_norm(eigh(psd, top=3)) == pytest.approx(norm, rel=1e-14)
+    assert spectral_norm(eigh(psd.copy(), top=3)) == pytest.approx(norm, rel=1e-14)
 
 
 def test_eigh_top_k_clamps_to_the_whole_spectrum():
     h = random_symmetric(np.random.default_rng(12), 8)
     whole = eigh(h)
     for top in (8, 9, 1000):
-        clamped = eigh(h, top=top)
+        clamped = eigh(h.copy(), top=top)
         assert np.array_equal(clamped.eigenvalues, whole.eigenvalues)
         assert np.array_equal(clamped.eigenvectors, whole.eigenvectors)
-    values = eigh(h, top=9, vectors=False)
+    values = eigh(h.copy(), top=9, vectors=False)
     assert np.array_equal(values.eigenvalues, eigh(h, vectors=False).eigenvalues)
     with pytest.raises(ValueError, match="top must be at least 1"):
         eigh(h, top=0)
+
+
+@pytest.mark.parametrize("shape", [(300, 10, 1000), (1000, 10, 200), (40, 5, 333)])
+def test_top_k_solve_is_scipys_evr_to_the_bit(shape):
+    h = model_hessian_at(*shape)
+    d = h.shape[0]
+    for k in (1, 10, 31):
+        for vectors in (True, False):
+            want = scipy.linalg.eigh(
+                h, eigvals_only=not vectors, subset_by_index=[d - k, d - 1], driver="evr"
+            )
+            values, vecs = spectra._top_eigenpairs(h.copy(), k, vectors)
+            if vectors:
+                assert np.array_equal(values, want[0]) and np.array_equal(vecs, want[1])
+                assert vecs.strides == want[1].strides  # the same layout downstream
+            else:
+                assert np.array_equal(values, want) and vecs is None
+
+
+@pytest.mark.parametrize("top", [None, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigh_rejects_infs_and_nans_with_scipys_message(top, bad):
+    h = np.eye(5)
+    h[2, 2] = bad
+    with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        eigh(h, top=top)
+    # a large entry elsewhere must not hide it
+    h[0, 0] = 1e300
+    with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        eigh(h, top=top)
+
+
+def test_top_k_solve_rejects_a_matrix_it_cannot_overwrite():
+    h = random_symmetric(np.random.default_rng(13), 20)
+    read_only = h.copy()
+    read_only.flags.writeable = False
+    single = h.astype(np.float32)
+    fortran = np.asfortranarray(h)  # not the row-major buffer the contract reads
+    for bad in (read_only, single, fortran):
+        before = bad.copy()
+        with pytest.raises(ValueError, match="a top-k eigh overwrites its matrix"):
+            eigh(bad, top=3)
+        assert np.array_equal(bad, before)
+    with pytest.raises(ValueError, match="a top-k eigh overwrites its matrix"):
+        eigh(h.tolist(), top=3)
+    # the whole-spectrum solve reads any of them
+    assert np.array_equal(eigh(read_only).eigenvalues, eigh(h).eigenvalues)
+
+
+def test_top_k_solve_consumes_its_matrix_and_reads_the_trace_first():
+    h = model_hessian_at(300, 10, 1000)
+    before = h.copy()
+    peak = peak_bytes(lambda: eigh(h, top=31))
+    print(f"top-31 eigh peak: {peak / h.nbytes:.2f}x the matrix")
+    assert peak < 0.5 * h.nbytes  # solved in H's own buffer, with no copy
+    assert not np.array_equal(h, before)  # LAPACK overwrote H
+    spectrum = eigh(before.copy(), top=31)
+    assert spectrum.trace == float(np.trace(before))
+    assert spectrum.trace == eigh(before.copy()).trace
 
 
 def test_eigh_rejects_nonsymmetric_and_nonsquare():

@@ -4,6 +4,7 @@ outputs independent of the BLAS thread count, and nothing started at import."""
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS before the counts are 
 
 import lossgeom
 from blas_threads import openblas_thread_counts
-from lossgeom import ModelParams, SweepSpec, cli, experiments, write_dump
+from lossgeom import ModelParams, SweepError, SweepSpec, cli, experiments, write_dump
 
 TESTS_DIR = Path(__file__).parent
 PACKAGE_ROOT = Path(lossgeom.__file__).parent.parent
@@ -96,6 +97,25 @@ def test_failed_run_and_dump_scoring_restore_the_counts(tmp_path, monkeypatch, c
     assert cli.run_command([str(a) for a in args]) == 0
     assert [set(counts.values()) for counts in seen] == [{1}]
     assert openblas_thread_counts() == before
+
+
+def test_no_thread_outlives_a_sweep(monkeypatch):
+    spec = SweepSpec(points=2, repeats=2)
+    experiments.run_sigma_z_sweep(TINY, spec)  # anything meant to outlive a run starts here
+    before = set(threading.enumerate())
+    experiments.run_sigma_z_sweep(TINY, spec)
+    assert set(threading.enumerate()) == before
+    original = experiments._sweep_record
+
+    def failing(point, prefix, *args):
+        if prefix == "sweep:1:0:":
+            raise ValueError("planted failure")
+        return original(point, prefix, *args)
+
+    monkeypatch.setattr(experiments, "_sweep_record", failing)
+    with pytest.raises(SweepError, match="planted failure"):
+        experiments.run_sigma_z_sweep(TINY, spec)
+    assert set(threading.enumerate()) == before
 
 
 # at this size the eigensolvers change last bits between one and two BLAS
