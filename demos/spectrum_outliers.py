@@ -6,14 +6,14 @@ into a noise bulk plus exactly C-1 = 9 detached outliers: the class-mean
 gradients span a 10-dimensional space, but the coupling matrix kills the
 all-ones direction, so only 9 signal directions survive.
 
-Writes spectrum.csv, outliers.json and spectrum.svg under --out.
+Writes spectrum.csv and outliers.json under --out.
 """
 
 import argparse
 import json
 import os
 
-from lossgeom import ModelParams, emit_svg, run_spectrum_experiment
+from lossgeom import ModelParams, run_spectrum_experiment
 
 
 def main():
@@ -48,8 +48,7 @@ def main():
             fh,
             indent=2,
         )
-    emit_svg(spectrum, "spectrum", os.path.join(args.out, "spectrum.svg"))
-    print(f"wrote spectrum.csv, outliers.json, spectrum.svg to {args.out}")
+    print(f"wrote spectrum.csv and outliers.json to {args.out}")
 
 
 if __name__ == "__main__":

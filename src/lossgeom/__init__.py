@@ -69,7 +69,6 @@ from .spectra import (
     spectral_norm,
     trace_norm_ratio,
 )
-from .svgplot import emit_svg
 
 __version__ = "0.1.0"
 

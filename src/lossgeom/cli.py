@@ -7,7 +7,7 @@ project. Common flags: --config PATH (flat key=value file, see
 stdout). Exit codes: 0 success, 1 validation error (bad arguments, config,
 parameters or dump contents), 2 I/O error. A sweep-sigmaz task that fails
 exits 1 after writing the records finished before it to sweep.csv (no file
-when none finished, and no SVG or summary).
+when none finished, and no summary).
 
 All CSVs are written with 17 significant digits so they re-parse to the
 exact values computed. The same config, seed and numpy/scipy/BLAS build give
@@ -43,7 +43,6 @@ from .experiments import (
     run_spectrum_experiment,
 )
 from .spectra import spectral_norm, top10_power, trace_norm_ratio
-from .svgplot import emit_svg
 
 DEFAULT_SNR_GRID = (10.0, 2.04, 0.5, 0.1, 0.01)
 SNR_FIELDS = ("snr", "n_outliers", "q_sl")
@@ -91,8 +90,6 @@ def _cmd_spectrum(cfg: RunConfig, outdir: str, args) -> dict:
         "trace_ratio": trace_norm_ratio(spectrum),
     }
     _write_json(os.path.join(outdir, "outliers.json"), payload)
-    if cfg.emit_svg:
-        emit_svg(spectrum, "spectrum", os.path.join(outdir, "spectrum.svg"))
     return payload
 
 
@@ -118,8 +115,6 @@ def _cmd_sweep_sigmaz(cfg: RunConfig, outdir: str, args) -> dict:
             _write_csv(csv_path, SWEEP_CSV_HEADER, map(astuple, exc.records))
         raise
     _write_csv(csv_path, SWEEP_CSV_HEADER, map(astuple, records))
-    if cfg.emit_svg:
-        emit_svg(records, "sweep", os.path.join(outdir, "sweep.svg"))
     grid = cfg.sweep.grid()
     tops = point_means(records, "top_eigenvalue")
     ratios = point_means(records, "trace_ratio")

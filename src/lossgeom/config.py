@@ -10,8 +10,8 @@ default sweep grid).
 Recognized keys: the :class:`~lossgeom.params.ModelParams` fields
 (n_examples, n_classes, n_weights, sigma_z, sigma_c, sigma_e, length_beta,
 target_accuracy, seed, hyperplane_dim), the sweep block (sigma_z_min,
-sigma_z_max, points, scale, gamma, sigma_z_ref, repeats, fixed_sigma_e),
-output_dir and emit_svg.
+sigma_z_max, points, scale, gamma, sigma_z_ref, repeats, fixed_sigma_e) and
+output_dir.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class RunConfig:
     params: ModelParams = field(default_factory=ModelParams)
     sweep: SweepSpec = field(default_factory=SweepSpec)
     output_dir: str = "out"
-    emit_svg: bool = False
 
 
 # every scalar field of the three records is a key, typed by its annotation

@@ -93,6 +93,11 @@ class SweepSpec:
             raise ValueError(f"sigma_z_min must be nonnegative, got {self.sigma_z_min}")
         if self.points < 2:
             raise ValueError(f"need at least 2 grid points, got {self.points}")
+        if 8 * self.points > DEFAULT_MEMORY_LIMIT:
+            raise ValueError(
+                f"a grid of {self.points} points needs {8 * self.points} bytes, over "
+                f"the {DEFAULT_MEMORY_LIMIT}-byte memory limit"
+            )
         if self.repeats < 1:
             raise ValueError(f"need at least 1 repeat, got {self.repeats}")
         if not 0 < self.sigma_z_ref < math.inf:
@@ -203,20 +208,25 @@ def point_means(records: list[SweepRecord], name: str) -> np.ndarray:
     return values.reshape(-1, repeats).mean(axis=1)
 
 
-def _check_memory(params: ModelParams, hessian: bool = True) -> None:
-    """Fail before any draw if the residuals (and the dense Hessian) would not fit.
+def _check_memory(params: ModelParams, tensor: bool = True, hessian: bool = True) -> None:
+    """Fail before any draw if the ensemble, residuals or dense Hessian would not fit.
 
-    tracemalloc reads 1.14 N*C*D doubles for sampling and 1.34 for a whole
-    instance, whose assembly overwrites the tensor, at the reference config
-    (1.20 and 1.21 at N=1000, C=10, D=200), so the bound counts two. Besides
-    H, the solve allocates 1.1x H for eigenvalues, almost nothing for the top
-    k (solved in H's buffer) and 3.0x H for a whole eigensystem (tracemalloc,
+    tracemalloc reads 6.1-7.0 N*C doubles for the ensemble and its freezing
+    statistics (C = 2 to 30, most at C = 2), so the bound counts eight. It
+    reads 1.14 N*C*D doubles for sampling and 1.34 for a whole instance,
+    whose assembly overwrites the tensor, at the reference config (1.20 and
+    1.21 at N=1000, C=10, D=200), so the bound counts two. Besides H, the
+    solve allocates 1.1x H for eigenvalues, almost nothing for the top k
+    (solved in H's buffer) and 3.0x H for a whole eigensystem (tracemalloc,
     D=600 and D=1000), so the bound counts four D*D doubles. The pipelined
     sweep keeps within the same bound: one tensor, reused task after task,
-    one H and one solve are live at a time. ``hessian=False`` skips that term.
+    one H and one solve are live at a time. ``tensor=False`` and
+    ``hessian=False`` skip those terms.
     """
     n, c, d = params.n_examples, params.n_classes, params.n_weights
-    terms = {f"{n}x{c}x{d} residual tensor with its temporaries": 2 * 8 * n * c * d}
+    terms = {f"{n}x{c} logit ensemble with its temporaries": 8 * 8 * n * c}
+    if tensor:
+        terms[f"{n}x{c}x{d} residual tensor with its temporaries"] = 2 * 8 * n * c * d
     if hessian:
         terms[f"dense {d}x{d} Hessian with its eigensolve"] = 4 * 8 * d * d
     needed = sum(terms.values())
@@ -426,12 +436,14 @@ def run_snr_sweep(
     params: ModelParams, snr_grid
 ) -> list[tuple[float, int, float]]:
     """(snr, n_outliers, q_sl) per grid point, sigma_c fixed, sigma_e = sigma_c/sqrt(snr)."""
-    results: list[tuple[float, int, float]] = []
-    for i, snr in enumerate(snr_grid):
+    points = []
+    for snr in snr_grid:  # every point is checked before the first draw
         if not snr > 0:
             raise ValueError(f"snr values must be positive, got {snr!r}")
         sigma_e = 0.0 if math.isinf(snr) else params.sigma_c / math.sqrt(snr)
-        point_params = replace(params, sigma_e=sigma_e)
+        points.append((snr, replace(params, sigma_e=sigma_e)))
+    results: list[tuple[float, int, float]] = []
+    for i, (snr, point_params) in enumerate(points):
         _, same_logit_q, _, spectrum = _instance(
             point_params, f"snr:{i}:", top=True, vectors=False, reads=lambda t, _: q_sl(t),
         )
@@ -450,9 +462,10 @@ def run_freezing_experiment(
     probability rows when C=3 (for plotting the freezing motion on the
     probability simplex) and is empty otherwise.
     """
+    _check_memory(params, tensor=False, hessian=False)
+    points = [replace(params, sigma_z=float(s)) for s in sigma_z_grid]  # all checked first
     results = []
-    for i, sigma_z in enumerate(sigma_z_grid):
-        point_params = replace(params, sigma_z=float(sigma_z))
+    for i, point_params in enumerate(points):
         ensemble = sample_ensemble(point_params, f"freeze:{i}:")
         mean_entropy, mean_max_prob = freezing_stats(ensemble)
         if params.n_classes == 3:
@@ -460,5 +473,5 @@ def run_freezing_experiment(
             simplex = rows @ _SIMPLEX_CORNERS
         else:
             simplex = np.empty((0, 2))
-        results.append((float(sigma_z), mean_entropy, mean_max_prob, simplex))
+        results.append((point_params.sigma_z, mean_entropy, mean_max_prob, simplex))
     return results

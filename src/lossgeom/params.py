@@ -7,7 +7,12 @@ equal parameters produce identical results (see :mod:`lossgeom.rng`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+
+# A Box-Muller radius is at most sqrt(-2 ln 2**-53) < 8.572 (lossgeom.rng), so a
+# logit is at most 8.572 sigma_z and softmax's z - max z at most twice that.
+_SIGMA_Z_MAX = sys.float_info.max / (2 * 8.572)
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,9 @@ class ModelParams:
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be a finite nonnegative real, got {v!r}")
+        if self.sigma_z > _SIGMA_Z_MAX:
+            raise ValueError(f"sigma_z must be at most {_SIGMA_Z_MAX:.6g}, past which a logit "
+                             f"gap of 2 * 8.572 * sigma_z overflows, got {self.sigma_z!r}")
         if not 0.0 <= self.target_accuracy <= 1.0:
             raise ValueError(
                 f"target_accuracy must lie in [0, 1], got {self.target_accuracy!r}"

@@ -25,6 +25,7 @@ from lossgeom import (
     substream,
     weight_gradient,
 )
+from lossgeom import experiments
 
 
 def philox_generator(seed, label):
@@ -261,3 +262,12 @@ def full_solve_sweep(params, spec):
                 outliers.n_outliers, float(cosines @ cosines), rep,
             ))
     return records
+
+
+def no_draws(monkeypatch):
+    """Fail the test if an experiment samples an ensemble or a gradient tensor."""
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled before the check")
+
+    monkeypatch.setattr(experiments, "sample_ensemble", fail)
+    monkeypatch.setattr(experiments, "sample_logit_gradients", fail)

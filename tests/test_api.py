@@ -24,3 +24,14 @@ def test_every_public_name_is_used_by_the_package_or_a_demo():
     sources += sorted(DEMO_DIR.glob("*.py"))
     used = set().union(*(loaded_names(p) for p in sources))
     assert sorted(set(lossgeom.__all__) - used) == []
+
+
+def test_every_name_a_demo_imports_is_public():
+    imported = {
+        alias.name
+        for path in sorted(DEMO_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "lossgeom"
+        for alias in node.names
+    }
+    assert sorted(imported - set(lossgeom.__all__)) == []

@@ -1,9 +1,11 @@
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from helpers import no_draws
 from lossgeom import (
     ModelParams,
     SweepRecord,
@@ -111,8 +113,8 @@ def test_failing_sweep_point_is_named(tmp_path, capsys):
 
 @pytest.mark.parametrize("stage", ["_sweep_record", "_draw"])
 def test_failing_sweep_keeps_the_rows_finished_before_it(tmp_path, capsys, monkeypatch, stage):
-    cfg = tmp_path / "svg.cfg"
-    cfg.write_text(SMALL_CFG + "emit_svg = true\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG)
     full = tmp_path / "full"
     assert run(["sweep-sigmaz", "--config", cfg, "--out", full]) == 0
     original = getattr(experiments, stage)
@@ -128,7 +130,7 @@ def test_failing_sweep_keeps_the_rows_finished_before_it(tmp_path, capsys, monke
     captured = capsys.readouterr()
     assert "sweep point 1 (sigma_z=0.0464159) repeat 1: planted failure" in captured.err
     assert captured.out == ""
-    # the header and tasks 0-2, byte for byte; no SVG and no summary
+    # the header and tasks 0-2, byte for byte; no summary
     rows = (full / "sweep.csv").read_bytes().splitlines(keepends=True)[:4]
     assert (out / "sweep.csv").read_bytes() == b"".join(rows)
     assert [p.name for p in out.iterdir()] == ["sweep.csv"]
@@ -182,6 +184,57 @@ def test_sweep_whose_scaling_cannot_run_fails_before_any_draw(
     assert message in capsys.readouterr().err
     assert calls == []
     assert not (out / "sweep.csv").exists()
+
+
+SIGMA_Z_BOUND = "sigma_z must be at most 1.04858e+307"
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        # a logit gap of 2 * 8.572 * sigma_z overflows
+        ("spectrum", SMALL_CFG + "sigma_z = 1e308", SIGMA_Z_BOUND),
+        ("freeze", SMALL_CFG + "sigma_z_max = 1e308", SIGMA_Z_BOUND),
+        ("freeze", SMALL_CFG + "sigma_z_max = 2e307", SIGMA_Z_BOUND),
+        ("sweep-sigmaz", SMALL_CFG + "sigma_z_max = 1e308",
+         "sweep point 3 (sigma_z=1e+308) repeat 0: " + SIGMA_Z_BOUND),
+        # 80 TiB of logits, and a grid of 8 TB
+        ("freeze", "n_examples = 1099511627776", "1099511627776x10 logit ensemble "
+         "with its temporaries needs 703687441776640 bytes"),
+        ("freeze", "points = 1000000000000", "a grid of 1000000000000 points needs "
+         "8000000000000 bytes, over the 2147483648-byte memory limit"),
+        ("sweep-sigmaz", "points = 1000000000000", "a grid of 1000000000000 points"),
+    ],
+    ids=["spectrum-sigma_z", "freeze-sigma_z", "freeze-sigma_z-2e307",
+         "sweep-sigma_z", "freeze-memory", "freeze-points", "sweep-points"],
+)
+def test_config_that_cannot_run_fails_before_any_draw(
+    tmp_path, capsys, monkeypatch, command, config, message
+):
+    no_draws(monkeypatch)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(config + "\n")
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and message in line, line
+    assert list(out.glob("*")) == []
+
+
+def test_freeze_at_the_largest_sigma_z_writes_finite_values(tmp_path):
+    cfg = tmp_path / "freeze.cfg"
+    cfg.write_text(
+        "n_examples = 200\nn_weights = 20\nhyperplane_dim = 5\n"
+        "sigma_z_max = 1e307\npoints = 3\n"
+    )
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["freeze", "--config", cfg, "--out", out, "--json"]) == 0
+    lines = (out / "freezing.csv").read_text().splitlines()
+    assert len(lines) == 1 + 3
+    values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.isfinite(values).all()
 
 
 @pytest.mark.parametrize("n_weights", [0, -4])
@@ -345,13 +398,3 @@ def test_json_with_nan_is_rejected_before_the_file_is_created(tmp_path):
 def test_unknown_subcommand_gives_exit_1(capsys):
     assert run(["no-such-command"]) == 1
     assert "usage error" in capsys.readouterr().err
-
-
-def test_svg_emission(tmp_path):
-    cfg = tmp_path / "svg.cfg"
-    cfg.write_text(SMALL_CFG + "emit_svg = true\n")
-    out = tmp_path / "out"
-    assert run(["sweep-sigmaz", "--config", cfg, "--out", out]) == 0
-    assert (out / "sweep.svg").exists()
-    assert run(["spectrum", "--config", cfg, "--out", out]) == 0
-    assert (out / "spectrum.svg").exists()

@@ -21,7 +21,6 @@ def test_empty_file_gives_all_defaults(tmp_path):
     assert cfg.sweep == SweepSpec()
     assert cfg.sweep.fixed_sigma_e is False
     assert cfg.output_dir == "out"
-    assert cfg.emit_svg is False
 
 
 def test_full_file_round_trip(tmp_path):
@@ -49,7 +48,6 @@ repeats = 3
 fixed_sigma_e = yes
 
 output_dir = results   # inline comment
-emit_svg = true
 """
     cfg = parse_config(write(tmp_path, text))
     assert cfg.params.n_examples == 60
@@ -61,7 +59,6 @@ emit_svg = true
     assert cfg.sweep.repeats == 3
     assert cfg.sweep.fixed_sigma_e is True
     assert cfg.output_dir == "results"
-    assert cfg.emit_svg is True
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):
@@ -98,8 +95,8 @@ def test_type_errors_name_the_key(tmp_path):
         parse_config(write(tmp_path, "seed = three\n"))
     with pytest.raises(ConfigError, match=r"'sigma_z' needs a real"):
         parse_config(write(tmp_path, "sigma_z = big\n"))
-    with pytest.raises(ConfigError, match=r"'emit_svg' needs a boolean"):
-        parse_config(write(tmp_path, "emit_svg = maybe\n"))
+    with pytest.raises(ConfigError, match=r"'fixed_sigma_e' needs a boolean"):
+        parse_config(write(tmp_path, "fixed_sigma_e = maybe\n"))
 
 
 def test_domain_errors_surface_as_config_errors(tmp_path):
@@ -116,12 +113,12 @@ def test_missing_file_raises_os_error(tmp_path):
 
 def test_boolean_spellings(tmp_path):
     for word, value in (("true", True), ("no", False), ("1", True), ("0", False)):
-        cfg = parse_config(write(tmp_path, f"emit_svg = {word}\n", name=f"{word}.cfg"))
-        assert cfg.emit_svg is value
+        cfg = parse_config(write(tmp_path, f"fixed_sigma_e = {word}\n", name=f"{word}.cfg"))
+        assert cfg.sweep.fixed_sigma_e is value
 
 
-# Fuzzed configs are only parsed, never run: a `points` or `n_weights` in the
-# billions parses fine and would then allocate.
+# Fuzzed configs are only parsed, never run: a `points` in the millions or an
+# `n_weights` in the billions parses fine and would then run for long or allocate.
 FUZZ = settings(
     max_examples=300, deadline=None, derandomize=True, database=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],

@@ -4,7 +4,7 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 import pytest
 
-from helpers import full_solve_sweep, peak_bytes
+from helpers import full_solve_sweep, no_draws, peak_bytes
 from lossgeom import (
     ModelParams,
     SweepError,
@@ -290,12 +290,14 @@ def test_snr_sweep_outliers_absorb_into_bulk():
     assert qs == sorted(qs, reverse=True)
 
 
-def test_snr_sweep_accepts_infinite_snr_and_rejects_nonpositive():
+def test_snr_sweep_accepts_infinite_snr_and_rejects_nonpositive(monkeypatch):
     params = ModelParams(n_examples=40, n_classes=4, n_weights=60, hyperplane_dim=5)
     results = run_snr_sweep(params, (float("inf"),))
     assert results[0][2] == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError, match="positive"):
-        run_snr_sweep(params, (0.0,))
+    no_draws(monkeypatch)  # the whole grid is checked before its first point runs
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match=f"snr values must be positive, got {bad}"):
+            run_snr_sweep(params, (1.0, bad))
 
 
 def test_outputs_read_the_gradients_before_assembly_overwrites_them():
@@ -379,11 +381,7 @@ RESIDUALS_MESSAGE = (
     ids=["hessian", "hessian-solve", "residuals", "cluster"],
 )
 def test_memory_guard_rejects_before_sampling(monkeypatch, run, params, message):
-    def no_draws(*args, **kwargs):
-        raise AssertionError("sampled before the memory check")
-
-    monkeypatch.setattr(experiments, "sample_ensemble", no_draws)
-    monkeypatch.setattr(experiments, "sample_logit_gradients", no_draws)
+    no_draws(monkeypatch)
     with pytest.raises(ValueError, match=message):
         run(params)
 
