@@ -2,7 +2,7 @@
 
 Subcommands: spectrum, overlap, sweep-sigmaz, sweep-snr, freeze, cluster,
 project. Common flags: --config PATH (flat key=value file, see
-:mod:`lossgeom.config`), --out DIR (overrides the config's output_dir),
+:mod:`lossgeom.config`), --out DIR (output directory, default ``out``),
 --seed INT (overrides the config's seed), --json (print a summary to
 stdout). Exit codes: 0 success, 1 validation error (bad arguments, config,
 parameters or dump contents), 2 I/O error. A sweep-sigmaz task that fails
@@ -216,7 +216,7 @@ def _build_parser() -> _Parser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
         p.add_argument("--json", action="store_true", help="print a JSON summary")
         if name == "cluster":
@@ -236,9 +236,8 @@ def run_command(argv) -> int:
         cfg = RunConfig() if args.config is None else parse_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, params=replace(cfg.params, seed=args.seed))
-        outdir = args.out if args.out is not None else cfg.output_dir
-        os.makedirs(outdir, exist_ok=True)
-        payload = _COMMANDS[args.command](cfg, outdir, args)
+        os.makedirs(args.out, exist_ok=True)
+        payload = _COMMANDS[args.command](cfg, args.out, args)
         if args.json:
             print(json.dumps(payload, sort_keys=True, allow_nan=False))
     except _UsageError as exc:

@@ -97,6 +97,15 @@ def predicted_q_sl(sigma_c: float, sigma_e: float) -> float:
     return snr / (snr + 1.0)
 
 
+def class_counts(labels: np.ndarray, n_classes: int) -> list[int]:
+    """Examples per class of valid ``labels``; errors if a class has fewer than two."""
+    counts = np.bincount(labels, minlength=n_classes).tolist()
+    for k, count in enumerate(counts):
+        if count < 2:
+            raise ValueError(f"class {k} has {count} labeled example(s); need at least 2")
+    return counts
+
+
 def clustering_report(grads, labels: np.ndarray) -> ClusteringReport:
     """All three statistics plus the per-class same-logit-same-class vector.
 
@@ -107,10 +116,7 @@ def clustering_report(grads, labels: np.ndarray) -> ClusteringReport:
     tensor = gradient_tensor(grads)
     n, c, _ = tensor.shape
     labels = class_labels(labels, n, c)
-    counts = np.bincount(labels, minlength=c).tolist()
-    for k, count in enumerate(counts):
-        if count < 2:
-            raise ValueError(f"class {k} has {count} labeled example(s); need at least 2")
+    counts = class_counts(labels, c)
     if n < 2 or c < 2:
         raise ValueError(f"need N >= 2 and C >= 2, got N={n}, C={c}")
     per_logit, per_class, per_example = _unit_sums(tensor, labels)

@@ -9,9 +9,9 @@ default sweep grid).
 
 Recognized keys: the :class:`~lossgeom.params.ModelParams` fields
 (n_examples, n_classes, n_weights, sigma_z, sigma_c, sigma_e, length_beta,
-target_accuracy, seed, hyperplane_dim), the sweep block (sigma_z_min,
-sigma_z_max, points, scale, gamma, sigma_z_ref, repeats, fixed_sigma_e) and
-output_dir.
+target_accuracy, seed, hyperplane_dim) and the sweep block (sigma_z_min,
+sigma_z_max, points, gamma, repeats, fixed_sigma_e). The output directory
+is the CLI's ``--out``.
 """
 
 from __future__ import annotations
@@ -31,16 +31,10 @@ class ConfigError(ValueError):
 class RunConfig:
     params: ModelParams = field(default_factory=ModelParams)
     sweep: SweepSpec = field(default_factory=SweepSpec)
-    output_dir: str = "out"
 
 
-# every scalar field of the three records is a key, typed by its annotation
-_KEY_TYPES = {
-    name: kind
-    for cls in (ModelParams, SweepSpec, RunConfig)
-    for name, kind in get_type_hints(cls).items()
-    if kind in (int, float, bool, str)
-}
+# every field of the two records is a key, typed by its annotation
+_KEY_TYPES = get_type_hints(ModelParams) | get_type_hints(SweepSpec)
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
                "false": False, "no": False, "0": False}
@@ -87,4 +81,4 @@ def parse_config(path: str) -> RunConfig:
         sweep = SweepSpec(**keys_of(SweepSpec))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return RunConfig(params=params, sweep=sweep, **keys_of(RunConfig))
+    return RunConfig(params=params, sweep=sweep)

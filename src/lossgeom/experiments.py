@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import ClusteringReport, clustering_report, q_sl
+from .clustering import ClusteringReport, class_counts, clustering_report, q_sl
 from .gradients import model_hessian, sample_logit_gradients, weight_gradient
 from .logits import LogitEnsemble, freezing_stats, sample_ensemble
 from .params import ModelParams
@@ -58,39 +58,28 @@ _SIMPLEX_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid, noise mode and repeats of the logit-variance sweep.
+    """Log grid, noise mode and repeats of the logit-variance sweep.
 
-    ``gamma`` is the mean-gradient growth exponent: at grid value sigma_z the
-    ensemble uses sigma_c(sigma_z) = sigma_c_base * (sigma_z/sigma_z_ref)^gamma.
-    The tied mode scales sigma_e by the same factor (constant sigma_c/sigma_e);
-    ``fixed_sigma_e=True`` holds sigma_e at its base value. A linear grid from
-    sigma_z = 0 is rejected where that point cannot run: gamma < 0 (infinite
-    sigma_c, either mode), and gamma > 0 in tied mode (sigma_c = sigma_e = 0).
+    ``gamma`` is the mean-gradient growth exponent: at grid value sigma_z a
+    sweep of ``params`` uses sigma_c = params.sigma_c * (sigma_z /
+    params.sigma_z)^gamma, so the sweep passes through the model it scales.
+    The tied mode scales sigma_e by the same factor (constant
+    sigma_c/sigma_e); ``fixed_sigma_e=True`` holds sigma_e at its base value.
     """
 
     sigma_z_min: float = 1e-3
     sigma_z_max: float = 1e2
     points: int = 25
-    scale: str = "log"
     gamma: float = 0.5
-    sigma_z_ref: float = 15.0
     repeats: int = 5
     fixed_sigma_e: bool = False
 
     def __post_init__(self) -> None:
-        if self.scale not in ("log", "linear"):
-            raise ValueError(f"scale must be 'log' or 'linear', got {self.scale!r}")
-        if not math.isfinite(self.sigma_z_max):
-            raise ValueError(f"sigma_z_max must be finite, got {self.sigma_z_max!r}")
-        if not self.sigma_z_min < self.sigma_z_max:
+        if not 0 < self.sigma_z_min < self.sigma_z_max < math.inf:
             raise ValueError(
-                f"need sigma_z_min < sigma_z_max, got {self.sigma_z_min} "
+                f"need 0 < sigma_z_min < sigma_z_max < inf, got {self.sigma_z_min} "
                 f"and {self.sigma_z_max}"
             )
-        if self.scale == "log" and self.sigma_z_min <= 0:
-            raise ValueError("log scale needs sigma_z_min > 0")
-        if self.sigma_z_min < 0:
-            raise ValueError(f"sigma_z_min must be nonnegative, got {self.sigma_z_min}")
         if self.points < 2:
             raise ValueError(f"need at least 2 grid points, got {self.points}")
         if 8 * self.points > DEFAULT_MEMORY_LIMIT:
@@ -100,24 +89,13 @@ class SweepSpec:
             )
         if self.repeats < 1:
             raise ValueError(f"need at least 1 repeat, got {self.repeats}")
-        if not 0 < self.sigma_z_ref < math.inf:
-            raise ValueError(f"need 0 < sigma_z_ref < inf, got {self.sigma_z_ref}")
         if not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma!r}")
-        tied = not self.fixed_sigma_e
-        if self.sigma_z_min == 0 and (self.gamma < 0 or self.gamma > 0 and tied):
-            cause = "an infinite sigma_c" if self.gamma < 0 else "sigma_c = sigma_e = 0"
-            raise ValueError(
-                f"sigma_z_min = 0 with gamma = {self.gamma:g} in "
-                f"{'tied' if tied else 'fixed'} sigma_e mode gives {cause} at point 0"
-            )
 
     def grid(self) -> np.ndarray:
-        if self.scale == "log":
-            return np.logspace(
-                math.log10(self.sigma_z_min), math.log10(self.sigma_z_max), self.points
-            )
-        return np.linspace(self.sigma_z_min, self.sigma_z_max, self.points)
+        return np.logspace(
+            math.log10(self.sigma_z_min), math.log10(self.sigma_z_max), self.points
+        )
 
 
 @dataclass(frozen=True)
@@ -312,6 +290,7 @@ def run_clustering_experiment(params: ModelParams) -> ClusteringReport:
     """Clustering statistics of one model-sampled gradient tensor."""
     _check_memory(params, hessian=False)
     labels = sample_ensemble(params).labels
+    class_counts(labels, params.n_classes)  # before the tensor is drawn
     return clustering_report(sample_logit_gradients(params), labels)
 
 
@@ -330,8 +309,10 @@ def run_sigma_z_sweep(params: ModelParams, spec: SweepSpec) -> list[SweepRecord]
     what it would serially. The worker lives only for this call. A failing
     task re-raises its ValueError as a :class:`SweepError` prefixed with the
     point, sigma_z and repeat of the first failing task in grid order, and
-    carrying the records finished before it.
+    carrying the records finished before it. A model sigma_z = 0 is rejected first.
     """
+    if params.sigma_z == 0:
+        raise ValueError("a sigma_z sweep scales around the model's sigma_z, which must not be 0")
     points: list[ModelParams] = []
     for i, sigma_z in enumerate(spec.grid()):
         with _sweep_task(i, sigma_z, 0):
@@ -381,21 +362,15 @@ def _sweep_task(i: int, sigma_z: float, rep: int):
 
 def _sweep_point(params: ModelParams, spec: SweepSpec, sigma_z: float) -> ModelParams:
     """params at grid value sigma_z, checked before any draw: the scaled sigmas
-    must not underflow to zero together, and each must have a finite square."""
+    must not underflow to zero together (``replace`` checks each one's square)."""
     try:
-        factor = (sigma_z / spec.sigma_z_ref) ** spec.gamma
+        factor = (sigma_z / params.sigma_z) ** spec.gamma
     except OverflowError:
         factor = math.inf
     sigma_c = params.sigma_c * factor
     sigma_e = params.sigma_e if spec.fixed_sigma_e else params.sigma_e * factor
     if sigma_c == sigma_e == 0 < params.sigma_c + params.sigma_e:
-        raise ValueError("(sigma_z/sigma_z_ref)^gamma underflows to sigma_c = sigma_e = 0")
-    for name, value in (("sigma_c", sigma_c), ("sigma_e", sigma_e)):
-        if not math.isfinite(value * value):
-            raise ValueError(
-                f"(sigma_z/sigma_z_ref)^gamma = {factor:g} gives {name} = {value:g}, "
-                "whose square overflows"
-            )
+        raise ValueError(f"(sigma_z/{params.sigma_z:g})^gamma underflows to sigma_c = sigma_e = 0")
     return replace(params, sigma_z=sigma_z, sigma_c=sigma_c, sigma_e=sigma_e)
 
 
@@ -436,6 +411,8 @@ def run_snr_sweep(
     params: ModelParams, snr_grid
 ) -> list[tuple[float, int, float]]:
     """(snr, n_outliers, q_sl) per grid point, sigma_c fixed, sigma_e = sigma_c/sqrt(snr)."""
+    if params.sigma_c == 0:
+        raise ValueError("an snr sweep needs sigma_c > 0, else every gradient is zero")
     points = []
     for snr in snr_grid:  # every point is checked before the first draw
         if not snr > 0:

@@ -60,6 +60,11 @@ class ModelParams:
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be a finite nonnegative real, got {v!r}")
+        for name in ("sigma_c", "sigma_e"):  # squared in the Hessian and in cosines
+            v = getattr(self, name)
+            if v and not sys.float_info.min <= v * v < math.inf:
+                raise ValueError(f"{name} must be 0 or have a square in "
+                                 f"[{sys.float_info.min:g}, inf), got {v!r}")
         if self.sigma_z > _SIGMA_Z_MAX:
             raise ValueError(f"sigma_z must be at most {_SIGMA_Z_MAX:.6g}, past which a logit "
                              f"gap of 2 * 8.572 * sigma_z overflows, got {self.sigma_z!r}")

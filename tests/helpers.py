@@ -236,7 +236,7 @@ def full_solve_sweep(params, spec):
     """
     records = []
     for i, sigma_z in enumerate(spec.grid()):
-        factor = (sigma_z / spec.sigma_z_ref) ** spec.gamma
+        factor = (sigma_z / params.sigma_z) ** spec.gamma
         point = replace(
             params, sigma_z=float(sigma_z), sigma_c=params.sigma_c * factor,
             sigma_e=params.sigma_e * factor,
@@ -264,10 +264,11 @@ def full_solve_sweep(params, spec):
     return records
 
 
-def no_draws(monkeypatch):
-    """Fail the test if an experiment samples an ensemble or a gradient tensor."""
+def no_draws(monkeypatch, samplers=("sample_ensemble", "sample_logit_gradients")):
+    """Fail the test if an experiment calls one of ``samplers``: by default it
+    may sample neither an ensemble nor a gradient tensor."""
     def fail(*args, **kwargs):
         raise AssertionError("sampled before the check")
 
-    monkeypatch.setattr(experiments, "sample_ensemble", fail)
-    monkeypatch.setattr(experiments, "sample_logit_gradients", fail)
+    for name in samplers:
+        monkeypatch.setattr(experiments, name, fail)

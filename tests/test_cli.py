@@ -139,33 +139,13 @@ def test_failing_sweep_keeps_the_rows_finished_before_it(tmp_path, capsys, monke
 @pytest.mark.parametrize(
     "extra, message",
     [
-        ("gamma = 0.5", "gamma = 0.5 in tied sigma_e mode gives sigma_c = sigma_e = 0"),
-        ("gamma = -0.5", "gamma = -0.5 in tied sigma_e mode gives an infinite sigma_c"),
-        ("gamma = -0.5\nfixed_sigma_e = true", "gamma = -0.5 in fixed sigma_e mode"),
-    ],
-)
-def test_sweep_from_zero_that_cannot_run_is_rejected_by_the_config(
-    tmp_path, capsys, extra, message
-):
-    cfg = tmp_path / "zero.cfg"
-    cfg.write_text(SMALL_CFG + f"scale = linear\nsigma_z_min = 0\n{extra}\n")
-    out = tmp_path / "out"
-    assert run(["sweep-sigmaz", "--config", cfg, "--out", out]) == 1
-    err = capsys.readouterr().err
-    assert f"zero.cfg: sigma_z_min = 0 with {message}" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "extra, message",
-    [
         # (1e-3/15)^200 underflows: sigma_c = sigma_e = 0 in tied mode
-        ("gamma = 200", "sweep point 0 (sigma_z=0.001) repeat 0: (sigma_z/sigma_z_ref)"
+        ("gamma = 200", "sweep point 0 (sigma_z=0.001) repeat 0: (sigma_z/15)"
          "^gamma underflows to sigma_c = sigma_e = 0"),
         # point 0 runs, but point 1's sigma_c^2 and with it H overflow
         ("sigma_z_min = 20\ngamma = 400", "sweep point 1 (sigma_z=44.7214) repeat 0: "
-         "(sigma_z/sigma_z_ref)^gamma = 5.8816e+189 gives sigma_c = 5.36914e+188, "
-         "whose square overflows"),
+         "sigma_c must be 0 or have a square in [2.22507e-308, inf), "
+         "got 5.369141968010673e+188"),
     ],
     ids=["underflow", "overflow"],
 )
@@ -187,6 +167,8 @@ def test_sweep_whose_scaling_cannot_run_fails_before_any_draw(
 
 
 SIGMA_Z_BOUND = "sigma_z must be at most 1.04858e+307"
+SIGMA_C_SQUARE = "sigma_c must be 0 or have a square in [2.22507e-308, inf), got "
+SIGMA_E_SQUARE = SIGMA_C_SQUARE.replace("sigma_c", "sigma_e")
 
 
 @pytest.mark.parametrize(
@@ -204,9 +186,26 @@ SIGMA_Z_BOUND = "sigma_z must be at most 1.04858e+307"
         ("freeze", "points = 1000000000000", "a grid of 1000000000000 points needs "
          "8000000000000 bytes, over the 2147483648-byte memory limit"),
         ("sweep-sigmaz", "points = 1000000000000", "a grid of 1000000000000 points"),
+        # the sweep scales sigma_c by (sigma_z / the model's sigma_z)^gamma
+        ("sweep-sigmaz", SMALL_CFG + "sigma_z = 0", "a sigma_z sweep scales around the "
+         "model's sigma_z, which must not be 0"),
+        # squares that overflow or underflow: garbage statistics or a misleading error
+        ("cluster", SMALL_CFG + "sigma_e = 1e200", SIGMA_E_SQUARE + "1e+200"),
+        ("spectrum", SMALL_CFG + "sigma_e = 1e200", SIGMA_E_SQUARE + "1e+200"),
+        ("cluster", SMALL_CFG + "sigma_c = 1e-200\nsigma_e = 1e-200", SIGMA_C_SQUARE + "1e-200"),
+        ("spectrum", SMALL_CFG + "sigma_c = 1e-200\nsigma_e = 1e-200", SIGMA_C_SQUARE + "1e-200"),
+        # every point would have sigma_e = sigma_c/sqrt(snr) = 0
+        ("sweep-snr", SMALL_CFG + "sigma_c = 0", "an snr sweep needs sigma_c > 0"),
+        # removed keys: the log grid and --out replace them, sigma_z replaces sigma_z_ref
+        ("sweep-sigmaz", SMALL_CFG + "scale = linear", "unknown key 'scale'"),
+        ("sweep-sigmaz", SMALL_CFG + "sigma_z_ref = 5", "unknown key 'sigma_z_ref'"),
+        ("spectrum", SMALL_CFG + "output_dir = results", "unknown key 'output_dir'"),
     ],
     ids=["spectrum-sigma_z", "freeze-sigma_z", "freeze-sigma_z-2e307",
-         "sweep-sigma_z", "freeze-memory", "freeze-points", "sweep-points"],
+         "sweep-sigma_z", "freeze-memory", "freeze-points", "sweep-points",
+         "sweep-sigma_z-0", "cluster-sigma_e-overflow", "spectrum-sigma_e-overflow",
+         "cluster-underflow", "spectrum-underflow", "snr-sigma_c-0",
+         "key-scale", "key-sigma_z_ref", "key-output_dir"],
 )
 def test_config_that_cannot_run_fails_before_any_draw(
     tmp_path, capsys, monkeypatch, command, config, message
@@ -218,6 +217,18 @@ def test_config_that_cannot_run_fails_before_any_draw(
     assert run([command, "--config", cfg, "--out", out]) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and message in line, line
+    assert list(out.glob("*")) == []
+
+
+def test_cluster_checks_class_counts_before_drawing_the_tensor(tmp_path, capsys, monkeypatch):
+    # 9 labels cannot give 5 classes two examples each; the tensor would be 360 MB
+    no_draws(monkeypatch, ["sample_logit_gradients"])
+    cfg = tmp_path / "few.cfg"
+    cfg.write_text("n_examples = 9\nn_classes = 5\nn_weights = 1000000\n")
+    out = tmp_path / "out"
+    assert run(["cluster", "--config", cfg, "--out", out]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: class ") and "need at least 2" in line, line
     assert list(out.glob("*")) == []
 
 

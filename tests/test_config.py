@@ -20,7 +20,6 @@ def test_empty_file_gives_all_defaults(tmp_path):
     assert cfg.params == ModelParams()
     assert cfg.sweep == SweepSpec()
     assert cfg.sweep.fixed_sigma_e is False
-    assert cfg.output_dir == "out"
 
 
 def test_full_file_round_trip(tmp_path):
@@ -41,13 +40,9 @@ hyperplane_dim = 6
 sigma_z_min = 0.01
 sigma_z_max = 10
 points = 7
-scale = log
-gamma = 0.25
-sigma_z_ref = 2.5
+gamma = 0.25   # inline comment
 repeats = 3
 fixed_sigma_e = yes
-
-output_dir = results   # inline comment
 """
     cfg = parse_config(write(tmp_path, text))
     assert cfg.params.n_examples == 60
@@ -58,7 +53,6 @@ output_dir = results   # inline comment
     assert cfg.sweep.gamma == 0.25
     assert cfg.sweep.repeats == 3
     assert cfg.sweep.fixed_sigma_e is True
-    assert cfg.output_dir == "results"
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):
@@ -152,3 +146,9 @@ def test_readme_config_block_parses_and_names_every_key(tmp_path):
     assert isinstance(parse_config(write(tmp_path, block)), RunConfig)
     keys = {line.split("=")[0].strip() for line in block.splitlines() if "=" in line}
     assert keys == set(config._KEY_TYPES)
+
+
+def test_module_docstring_names_every_key():
+    doc = config.__doc__.split("Recognized keys:", 1)[1]
+    named = [key.strip() for group in re.findall(r"\(([^)]*)\)", doc) for key in group.split(",")]
+    assert sorted(named) == sorted(config._KEY_TYPES)

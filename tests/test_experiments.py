@@ -39,45 +39,22 @@ def test_sweep_spec_grid_endpoints_and_scale():
     ratios = grid[1:] / grid[:-1]
     assert np.allclose(ratios, ratios[0], rtol=1e-12)
 
-    linear = SweepSpec(
-        sigma_z_min=0.0, sigma_z_max=1.0, points=5, scale="linear", gamma=0.0
-    )
-    assert np.allclose(linear.grid(), [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-15)
-
 
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
-        SweepSpec(scale="cubic")
-    with pytest.raises(ValueError):
         SweepSpec(sigma_z_min=1.0, sigma_z_max=0.1)
-    with pytest.raises(ValueError):
-        SweepSpec(sigma_z_min=0.0, scale="log")
+    with pytest.raises(ValueError, match="need 0 < sigma_z_min"):
+        SweepSpec(sigma_z_min=0.0)
+    with pytest.raises(ValueError, match="need 0 < sigma_z_min"):
+        SweepSpec(sigma_z_min=-1.0)
     with pytest.raises(ValueError):
         SweepSpec(points=1)
     with pytest.raises(ValueError):
         SweepSpec(repeats=0)
-    with pytest.raises(ValueError):
-        SweepSpec(sigma_z_ref=0.0)
-    with pytest.raises(ValueError, match="need 0 < sigma_z_ref < inf"):
-        SweepSpec(sigma_z_ref=float("inf"))
-    with pytest.raises(ValueError, match="sigma_z_max must be finite"):
+    with pytest.raises(ValueError, match="sigma_z_max < inf"):
         SweepSpec(sigma_z_max=float("inf"))
-    # a linear grid from 0 that cannot run its first point
-    zero = dict(sigma_z_min=0.0, sigma_z_max=1.0, scale="linear")
-    for gamma, fixed in ((0.5, False), (-0.5, False), (-0.5, True)):
-        with pytest.raises(ValueError, match="sigma_z_min = 0 with gamma"):
-            SweepSpec(**zero, gamma=gamma, fixed_sigma_e=fixed)
-
-
-@pytest.mark.parametrize("gamma, fixed", [(0.5, True), (0.0, False), (0.0, True)])
-def test_accepted_sweeps_from_zero_complete(gamma, fixed):
-    spec = SweepSpec(
-        sigma_z_min=0.0, sigma_z_max=1.0, points=2, scale="linear", gamma=gamma,
-        repeats=1, fixed_sigma_e=fixed,
-    )
-    records = run_sigma_z_sweep(SMALL, spec)
-    assert [r.sigma_z for r in records] == [0.0, 1.0]
-    assert all(np.isfinite(astuple(r)).all() for r in records)
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        SweepSpec(gamma=float("nan"))
 
 
 def test_spectrum_experiment_reference_outlier_count():
@@ -130,7 +107,7 @@ def test_sweep_records_fields_and_determinism():
             rec = records[2 * i + rep]
             assert rec.sigma_z == pytest.approx(float(point))
             assert rec.repeat == rep
-            factor = (point / spec.sigma_z_ref) ** spec.gamma
+            factor = (point / SMALL.sigma_z) ** spec.gamma
             assert rec.sigma_c == pytest.approx(SMALL.sigma_c * factor)
             assert rec.spectral_norm > 0
             assert rec.trace_ratio == pytest.approx(rec.trace / rec.spectral_norm)
@@ -140,6 +117,15 @@ def test_sweep_records_fields_and_determinism():
             assert rec.n_outliers >= 0
     again = run_sigma_z_sweep(SMALL, spec)
     assert records == again
+
+
+def test_sweep_passes_through_the_model_at_its_own_sigma_z():
+    params = replace(SMALL, sigma_z=10.0)
+    spec = SweepSpec(sigma_z_min=1.0, sigma_z_max=100.0, points=3, repeats=1)
+    records = run_sigma_z_sweep(params, spec)
+    assert records[1].sigma_z == 10.0
+    assert records[1].sigma_c == params.sigma_c
+    assert records[2].sigma_c == pytest.approx(params.sigma_c * 10**0.5, rel=1e-15)
 
 
 @pytest.mark.parametrize(
