@@ -1,20 +1,16 @@
 """Experiment orchestration: the property experiments and the sweeps.
 
-Every Hessian measurement runs the same stages: :func:`_draw` (sample the
-ensemble and gradients, read what the output needs from the gradients),
-assembly (:func:`model_hessian`, which overwrites the gradients), and a
-solve for only what the output reads. :func:`_instance` runs them back to
-back; every projected spectrum takes :func:`_projected`. Each experiment is
-a pure function of a :class:`ModelParams` (plus a sweep spec where
-applicable): identical inputs give identical outputs. Sweep tasks draw from
-labeled substreams (``sweep:<point>:<repeat>:<role>``), so points and
-repeats are independent. :func:`run_sigma_z_sweep` pipelines its tasks in
-grid order on two threads: the calling thread samples and assembles, and
-one worker thread, started by the call and joined before it returns, solves
-each Hessian and builds its record while the caller samples the next task.
-Every other run is serial on the calling thread. Every public ``run_*``
-function runs under :data:`one_blas_thread`, so its outputs do not depend
-on the BLAS thread count.
+Every Hessian output runs through one loop, :func:`_pipeline`: each task is
+drawn (:func:`_draw`: sample the ensemble and gradients, read what the output
+needs from the gradients), assembled (:func:`model_hessian`, which overwrites
+the gradients) and measured (a solve for only what the output reads). The
+calling thread assembles and measures while one worker thread draws the next
+task; a one-task run starts no thread. Each experiment is a pure function of
+a :class:`ModelParams` (plus a sweep spec where applicable): identical inputs
+give identical outputs. Sweep tasks draw from labeled substreams
+(``sweep:<point>:<repeat>:<role>``), so points and repeats are independent.
+Every public ``run_*`` function runs under :data:`one_blas_thread`, so its
+outputs do not depend on the BLAS thread count.
 
 Labels are re-drawn per sweep point and repeat at the configured target
 accuracy: each point models a training snapshot at fixed accuracy.
@@ -196,9 +192,9 @@ def _check_memory(params: ModelParams, tensor: bool = True, hessian: bool = True
     1.21 at N=1000, C=10, D=200), so the bound counts two. Besides H, the
     solve allocates 1.1x H for eigenvalues, almost nothing for the top k
     (solved in H's buffer) and 3.0x H for a whole eigensystem (tracemalloc,
-    D=600 and D=1000), so the bound counts four D*D doubles. The pipelined
-    sweep keeps within the same bound: one tensor, reused task after task,
-    one H and one solve are live at a time. ``tensor=False`` and
+    D=600 and D=1000), so the bound counts four D*D doubles. A run of many
+    tasks keeps within the same bound: :func:`_pipeline` reuses one tensor and
+    holds one H and one solve at a time. ``tensor=False`` and
     ``hessian=False`` skip those terms.
     """
     n, c, d = params.n_examples, params.n_classes, params.n_weights
@@ -232,20 +228,39 @@ def _top_k(params: ModelParams) -> int:
     return min(params.n_weights, max(3 * params.n_classes + 1, 10))
 
 
-def _instance(
-    params: ModelParams, prefix: str = "", top: bool = False, vectors: bool = True,
-    reads=None,
-) -> tuple[LogitEnsemble, object, np.ndarray | None, SymmetricSpectrum]:
-    """The serial measurement path: draw and read (``reads``' value is
-    returned in the tensor's place), assemble the Hessian, solve it for only
-    what the output reads. ``top=True`` asks for the :func:`_top_k` largest
-    pairs; that solve consumes H, so None is returned in its place.
-    ``vectors=False`` skips the eigenvectors."""
-    ensemble, tensor, read = _draw(params, prefix, reads)
-    hessian = model_hessian(tensor, ensemble)
-    del tensor
-    spectrum = eigh(hessian, top=_top_k(params) if top else None, vectors=vectors)
-    return ensemble, read, None if top else hessian, spectrum
+@dataclass(frozen=True)
+class _Task:
+    """One Hessian measurement, and the context its errors raise under."""
+
+    params: ModelParams
+    prefix: str = ""
+    repeat: int = 0
+    errors: contextlib.AbstractContextManager = contextlib.nullcontext()
+
+
+def _pipeline(tasks: list[_Task], reads, measure, results: list) -> list:
+    """Append ``measure(task, ensemble, read, hessian)`` to ``results`` per task,
+    in order; returns ``results``. This thread draws task 0. After each assembly
+    it hands the next task's draw, into the tensor assembly overwrote, to one
+    worker thread and measures meanwhile: one tensor, one H and one solve are
+    live at a time, and a one-task run starts no thread. Errors raise here,
+    under the failing task's ``errors``, the first failing task's first."""
+
+    def draw(task: _Task, out=None):
+        return _draw(task.params, task.prefix, reads, out)
+
+    future = None
+    with ThreadPoolExecutor(1) as worker:  # its thread starts at the first submit
+        for t, task in enumerate(tasks):
+            with task.errors:
+                ensemble, tensor, read = draw(task) if future is None else future.result()
+                hessian = model_hessian(tensor, ensemble)
+                # on the last task the future goes too: it holds the tensor
+                future = worker.submit(draw, tasks[t + 1], tensor) if t + 1 < len(tasks) else None
+                del tensor
+                results.append(measure(task, ensemble, read, hessian))
+                del hessian
+    return results
 
 
 def _projected(params: ModelParams, prefix: str, hessian: np.ndarray) -> SymmetricSpectrum:
@@ -261,7 +276,9 @@ def run_spectrum_experiment(
     params: ModelParams,
 ) -> tuple[SymmetricSpectrum, OutlierReport]:
     """One full ensemble at params: Hessian eigenvalues plus outlier report."""
-    spectrum = _instance(params, vectors=False)[3]
+    [spectrum] = _pipeline(
+        [_Task(params)], None, lambda task, ensemble, read, h: eigh(h, vectors=False), []
+    )
     return spectrum, detect_outliers(spectrum, max_candidates=3 * params.n_classes)
 
 
@@ -272,8 +289,10 @@ def run_overlap_experiment(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     Raises the zero-gradient error if every probability row is frozen
     exactly onto its label.
     """
-    _, gradient, _, spectrum = _instance(params, reads=weight_gradient)
-    return gradient_overlaps(spectrum, gradient)
+    return _pipeline(
+        [_Task(params)], weight_gradient,
+        lambda task, ensemble, gradient, h: gradient_overlaps(eigh(h), gradient), [],
+    )[0]
 
 
 @one_blas_thread
@@ -281,8 +300,10 @@ def run_projection_experiment(
     params: ModelParams,
 ) -> tuple[SymmetricSpectrum, SymmetricSpectrum]:
     """Hessian eigenvalues and those of its compression onto a random hyperplane."""
-    _, _, hessian, spectrum = _instance(params, vectors=False)
-    return spectrum, _projected(params, "", hessian)
+    return _pipeline(
+        [_Task(params)], None,
+        lambda task, ensemble, read, h: (eigh(h, vectors=False), _projected(params, "", h)), [],
+    )[0]
 
 
 @one_blas_thread
@@ -300,54 +321,28 @@ def run_sigma_z_sweep(params: ModelParams, spec: SweepSpec) -> list[SweepRecord]
 
     sigma_c grows with sigma_z, and sigma_e with it unless
     ``spec.fixed_sigma_e`` holds it at its base value (see :class:`SweepSpec`).
-    Records appear in grid order, repeats innermost.
-
-    Tasks run as a pipeline: this thread samples task i+1, into the tensor
-    of task i, while one worker thread projects and solves task i's Hessian
-    and builds its record. Task i+1's assembly waits for that record, so one
-    tensor, one H and one solve are live at a time, and each stage computes
-    what it would serially. The worker lives only for this call. A failing
-    task re-raises its ValueError as a :class:`SweepError` prefixed with the
-    point, sigma_z and repeat of the first failing task in grid order, and
-    carrying the records finished before it. A model sigma_z = 0 is rejected first.
+    Records appear in grid order, repeats innermost. A failing task re-raises
+    its ValueError as a :class:`SweepError` prefixed with the point, sigma_z
+    and repeat of the first failing task in grid order, and carrying the
+    records finished before it. A model sigma_z = 0 is rejected first.
     """
     if params.sigma_z == 0:
         raise ValueError("a sigma_z sweep scales around the model's sigma_z, which must not be 0")
-    points: list[ModelParams] = []
-    for i, sigma_z in enumerate(spec.grid()):
+    tasks = []
+    for i, sigma_z in enumerate(spec.grid()):  # every point is checked before the first draw
         with _sweep_task(i, sigma_z, 0):
-            points.append(_sweep_point(params, spec, float(sigma_z)))
+            point = _sweep_point(params, spec, float(sigma_z))
+        tasks += [_Task(point, f"sweep:{i}:{rep}:", rep, _sweep_task(i, point.sigma_z, rep))
+                  for rep in range(spec.repeats)]
     records: list[SweepRecord] = []
-    tensor = pending = None
     try:
-        with ThreadPoolExecutor(1) as worker:
-            for i, point in enumerate(points):
-                for rep in range(spec.repeats):
-                    prefix = f"sweep:{i}:{rep}:"
-                    try:
-                        with _sweep_task(i, point.sigma_z, rep):
-                            ensemble, tensor, gradient = _draw(
-                                point, prefix, weight_gradient, out=tensor
-                            )
-                    finally:  # the task before comes first, even when this draw failed
-                        if pending is not None:
-                            _collect(pending, records)
-                    hessian = [model_hessian(tensor, ensemble)]
-                    pending = (i, point.sigma_z, rep), worker.submit(
-                        _sweep_record, point, prefix, rep, ensemble, gradient, hessian
-                    )
-            _collect(pending, records)
+        _pipeline(tasks, weight_gradient, lambda task, *stages: _sweep_record(
+            task.params, task.prefix, task.repeat, *stages
+        ), records)
     except SweepError as exc:
         exc.records = records
         raise
     return records
-
-
-def _collect(pending, records: list[SweepRecord]) -> None:
-    """Append a submitted task's record, or raise its error with its prefix."""
-    (i, sigma_z, rep), future = pending
-    with _sweep_task(i, sigma_z, rep):
-        records.append(future.result())
 
 
 @contextlib.contextmanager
@@ -376,17 +371,12 @@ def _sweep_point(params: ModelParams, spec: SweepSpec, sigma_z: float) -> ModelP
 
 def _sweep_record(
     params: ModelParams, prefix: str, rep: int, ensemble: LogitEnsemble,
-    gradient: np.ndarray, hessian: list[np.ndarray],
+    gradient: np.ndarray, hessian: np.ndarray,
 ) -> SweepRecord:
-    """One task's record. ``hessian`` is a one-element list holding H: the
-    record takes H out, so H is freed once solved, not when the executor
-    drops this call's arguments, which may be after the caller has assembled
-    the next H. Projects H first, then hands it to the top-k solve, which
-    consumes it."""
-    h = hessian.pop()
-    projected = _projected(params, prefix, h)
-    spectrum = eigh(h, top=_top_k(params))
-    del h
+    """One task's record. Projects H first, then hands it to the top-k solve,
+    which consumes it."""
+    projected = _projected(params, prefix, hessian)
+    spectrum = eigh(hessian, top=_top_k(params))
     _, cumulative = gradient_overlaps(spectrum, gradient)
     mean_entropy, mean_max_prob = freezing_stats(ensemble)
     report = detect_outliers(spectrum, max_candidates=3 * params.n_classes)
@@ -413,20 +403,21 @@ def run_snr_sweep(
     """(snr, n_outliers, q_sl) per grid point, sigma_c fixed, sigma_e = sigma_c/sqrt(snr)."""
     if params.sigma_c == 0:
         raise ValueError("an snr sweep needs sigma_c > 0, else every gradient is zero")
-    points = []
-    for snr in snr_grid:  # every point is checked before the first draw
+    snrs, tasks = [], []
+    for i, snr in enumerate(snr_grid):  # every point is checked before the first draw
         if not snr > 0:
             raise ValueError(f"snr values must be positive, got {snr!r}")
         sigma_e = 0.0 if math.isinf(snr) else params.sigma_c / math.sqrt(snr)
-        points.append((snr, replace(params, sigma_e=sigma_e)))
-    results: list[tuple[float, int, float]] = []
-    for i, (snr, point_params) in enumerate(points):
-        _, same_logit_q, _, spectrum = _instance(
-            point_params, f"snr:{i}:", top=True, vectors=False, reads=lambda t, _: q_sl(t),
-        )
+        snrs.append(float(snr))
+        tasks.append(_Task(replace(params, sigma_e=sigma_e), f"snr:{i}:"))
+
+    def outliers(task, ensemble, same_logit_q, hessian):
+        spectrum = eigh(hessian, top=_top_k(task.params), vectors=False)
         report = detect_outliers(spectrum, max_candidates=3 * params.n_classes)
-        results.append((float(snr), report.n_outliers, same_logit_q))
-    return results
+        return report.n_outliers, same_logit_q
+
+    counts = _pipeline(tasks, lambda tensor, _: q_sl(tensor), outliers, [])
+    return [(snr, n, q) for snr, (n, q) in zip(snrs, counts)]
 
 
 @one_blas_thread

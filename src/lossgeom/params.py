@@ -60,14 +60,22 @@ class ModelParams:
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be a finite nonnegative real, got {v!r}")
-        for name in ("sigma_c", "sigma_e"):  # squared in the Hessian and in cosines
-            v = getattr(self, name)
-            if v and not sys.float_info.min <= v * v < math.inf:
-                raise ValueError(f"{name} must be 0 or have a square in "
-                                 f"[{sys.float_info.min:g}, inf), got {v!r}")
         if self.sigma_z > _SIGMA_Z_MAX:
             raise ValueError(f"sigma_z must be at most {_SIGMA_Z_MAX:.6g}, past which a logit "
                              f"gap of 2 * 8.572 * sigma_z overflows, got {self.sigma_z!r}")
+        # A tensor entry is at most a = 8.572 ((1 + length_beta) sigma_c + sigma_e), a
+        # centered one 2a. Norms sum D squares and the Hessian N*C products of such
+        # values; those stay finite while each term of a is at most sqrt(max / sums) / 4.
+        sums = max(self.n_weights, self.n_examples * self.n_classes)
+        bound = math.sqrt(sys.float_info.max / sums) / (4 * 8.572)
+        for name, scale in (("sigma_c", 1 + self.length_beta), ("sigma_e", 1.0)):
+            v = getattr(self, name)
+            if v and not sys.float_info.min <= v * v < math.inf:  # squared in the Hessian
+                raise ValueError(f"{name} must be 0 or have a square in "
+                                 f"[{sys.float_info.min:g}, inf), got {v!r}")
+            if v * scale > bound:
+                raise ValueError(f"{name} must be at most {bound / scale:.6g}, past which sums "
+                                 f"of squares of the gradients overflow, got {v!r}")
         if not 0.0 <= self.target_accuracy <= 1.0:
             raise ValueError(
                 f"target_accuracy must lie in [0, 1], got {self.target_accuracy!r}"

@@ -194,6 +194,9 @@ SIGMA_E_SQUARE = SIGMA_C_SQUARE.replace("sigma_c", "sigma_e")
         ("spectrum", SMALL_CFG + "sigma_e = 1e200", SIGMA_E_SQUARE + "1e+200"),
         ("cluster", SMALL_CFG + "sigma_c = 1e-200\nsigma_e = 1e-200", SIGMA_C_SQUARE + "1e-200"),
         ("spectrum", SMALL_CFG + "sigma_c = 1e-200\nsigma_e = 1e-200", SIGMA_C_SQUARE + "1e-200"),
+        # row norms would sum 120 squares of entries up to 8.572 * 2e153
+        ("cluster", SMALL_CFG + "sigma_c = 1e153\nsigma_e = 1e153", "sigma_c must be at most "
+         "2.25764e+151, past which sums of squares of the gradients overflow, got 1e+153"),
         # every point would have sigma_e = sigma_c/sqrt(snr) = 0
         ("sweep-snr", SMALL_CFG + "sigma_c = 0", "an snr sweep needs sigma_c > 0"),
         # removed keys: the log grid and --out replace them, sigma_z replaces sigma_z_ref
@@ -204,7 +207,7 @@ SIGMA_E_SQUARE = SIGMA_C_SQUARE.replace("sigma_c", "sigma_e")
     ids=["spectrum-sigma_z", "freeze-sigma_z", "freeze-sigma_z-2e307",
          "sweep-sigma_z", "freeze-memory", "freeze-points", "sweep-points",
          "sweep-sigma_z-0", "cluster-sigma_e-overflow", "spectrum-sigma_e-overflow",
-         "cluster-underflow", "spectrum-underflow", "snr-sigma_c-0",
+         "cluster-underflow", "spectrum-underflow", "cluster-sums-overflow", "snr-sigma_c-0",
          "key-scale", "key-sigma_z_ref", "key-output_dir"],
 )
 def test_config_that_cannot_run_fails_before_any_draw(
@@ -218,6 +221,14 @@ def test_config_that_cannot_run_fails_before_any_draw(
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and message in line, line
     assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("command", ["cluster", "spectrum", "overlap"])
+def test_sigmas_under_the_sum_bound_run(tmp_path, command):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(SMALL_CFG + "sigma_c = 1e150\nsigma_e = 1e150\n")
+    # pytest turns a RuntimeWarning, such as an overflow, into a failure
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 0
 
 
 def test_cluster_checks_class_counts_before_drawing_the_tensor(tmp_path, capsys, monkeypatch):

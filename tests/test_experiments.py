@@ -1,5 +1,7 @@
+import ast
 import math
 from dataclasses import astuple, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from lossgeom import (
     SweepError,
     SweepRecord,
     SweepSpec,
+    detect_outliers,
     eigh,
     gradient_overlaps,
     model_hessian,
@@ -167,11 +170,12 @@ def test_sweeps_never_ask_for_a_whole_eigensystem(monkeypatch):
 
 
 def test_pipelined_sweep_equals_its_stages_run_serially():
-    # 100,000 normals per tensor: the draw runs chunked on the sampling pool
-    # while the worker solves, into the tensor the previous task assembled over
+    # 100,000 normals per tensor: the worker's draw runs chunked on the sampling
+    # pool while this thread solves, into the tensor the previous task assembled over
     params = ModelParams(n_examples=200, n_classes=5, n_weights=100, hyperplane_dim=6)
     spec = SweepSpec(points=3, repeats=2)
-    serial = []
+    grid = (10.0, 0.5, float("inf"))
+    serial, serial_snr = [], []
     with experiments.one_blas_thread:
         for i, sigma_z in enumerate(spec.grid()):
             point = experiments._sweep_point(params, spec, float(sigma_z))
@@ -180,9 +184,35 @@ def test_pipelined_sweep_equals_its_stages_run_serially():
                 ensemble, tensor, gradient = experiments._draw(point, prefix, weight_gradient)
                 hessian = model_hessian(tensor, ensemble)
                 serial.append(experiments._sweep_record(
-                    point, prefix, rep, ensemble, gradient, [hessian]
+                    point, prefix, rep, ensemble, gradient, hessian
                 ))
+        for i, snr in enumerate(grid):
+            sigma_e = 0.0 if math.isinf(snr) else params.sigma_c / math.sqrt(snr)
+            point = replace(params, sigma_e=sigma_e)
+            ensemble, tensor, _ = experiments._draw(point, f"snr:{i}:")
+            q = q_sl(tensor)
+            spectrum = eigh(model_hessian(tensor, ensemble), top=3 * params.n_classes + 1,
+                            vectors=False)
+            report = detect_outliers(spectrum, max_candidates=3 * params.n_classes)
+            serial_snr.append((snr, report.n_outliers, q))
     assert run_sigma_z_sweep(params, spec) == serial
+    assert run_snr_sweep(params, grid) == serial_snr
+
+
+def test_every_hessian_is_drawn_and_assembled_in_the_one_loop():
+    # a second use of either stage would fork the measurement path
+    uses = []
+    for path in sorted(Path(experiments.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if name in ("_draw", "model_hessian") and isinstance(node.ctx, ast.Load):
+                    uses.append((name, path.name, getattr(top, "name", None)))
+    assert sorted(uses) == [
+        ("_draw", "experiments.py", "_pipeline"),
+        ("model_hessian", "experiments.py", "_pipeline"),
+    ]
 
 
 def _fail_at(monkeypatch, stage, prefix):
@@ -303,9 +333,9 @@ def test_outputs_read_the_gradients_before_assembly_overwrites_them():
 def test_an_instance_holds_one_tensor():
     # Assembly overwrites the sampled tensor, so an instance peaks near the
     # tensor plus H: 1.34x the tensor here, against 2.34x with a second copy.
-    # The pipelined sweep samples the next task into the same tensor while
-    # this one solves, and assembles only after the record, so it holds one
-    # tensor, one H and one solve too.
+    # A many-task run draws the next task into the same tensor while this one
+    # solves, and assembles only after the solve, so it holds one tensor, one H
+    # and one solve too.
     params = ModelParams()
     tensor_bytes = 8 * params.n_examples * params.n_classes * params.n_weights
     peaks = {

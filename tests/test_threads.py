@@ -116,6 +116,36 @@ def test_no_thread_outlives_a_sweep(monkeypatch):
     with pytest.raises(SweepError, match="planted failure"):
         experiments.run_sigma_z_sweep(TINY, spec)
     assert set(threading.enumerate()) == before
+    experiments.run_snr_sweep(TINY, [1.0, 2.0, 4.0])
+    assert set(threading.enumerate()) == before
+    draw = experiments._draw
+
+    def failing_draw(point, prefix, *args):
+        if prefix == "snr:1:":  # drawn on the worker while task 0 solves
+            raise ValueError("planted failure")
+        return draw(point, prefix, *args)
+
+    monkeypatch.setattr(experiments, "_draw", failing_draw)
+    with pytest.raises(ValueError, match="^planted failure$"):  # snr errors are not prefixed
+        experiments.run_snr_sweep(TINY, [1.0, 2.0, 4.0])
+    assert set(threading.enumerate()) == before
+
+
+def test_one_task_runs_start_no_thread(monkeypatch):
+    # drawing a one-task run on a worker thread raised spectrum's peak RSS by about 7%
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    for name in ("spectrum", "overlap", "project", "cluster"):
+        RUNS[name]()  # TINY draws too few normals to use the sampling pool
+        assert started == [], name
+    RUNS["sweep"]()  # two tasks: one worker draws the second
+    assert len(started) == 1
 
 
 # at this size the eigensolvers change last bits between one and two BLAS
