@@ -40,13 +40,7 @@ from .experiments import (
     run_snr_sweep,
     run_spectrum_experiment,
 )
-from .gradients import (
-    model_hessian,
-    sample_logit_gradients,
-    sample_mean_logit_gradients,
-    sample_residuals,
-    weight_gradient,
-)
+from .gradients import sample_logit_gradients, sample_mean_logit_gradients
 from .logits import (
     LogitEnsemble,
     assign_labels,

@@ -46,27 +46,33 @@ def _unit_sums(tensor: np.ndarray, labels: np.ndarray | None = None):
     """Sums of the unit rows u[mu, k] = tensor[mu, k] / |tensor[mu, k]|: per logit
     over examples (C, D) and, given ``labels``, per class of u[mu, labels[mu]]
     (C, D) and per example over logits (N, D), else None. One pass normalizes
-    ``_BLOCK_BYTES`` of examples at a time and adds rows in example order, as
-    numpy's axis-0 reduction does, so every sum keeps the whole-tensor bits."""
+    ``_BLOCK_BYTES`` of examples at a time (:func:`_add_unit_sums`)."""
     n, c, d = tensor.shape
     step = max(1, _BLOCK_BYTES // (8 * c * d))
     per_logit = np.zeros((c, d))
     per_class = None if labels is None else np.zeros((c, d))
     per_example = None if labels is None else np.empty((n, d))
     for start in range(0, n, step):
-        block = tensor[start : start + step]
-        norms = np.linalg.norm(block, axis=-1)
-        if np.any(norms == 0.0):
-            mu, k = np.argwhere(norms == 0.0)[0]
-            raise ValueError(f"zero gradient vector at example {start + mu}, logit {k}")
-        units = block / norms[..., np.newaxis]
-        for mu, rows in enumerate(units, start):
-            per_logit += rows
-            if labels is not None:
-                per_class[labels[mu]] += rows[labels[mu]]
-        if labels is not None:
-            units.sum(axis=1, out=per_example[start : start + len(units)])
+        _add_unit_sums(tensor[start : start + step], start, per_logit, labels, per_class,
+                       per_example)
     return per_logit, per_class, per_example
+
+
+def _add_unit_sums(block, start, per_logit, labels=None, per_class=None, per_example=None):
+    """Add the unit rows of a block of examples start, start + 1, ... to the
+    sums of :func:`_unit_sums`, in example order, as numpy's axis-0 reduction
+    adds them: whatever the blocks, every sum keeps the whole-tensor bits."""
+    norms = np.linalg.norm(block, axis=-1)
+    if np.any(norms == 0.0):
+        mu, k = np.argwhere(norms == 0.0)[0]
+        raise ValueError(f"zero gradient vector at example {start + mu}, logit {k}")
+    units = block / norms[..., np.newaxis]
+    for mu, rows in enumerate(units, start):
+        per_logit += rows
+        if labels is not None:
+            per_class[labels[mu]] += rows[labels[mu]]
+    if labels is not None:
+        units.sum(axis=1, out=per_example[start : start + len(units)])
 
 
 def _pair_mean(unit_sum: np.ndarray, count: int) -> float:
@@ -75,26 +81,26 @@ def _pair_mean(unit_sum: np.ndarray, count: int) -> float:
 
 
 def _same_logit(per_logit: np.ndarray, n: int) -> float:
+    if n < 2:
+        raise ValueError(f"need at least 2 examples, got {n}")
     return float(np.mean([_pair_mean(unit_sum, n) for unit_sum in per_logit]))
 
 
 def q_sl(grads) -> float:
     """Same-logit statistic: mean cosine over all example pairs, per logit."""
     tensor = gradient_tensor(grads)
-    n = tensor.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 examples, got {n}")
-    return _same_logit(_unit_sums(tensor)[0], n)
+    return _same_logit(_unit_sums(tensor)[0], tensor.shape[0])
 
 
 def predicted_q_sl(sigma_c: float, sigma_e: float) -> float:
     """Model prediction SNR/(SNR+1), SNR = sigma_c^2/sigma_e^2 (1 if sigma_e=0)."""
     if sigma_c == 0.0 and sigma_e == 0.0:
         raise ValueError("predicted q undefined when both scales are zero")
-    if sigma_e == 0.0:
-        return 1.0
-    snr = (sigma_c / sigma_e) ** 2
-    return snr / (snr + 1.0)
+    if sigma_c == 0.0:
+        return 0.0
+    # 1/(1 + 1/SNR): a float product overflows to inf (giving 0), where ** raises
+    ratio = sigma_e / sigma_c
+    return 1.0 / (1.0 + ratio * ratio)
 
 
 def class_counts(labels: np.ndarray, n_classes: int) -> list[int]:

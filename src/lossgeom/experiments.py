@@ -1,16 +1,19 @@
 """Experiment orchestration: the property experiments and the sweeps.
 
-Every Hessian output runs through one loop, :func:`_pipeline`: each task is
-drawn (:func:`_draw`: sample the ensemble and gradients, read what the output
-needs from the gradients), assembled (:func:`model_hessian`, which overwrites
-the gradients) and measured (a solve for only what the output reads). The
-calling thread assembles and measures while one worker thread draws the next
-task; a one-task run starts no thread. Each experiment is a pure function of
-a :class:`ModelParams` (plus a sweep spec where applicable): identical inputs
-give identical outputs. Sweep tasks draw from labeled substreams
-(``sweep:<point>:<repeat>:<role>``), so points and repeats are independent.
-Every public ``run_*`` function runs under :data:`one_blas_thread`, so its
-outputs do not depend on the BLAS thread count.
+Every Hessian output runs through one loop, :func:`_pipeline`. Each task is
+drawn (:func:`_draw`): its ensemble is sampled, then its gradients one block
+of about 1 MB of examples at a time; each block is read for what the output
+needs, then folded into H (:func:`fold_hessian`). The task is then measured
+(a solve for only what the output reads). The calling thread measures while
+one worker thread draws the next task into a second H; a one-task run starts
+no thread. Only ``overlap`` holds the (N, C, D) tensor, as one block: blocked
+sums move its ill-conditioned bulk eigenvector cosines by about 1e-7. Each
+experiment is a pure function of a :class:`ModelParams` (plus a sweep spec
+where applicable): identical inputs give identical outputs. Sweep tasks draw
+from labeled substreams (``sweep:<point>:<repeat>:<role>``), so points and
+repeats are independent. Every public ``run_*`` function runs under
+:data:`one_blas_thread`, so its outputs do not depend on the BLAS thread
+count.
 
 Labels are re-drawn per sweep point and repeat at the configured target
 accuracy: each point models a training snapshot at fixed accuracy.
@@ -28,8 +31,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import ClusteringReport, class_counts, clustering_report, q_sl
-from .gradients import model_hessian, sample_logit_gradients, weight_gradient
+from .clustering import (
+    ClusteringReport,
+    _add_unit_sums,
+    _same_logit,
+    class_counts,
+    clustering_report,
+)
+from .gradients import (
+    finish_hessian,
+    fold_hessian,
+    gradient_sum,
+    logit_gradient_blocks,
+    sample_logit_gradients,
+)
 from .logits import LogitEnsemble, freezing_stats, sample_ensemble
 from .params import ModelParams
 from .rng import substream
@@ -47,6 +62,8 @@ from .spectra import (
 )
 
 DEFAULT_MEMORY_LIMIT = 2**31  # bytes allowed for one instance's large arrays
+_BLOCK_BYTES = 1 << 20  # gradient bytes per block of a blocked Hessian output
+_BLOCKS = 3  # block buffers: the one read and two drawn meanwhile
 SIMPLEX_SAMPLE_LIMIT = 500
 # equilateral-triangle corners for barycentric plotting of C=3 rows
 _SIMPLEX_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
@@ -182,25 +199,30 @@ def point_means(records: list[SweepRecord], name: str) -> np.ndarray:
     return values.reshape(-1, repeats).mean(axis=1)
 
 
-def _check_memory(params: ModelParams, tensor: bool = True, hessian: bool = True) -> None:
-    """Fail before any draw if the ensemble, residuals or dense Hessian would not fit.
+def _check_memory(params: ModelParams, rows: int | None = None, hessian: bool = True) -> None:
+    """Fail before any draw if the ensemble, gradients or dense Hessian would not fit.
 
-    tracemalloc reads 6.1-7.0 N*C doubles for the ensemble and its freezing
-    statistics (C = 2 to 30, most at C = 2), so the bound counts eight. It
-    reads 1.14 N*C*D doubles for sampling and 1.34 for a whole instance,
-    whose assembly overwrites the tensor, at the reference config (1.20 and
-    1.21 at N=1000, C=10, D=200), so the bound counts two. Besides H, the
-    solve allocates 1.1x H for eigenvalues, almost nothing for the top k
-    (solved in H's buffer) and 3.0x H for a whole eigensystem (tracemalloc,
-    D=600 and D=1000), so the bound counts four D*D doubles. A run of many
-    tasks keeps within the same bound: :func:`_pipeline` reuses one tensor and
-    holds one H and one solve at a time. ``tensor=False`` and
-    ``hessian=False`` skip those terms.
+    ``rows`` counts the examples whose gradients are held at once: N (the
+    default) for a whole tensor, the three blocks of a blocked output, 0 for
+    none. tracemalloc reads 6.1-7.0 N*C doubles for the ensemble and its
+    freezing statistics (C = 2 to 30), so the bound counts eight. It reads
+    1.07 N*C*D doubles for sampling a whole tensor and 1.44 for ``overlap``,
+    whose assembly overwrites it, at the reference config (1.10 and 1.14 at
+    N=1000, C=10, D=200); a blocked sweep holds 5.0-5.9 MB besides its two H:
+    its three 1 MB blocks and about two blocks' worth of temporaries (the
+    sampling chunks, q_sl's unit rows). So the bound counts two per example
+    held. Besides H, the solve allocates 1.1x H for eigenvalues, almost
+    nothing for the top k (solved in H's buffer) and 3.0x H for a whole
+    eigensystem (tracemalloc, D=600 and D=1000), so the bound counts four D*D
+    doubles: one H and a whole solve, or a many-task run's two H and top-k
+    solves. ``hessian=False`` skips that term.
     """
     n, c, d = params.n_examples, params.n_classes, params.n_weights
+    rows = n if rows is None else rows
     terms = {f"{n}x{c} logit ensemble with its temporaries": 8 * 8 * n * c}
-    if tensor:
-        terms[f"{n}x{c}x{d} residual tensor with its temporaries"] = 2 * 8 * n * c * d
+    if rows:
+        held = "residual tensor" if rows == n else "gradient blocks"
+        terms[f"{rows}x{c}x{d} {held} with its temporaries"] = 2 * 8 * rows * c * d
     if hessian:
         terms[f"dense {d}x{d} Hessian with its eigensolve"] = 4 * 8 * d * d
     needed = sum(terms.values())
@@ -212,14 +234,35 @@ def _check_memory(params: ModelParams, tensor: bool = True, hessian: bool = True
         )
 
 
-def _draw(params: ModelParams, prefix: str = "", reads=None, out=None):
-    """Sample the ensemble and the tensor (into ``out``, an earlier tensor,
-    when given) and read ``reads(tensor, ensemble)`` before assembly
-    overwrites the tensor. Returns (ensemble, tensor, read)."""
-    _check_memory(params)
+def _draw(params: ModelParams, prefix: str, reads, blocks: list, hessian: np.ndarray):
+    """Draw one task: sample its ensemble and its gradients block by block
+    into ``blocks`` (see :func:`logit_gradient_blocks`); each block is read,
+    with ``reads(params, ensemble)``'s (add, value) pair, then folded into
+    ``hessian``. Returns (ensemble, value(), H)."""
     ensemble = sample_ensemble(params, prefix)
-    tensor = sample_logit_gradients(params, prefix, out=out)
-    return ensemble, tensor, reads(tensor, ensemble) if reads else None
+    add, value = reads(params, ensemble)
+    for start, block in logit_gradient_blocks(params, prefix, blocks):
+        add(start, block)
+        fold_hessian(hessian, block, ensemble.probs[start : start + len(block)], start == 0)
+    return ensemble, value(), finish_hessian(hessian, params.n_examples)
+
+
+def _no_read(params: ModelParams, ensemble: LogitEnsemble):
+    return (lambda start, block: None), (lambda: None)
+
+
+def _gradient(params: ModelParams, ensemble: LogitEnsemble):
+    """Read the weight gradient g (:func:`weight_gradient`), summed by block."""
+    total = np.zeros(params.n_weights)
+    return ((lambda start, block: np.add(total, gradient_sum(block, ensemble, start), out=total)),
+            lambda: total / params.n_examples)
+
+
+def _same_logit_q(params: ModelParams, ensemble: LogitEnsemble):
+    """Read q_sl (:func:`q_sl`), its unit sums added block by block."""
+    per_logit = np.zeros((params.n_classes, params.n_weights))
+    return ((lambda start, block: _add_unit_sums(block, start, per_logit)),
+            lambda: _same_logit(per_logit, params.n_examples))
 
 
 def _top_k(params: ModelParams) -> int:
@@ -238,28 +281,34 @@ class _Task:
     errors: contextlib.AbstractContextManager = contextlib.nullcontext()
 
 
-def _pipeline(tasks: list[_Task], reads, measure, results: list) -> list:
+def _pipeline(tasks: list[_Task], reads, measure, results: list, whole: bool = False) -> list:
     """Append ``measure(task, ensemble, read, hessian)`` to ``results`` per task,
-    in order; returns ``results``. This thread draws task 0. After each assembly
-    it hands the next task's draw, into the tensor assembly overwrote, to one
-    worker thread and measures meanwhile: one tensor, one H and one solve are
-    live at a time, and a one-task run starts no thread. Errors raise here,
+    in order; returns ``results``. Tasks share one shape, drawn in blocks of
+    about ``_BLOCK_BYTES`` into ``_BLOCKS`` buffers or, ``whole``, in one
+    block of all N. The blocks and up to two H are allocated once. This
+    thread draws task 0, then hands each next task's draw to one worker
+    thread, into the other H, and measures meanwhile. Errors raise here,
     under the failing task's ``errors``, the first failing task's first."""
+    n, c, d = tasks[0].params.n_examples, tasks[0].params.n_classes, tasks[0].params.n_weights
+    rows = n if whole else min(n, max(1, _BLOCK_BYTES // (8 * c * d)))
+    blocks, hessians = [], []
 
-    def draw(task: _Task, out=None):
-        return _draw(task.params, task.prefix, reads, out)
+    def draw(t: int):
+        if not hessians:  # task 0, under its errors
+            _check_memory(tasks[t].params, n if rows == n else _BLOCKS * rows)
+            blocks.extend(np.empty((rows, c, d)) for _ in range(1 if rows == n else _BLOCKS))
+            hessians.extend(np.empty((d, d)) for _ in tasks[:2])
+        return _draw(tasks[t].params, tasks[t].prefix, reads, blocks, hessians[t % 2])
 
     future = None
     with ThreadPoolExecutor(1) as worker:  # its thread starts at the first submit
         for t, task in enumerate(tasks):
             with task.errors:
-                ensemble, tensor, read = draw(task) if future is None else future.result()
-                hessian = model_hessian(tensor, ensemble)
-                # on the last task the future goes too: it holds the tensor
-                future = worker.submit(draw, tasks[t + 1], tensor) if t + 1 < len(tasks) else None
-                del tensor
+                ensemble, read, hessian = draw(t) if future is None else future.result()
+                future = worker.submit(draw, t + 1) if t + 1 < len(tasks) else None
+                if future is None:  # all drawn: the blocks go before the last solve
+                    blocks.clear()
                 results.append(measure(task, ensemble, read, hessian))
-                del hessian
     return results
 
 
@@ -277,7 +326,7 @@ def run_spectrum_experiment(
 ) -> tuple[SymmetricSpectrum, OutlierReport]:
     """One full ensemble at params: Hessian eigenvalues plus outlier report."""
     [spectrum] = _pipeline(
-        [_Task(params)], None, lambda task, ensemble, read, h: eigh(h, vectors=False), []
+        [_Task(params)], _no_read, lambda task, ensemble, read, h: eigh(h, vectors=False), []
     )
     return spectrum, detect_outliers(spectrum, max_candidates=3 * params.n_classes)
 
@@ -287,11 +336,12 @@ def run_overlap_experiment(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     """Gradient/eigenvector cosines and cumulative power at params.
 
     Raises the zero-gradient error if every probability row is frozen
-    exactly onto its label.
+    exactly onto its label. H is folded from one block, the whole tensor.
     """
     return _pipeline(
-        [_Task(params)], weight_gradient,
+        [_Task(params)], _gradient,
         lambda task, ensemble, gradient, h: gradient_overlaps(eigh(h), gradient), [],
+        whole=True,
     )[0]
 
 
@@ -301,7 +351,7 @@ def run_projection_experiment(
 ) -> tuple[SymmetricSpectrum, SymmetricSpectrum]:
     """Hessian eigenvalues and those of its compression onto a random hyperplane."""
     return _pipeline(
-        [_Task(params)], None,
+        [_Task(params)], _no_read,
         lambda task, ensemble, read, h: (eigh(h, vectors=False), _projected(params, "", h)), [],
     )[0]
 
@@ -336,7 +386,7 @@ def run_sigma_z_sweep(params: ModelParams, spec: SweepSpec) -> list[SweepRecord]
                   for rep in range(spec.repeats)]
     records: list[SweepRecord] = []
     try:
-        _pipeline(tasks, weight_gradient, lambda task, *stages: _sweep_record(
+        _pipeline(tasks, _gradient, lambda task, *stages: _sweep_record(
             task.params, task.prefix, task.repeat, *stages
         ), records)
     except SweepError as exc:
@@ -416,7 +466,7 @@ def run_snr_sweep(
         report = detect_outliers(spectrum, max_candidates=3 * params.n_classes)
         return report.n_outliers, same_logit_q
 
-    counts = _pipeline(tasks, lambda tensor, _: q_sl(tensor), outliers, [])
+    counts = _pipeline(tasks, _same_logit_q, outliers, [])
     return [(snr, n, q) for snr, (n, q) in zip(snrs, counts)]
 
 
@@ -430,7 +480,7 @@ def run_freezing_experiment(
     probability rows when C=3 (for plotting the freezing motion on the
     probability simplex) and is empty otherwise.
     """
-    _check_memory(params, tensor=False, hessian=False)
+    _check_memory(params, rows=0, hessian=False)
     points = [replace(params, sigma_z=float(s)) for s in sigma_z_grid]  # all checked first
     results = []
     for i, point_params in enumerate(points):

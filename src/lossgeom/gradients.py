@@ -2,16 +2,20 @@
 
 Logit gradients decompose into class means plus residuals,
 J[mu,k] = dz[mu,k]/dW = c[k] + E[mu,k], with c ~ N(0, sigma_c^2) (optionally
-length-varied per class) and E ~ N(0, sigma_e^2). J is always one (N, C, D)
-array, sampled by :func:`sample_logit_gradients` or read from a dump. The
-weight-space objects are
+length-varied per class) and E ~ N(0, sigma_e^2). J is an (N, C, D) array,
+sampled whole by :func:`sample_logit_gradients` or read from a dump, or
+sampled a block of examples at a time by :func:`logit_gradient_blocks`. The
+weight-space objects are sums over examples, so both can be built by block:
 
     g  = (1/N) sum_mu sum_k (y - p)[mu,k] J[mu,k]
     H  = (1/N) sum_mu J[mu]^T A[mu] J[mu],   A[mu] = diag(p) - p p^T
 
 H is assembled through the exact variance identity
 J^T A J = sum_k p_k (J_k - w)(J_k - w)^T with w = sum_l p_l J_l, which keeps
-it PSD by construction. :func:`model_hessian` writes sqrt(p_k) (J_k - w) over J.
+it PSD by construction: :func:`fold_hessian` writes the rows
+X = sqrt(p_k) (J_k - w) over a block and adds X^T X to H's upper triangle;
+:func:`finish_hessian` mirrors it and divides by N. :func:`model_hessian` is
+the one-block case, a whole tensor.
 
 Sign convention: g uses y - p, so g is minus the gradient of the
 cross-entropy loss (the finite-difference tests check -g).
@@ -19,11 +23,15 @@ cross-entropy loss (the finite-difference tests check -g).
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
+from scipy.linalg import cython_blas
 
 from .logits import LogitEnsemble
 from .params import ModelParams
-from .rng import RngStream, gaussian_matrix, substream
+from .rng import GaussianDraw, RngStream, gaussian_matrix, substream
+from .spectra import _fortran
 
 
 def gradient_tensor(grads) -> np.ndarray:
@@ -54,56 +62,112 @@ def sample_mean_logit_gradients(params: ModelParams, stream: RngStream) -> np.nd
     return base * lengths[:, np.newaxis]
 
 
-def sample_residuals(
-    params: ModelParams, stream: RngStream, *, out: np.ndarray | None = None
-) -> np.ndarray:
-    """(N, C, D) i.i.d. Normal(0, sigma_e^2) residual tensor.
+def sample_logit_gradients(params: ModelParams, label_prefix: str = "") -> np.ndarray:
+    """The (N, C, D) tensor J[mu,k] = c[k] + E[mu,k] at params.seed: the one
+    block of :func:`logit_gradient_blocks` that holds all N examples."""
+    n, c, d = params.n_examples, params.n_classes, params.n_weights
+    [(_, tensor)] = logit_gradient_blocks(params, label_prefix, [np.empty((n, c, d))])
+    return tensor
 
-    Drawn example-major, logit-next, weight-last (matching the dump layout),
-    into ``out`` when given (see :meth:`RngStream.gaussians`).
+
+def logit_gradient_blocks(params: ModelParams, label_prefix: str, buffers):
+    """Yield (start, J[start : start + rows]) for the tensor of
+    :func:`sample_logit_gradients`, rows = len(buffers[0]) examples at a time.
+
+    Each block's residual rows (``<prefix>residuals``) are drawn at their own
+    offset of the whole draw, so they are its rows bit for bit; the class
+    means (``<prefix>means``) are added in place. Blocks take turns in
+    ``buffers``, (rows, C, D) float64 arrays; the next blocks, one per other
+    buffer, are drawn on the sampling pool while the caller reads this one,
+    which it must be done with when it asks for the next.
     """
     n, c, d = params.n_examples, params.n_classes, params.n_weights
-    return gaussian_matrix(stream, n * c, d, params.sigma_e, out=out).reshape(n, c, d)
-
-
-def sample_logit_gradients(
-    params: ModelParams, label_prefix: str = "", *, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The (N, C, D) tensor J[mu,k] = c[k] + E[mu,k] at params.seed.
-
-    Residuals come from the ``<prefix>residuals`` substream and the class
-    means from ``<prefix>means``; the means are added in place. ``out``, an
-    N*C*D-element buffer such as an earlier tensor, is reused rather than
-    allocating the tensor.
-    """
     seed = params.seed
-    tensor = sample_residuals(params, substream(seed, label_prefix + "residuals"), out=out)
+    residuals = GaussianDraw(substream(seed, label_prefix + "residuals"), n * c * d,
+                             params.sigma_e)
     means = sample_mean_logit_gradients(params, substream(seed, label_prefix + "means"))
-    tensor += means
-    return tensor
+    starts = range(0, n, len(buffers[0]))
+
+    def begin(b: int, background: bool = True):
+        block = buffers[b % len(buffers)][: n - starts[b]]
+        return block, residuals.fill(block, starts[b] * c * d, background)
+
+    pending = []
+    try:
+        for b, start in enumerate(starts):
+            block, futures = pending.pop(0) if pending else begin(b, False)
+            for future in futures:
+                future.result()
+            while len(pending) < len(buffers) - 1 and b + 1 + len(pending) < len(starts):
+                pending.append(begin(b + 1 + len(pending)))
+            block += means
+            yield start, block
+    finally:  # a caller that stops early: no draw outlives it into the buffers
+        for _, futures in pending:
+            for future in futures:
+                future.result()
+
+
+def gradient_sum(tensor: np.ndarray, ensemble: LogitEnsemble, start: int = 0) -> np.ndarray:
+    """The D-vector sum_{mu,k} (y - p)[mu,k] J[mu,k] over a block of examples
+    start, start + 1, ... of the ensemble."""
+    rows = slice(start, start + len(tensor))
+    coef = np.eye(ensemble.n_classes)[ensemble.labels[rows]] - ensemble.probs[rows]
+    return np.einsum("nc,ncd->d", coef, tensor)
 
 
 def weight_gradient(tensor: np.ndarray, ensemble: LogitEnsemble) -> np.ndarray:
     """The D-vector g = (1/N) sum_{mu,k} (y - p)[mu,k] J[mu,k]."""
-    coef = np.eye(ensemble.n_classes)[ensemble.labels] - ensemble.probs
-    return np.einsum("nc,ncd->d", coef, tensor) / ensemble.n_examples
+    return gradient_sum(tensor, ensemble) / ensemble.n_examples
+
+
+def fold_hessian(hessian: np.ndarray, block: np.ndarray, probs: np.ndarray, first: bool) -> None:
+    """Add X^T X to the upper triangle of the D x D ``hessian`` (write it there
+    when ``first``), for X the rows sqrt(p[mu,k]) (J[mu,k] - w[mu]) of a block
+    J of examples with probabilities ``probs``; X overwrites the block. The
+    product is one BLAS dsyrk, called without the GIL; on a whole tensor it
+    gives the bits of numpy's X^T X. ``hessian`` must be a writable
+    C-contiguous float64 D x D array, which BLAS writes in place.
+    """
+    rows, c, d = block.shape
+    if not (hessian.shape == (d, d) and hessian.dtype == np.float64
+            and hessian.flags.c_contiguous and hessian.flags.writeable):
+        raise ValueError(f"need a writable C-contiguous float64 {d}x{d} hessian")
+    block -= np.einsum("nc,ncd->nd", probs, block)[:, np.newaxis, :]
+    block *= np.sqrt(probs)[:, :, np.newaxis]
+    x = np.ascontiguousarray(block.reshape(rows * c, d), dtype=np.float64)
+    # column-major, H's buffer holds H^T: its lower triangle ("L") is H's upper one
+    alpha, beta, ints = ctypes.c_double(1.0), ctypes.c_double(0.0 if first else 1.0), ctypes.c_int
+    _fortran(cython_blas, "dsyrk", 2, 8)(
+        b"L", b"N", ctypes.byref(ints(d)), ctypes.byref(ints(rows * c)), ctypes.byref(alpha),
+        x.ctypes.data, ctypes.byref(ints(d)), ctypes.byref(beta), hessian.ctypes.data,
+        ctypes.byref(ints(d)))
+
+
+def finish_hessian(hessian: np.ndarray, n: int) -> np.ndarray:
+    """Mirror the upper triangle onto the lower one in place, about 1 MB of
+    rows at a time, then divide by N; returns ``hessian``."""
+    d = hessian.shape[0]
+    step = 1 + (1 << 17) // d
+    for i in range(0, d, step):
+        j = min(i + step, d)  # rows i..j-1 take column r of H below the diagonal
+        np.copyto(hessian[i:j, :j], hessian[:j, i:j].T, where=np.tri(j - i, j, i - 1, dtype=bool))
+    hessian /= n
+    return hessian
 
 
 def model_hessian(tensor: np.ndarray, ensemble: LogitEnsemble) -> np.ndarray:
     """Dense D x D G-term Hessian H = (1/N) sum_mu J[mu]^T A[mu] J[mu].
 
-    Overwrites ``tensor`` with X, the rows sqrt(p[mu,k]) (J[mu,k] - w[mu])
-    of the variance identity (module docstring), and returns X^T X / N: PSD
-    up to roundoff, exactly symmetric (numpy's X^T X is one syrk). Raises
-    ValueError, rather than work on a copy, unless ``tensor`` is writable float64.
+    The whole tensor as one block of :func:`fold_hessian`: overwrites
+    ``tensor`` with X and returns X^T X / N, PSD up to roundoff and exactly
+    symmetric. Raises ValueError, rather than work on a copy, unless
+    ``tensor`` is writable float64.
     """
     if tensor.dtype != np.float64 or not tensor.flags.writeable:
         raise ValueError("model_hessian overwrites its tensor: need a writable float64 "
                          f"array, got {tensor.dtype} (writeable={tensor.flags.writeable})")
-    n, c, d = tensor.shape
-    tensor -= np.einsum("nc,ncd->nd", ensemble.probs, tensor)[:, np.newaxis, :]
-    tensor *= np.sqrt(ensemble.probs)[:, :, np.newaxis]
-    x = tensor.reshape(n * c, d)
-    h = x.T @ x
-    h /= n
-    return h
+    n, _, d = tensor.shape
+    hessian = np.empty((d, d))
+    fold_hessian(hessian, tensor, ensemble.probs, first=True)
+    return finish_hessian(hessian, n)

@@ -20,11 +20,15 @@ that results are bit-reproducible across platforms:
 * Bounded integers use the floor method ``floor(u * n)``; the modulo bias is
   below n/2^53, negligible for every n used here.
 
-A stream is its key plus the count of uniforms drawn so far. Gaussian draws
-split their pairs into fixed chunks, run on a thread pool of one thread per
-usable core (started at the first such draw, not at import); each chunk reads
-its uniforms at its own offset, so the draws and the stream's position after
-them are those of the serial transform whatever the core count.
+A stream is its key plus the count of uniforms drawn so far. A Gaussian
+draw is first reserved (:class:`GaussianDraw`), which moves the stream past
+its uniforms, and then filled, whole or in runs such as a block of examples'
+rows. Each run splits its pairs into chunks, run on a thread pool of one
+thread per usable core (started at the first such draw, not at import); each
+chunk reads its uniforms at its own offset, so the draws and the stream's
+position after them are those of the serial transform whatever the runs,
+chunks or core count. (``gaussians`` and ``gaussian_matrix`` no longer take
+an ``out=`` buffer: a caller that fills its own buffer reserves a draw.)
 
 Streams with distinct labels are derived from cryptographically separated
 keys and are treated as independent. A stream is stateful and must not be
@@ -91,8 +95,7 @@ class RngStream:
         n = int(n)
         return self._at(self._take(n, n)).random(n)
 
-    def gaussians(self, n: int, sigma: float = 1.0, *, out: np.ndarray | None = None
-                  ) -> np.ndarray:
+    def gaussians(self, n: int, sigma: float = 1.0) -> np.ndarray:
         """n i.i.d. Normal(0, sigma^2) draws via Box-Muller.
 
         Consumes m = ceil(n/2) pairs: pair j takes the stream's next uniforms
@@ -101,45 +104,11 @@ class RngStream:
         r = sqrt(-2 ln(1 - u1)) and theta = 2 pi u2 (odd n drops the last
         sine). Using 1 - u1 keeps the log argument in (0, 1]. ``sigma = 0``
         returns zeros and computes nothing, but still consumes the pairs.
-        ``out``, a writable C-contiguous float64 array of n elements (any
-        shape), receives the draws in row-major order and is returned; it is
-        checked before anything is drawn.
         """
-        if not sigma >= 0:
-            raise ValueError(f"sigma must be nonnegative, got {sigma!r}")
-        n = int(n)
-        if out is not None and not (
-            isinstance(out, np.ndarray) and out.dtype == np.float64 and out.size == n
-            and out.flags.c_contiguous and out.flags.writeable
-        ):
-            raise ValueError(f"out must be a writable C-contiguous float64 array of {n} elements")
-        m = (n + 1) // 2
-        start = self._take(n, 2 * m)
-        if out is None:
-            out = np.empty(n)
-        if sigma == 0 or m == 0:
-            out.fill(0.0)
-            return out
-        fill = functools.partial(self._box_muller, out.reshape(-1), start, m, sigma)
-        chunks = range(0, m, CHUNK_PAIRS)
-        if len(chunks) == 1:
-            fill(0)
-        else:
-            list(_executor().map(fill, chunks))  # reads every result: errors surface
+        draw = GaussianDraw(self, n, sigma)
+        out = np.empty(draw.n)
+        draw.fill(out)
         return out
-
-    def _box_muller(self, out: np.ndarray, start: int, m: int, sigma: float, a: int):
-        """Write pairs [a, a + CHUNK_PAIRS) of the m-pair draw at ``start``."""
-        b = min(a + CHUNK_PAIRS, m)
-        u1 = self._at(start + a).random(b - a)
-        u2 = self._at(start + m + a).random(b - a)
-        r = np.sqrt(-2.0 * np.log1p(-u1))
-        theta = 2.0 * np.pi * u2
-        for phase, trig in enumerate((np.cos, np.sin)):
-            z = r * trig(theta)
-            z *= sigma
-            dest = out[2 * a + phase : 2 * b : 2]  # odd n: the last sine is short
-            dest[...] = z[: dest.size]
 
     def permutation(self, n: int) -> np.ndarray:
         """A uniform permutation of range(n), via argsort of n uniforms."""
@@ -152,21 +121,82 @@ class RngStream:
         return np.minimum((self.uniforms(size) * n).astype(np.int64), n - 1)
 
 
+class GaussianDraw:
+    """n draws of :meth:`RngStream.gaussians`, reserved: the stream moves past
+    their uniforms now, and :meth:`fill` computes any run of them later. Pair
+    j reads the reservation's uniforms j and m + j, so a run equals the same
+    run of the whole draw bit for bit, whatever the runs, order or thread.
+    """
+
+    def __init__(self, stream: RngStream, n: int, sigma: float = 1.0):
+        if not sigma >= 0:
+            raise ValueError(f"sigma must be nonnegative, got {sigma!r}")
+        self.n, self.sigma, self._stream = int(n), sigma, stream
+        self._pairs = (self.n + 1) // 2
+        self._start = stream._take(self.n, 2 * self._pairs)
+
+    def fill(self, dest: np.ndarray, first: int = 0, background: bool = False):
+        """Write draws [first, first + dest.size) into ``dest``, a writable
+        C-contiguous float64 array, in row-major order. The pairs run in
+        chunks, on the sampling pool when there are several or ``background``
+        is set; that returns the chunks' futures at once, else they are done.
+        """
+        if not (isinstance(dest, np.ndarray) and dest.dtype == np.float64
+                and dest.flags.c_contiguous and dest.flags.writeable):
+            raise ValueError("dest must be a writable C-contiguous float64 array")
+        flat = dest.reshape(-1)
+        if not 0 <= first <= first + flat.size <= self.n:
+            raise ValueError(f"draws [{first}, {first + flat.size}) are not among the {self.n}")
+        if self.sigma == 0:
+            flat.fill(0.0)
+            return []
+        low, high = first // 2, (first + flat.size + 1) // 2
+        jobs = [functools.partial(self._box_muller, flat, first, a, min(a + CHUNK_PAIRS, high))
+                for a in range(low, high, CHUNK_PAIRS)]
+        if len(jobs) == 1 and not background:
+            jobs[0]()
+            return []
+        futures = [_executor().submit(job) for job in jobs]
+        for future in [] if background else futures:
+            future.result()  # errors surface
+        return futures
+
+    def _box_muller(self, flat: np.ndarray, first: int, a: int, b: int) -> None:
+        """Write the draws of pairs [a, b) that fall in ``flat``, which holds
+        draws [first, first + flat.size). r and theta are computed in place and
+        the products land in ``flat``: the IEEE operations, and so the bits,
+        are those of the serial transform."""
+        u1 = self._stream._at(self._start + a).random(b - a)
+        u2 = self._stream._at(self._start + self._pairs + a).random(b - a)
+        np.negative(u1, out=u1)
+        np.log1p(u1, out=u1)
+        u1 *= -2.0
+        np.sqrt(u1, out=u1)  # r
+        u2 *= 2.0 * np.pi  # theta
+        trig = np.empty(b - a)
+        for phase, fn in enumerate((np.cos, np.sin)):
+            # pairs j in [lo, hi) put draw 2j + phase inside flat
+            lo = max(a, (first - phase + 1) // 2)
+            hi = min(b, (first + flat.size - phase + 1) // 2)
+            if lo < hi:
+                dest = flat[2 * lo + phase - first : 2 * hi + phase - first - 1 : 2]
+                fn(u2[lo - a : hi - a], out=trig[: hi - lo])
+                np.multiply(u1[lo - a : hi - a], trig[: hi - lo], out=dest)
+                dest *= self.sigma
+
+
 def substream(seed: int, label: str) -> RngStream:
     """Derive the deterministic stream identified by (seed, label)."""
     return RngStream(seed, label)
 
 
-def gaussian_matrix(
-    stream: RngStream, rows: int, cols: int, sigma: float, *, out: np.ndarray | None = None
-) -> np.ndarray:
+def gaussian_matrix(stream: RngStream, rows: int, cols: int, sigma: float) -> np.ndarray:
     """rows x cols matrix of i.i.d. Normal(0, sigma^2) entries.
 
     Entries are drawn row-major from ``stream`` (so the same stream state and
     shape always yield the same matrix). ``sigma=0`` returns exact zeros.
-    ``out`` is filled as in :meth:`RngStream.gaussians`; the matrix is a view of it.
     """
     rows, cols = int(rows), int(cols)
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix shape must be positive, got {rows}x{cols}")
-    return stream.gaussians(rows * cols, sigma, out=out).reshape(rows, cols)
+    return stream.gaussians(rows * cols, sigma).reshape(rows, cols)

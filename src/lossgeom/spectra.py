@@ -119,21 +119,21 @@ def eigh(
 
 
 @functools.cache
-def _dsyevr():
-    """LAPACK dsyevr from the pointer scipy.linalg.cython_lapack exports.
-
-    A CFUNCTYPE call releases the GIL. Made at the first top-k solve.
+def _fortran(module, name: str, chars: int, pointers: int):
+    """BLAS or LAPACK routine ``name`` from the pointer that ``module``
+    (scipy.linalg.cython_blas or cython_lapack) exports, taking ``chars``
+    character and then ``pointers`` pointer arguments: the Fortran argument
+    list, without string lengths. A CFUNCTYPE call releases the GIL. Made at
+    the routine's first call.
     """
-    capsule = cython_lapack.__pyx_capi__["dsyevr"]
+    capsule = module.__pyx_capi__[name]
     api = ctypes.pythonapi
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
     pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api)
     )
-    char, ptr = ctypes.c_char_p, ctypes.c_void_p
-    # jobz, range, uplo, then 18 pointers: the Fortran argument list (no string lengths)
-    return ctypes.CFUNCTYPE(None, char, char, char, *[ptr] * 18)(
-        pointer(capsule, name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_char_p] * chars, *[ctypes.c_void_p] * pointers)(
+        pointer(capsule, get_name(capsule))
     )
 
 
@@ -148,7 +148,7 @@ def _top_eigenpairs(
     (D, k) array, as scipy returns them.
     """
     d = h.shape[0]
-    dsyevr, addr = _dsyevr(), ctypes.byref
+    dsyevr, addr = _fortran(cython_lapack, "dsyevr", 3, 18), ctypes.byref
     values = np.empty(d)
     z = np.empty((k, d) if vectors else (1, 1))  # column-major D x k, LDZ = D
     isuppz = np.empty(2 * k, dtype=np.intc)

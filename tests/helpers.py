@@ -17,14 +17,14 @@ import numpy as np
 from lossgeom import (
     detect_outliers,
     freezing_stats,
-    model_hessian,
+    gaussian_matrix,
     project_hessian,
     random_orthonormal_basis,
     sample_ensemble,
     sample_logit_gradients,
     substream,
-    weight_gradient,
 )
+from lossgeom.gradients import model_hessian, weight_gradient
 from lossgeom import experiments
 
 
@@ -34,6 +34,13 @@ def philox_generator(seed, label):
         int(seed).to_bytes(8, "little") + b"\x1f" + label.encode("utf-8")
     ).digest()
     return np.random.Generator(np.random.Philox(key=np.frombuffer(digest[:16], "<u8")))
+
+
+def sample_residuals(params, stream):
+    """The whole (N, C, D) residual draw in one call: i.i.d. Normal(0, sigma_e^2),
+    example-major, logit-next, weight-last."""
+    n, c, d = params.n_examples, params.n_classes, params.n_weights
+    return gaussian_matrix(stream, n * c, d, params.sigma_e).reshape(n, c, d)
 
 
 def serial_gaussians(gen, n):

@@ -30,7 +30,6 @@ from lossgeom import (
     SweepSpec,
     detect_outliers,
     eigh,
-    model_hessian,
     point_means,
     predicted_q_sl,
     project_hessian,
@@ -42,8 +41,8 @@ from lossgeom import (
     run_spectrum_experiment,
     sample_ensemble,
     sample_logit_gradients,
-    weight_gradient,
 )
+from lossgeom.gradients import model_hessian, weight_gradient
 from lossgeom.logits import freezing_stats, softmax_probs
 from lossgeom.rng import substream
 

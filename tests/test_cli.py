@@ -321,6 +321,22 @@ def test_cluster_from_model_includes_prediction(cfg_path, tmp_path, capsys):
     assert on_disk == payload
 
 
+@pytest.mark.parametrize(
+    "sigma_c, sigma_e, predicted", [("1e150", "1e-150", 1.0), ("1e-150", "1e150", 0.0)],
+    ids=["snr-overflows", "snr-underflows"],
+)
+def test_cluster_predicts_q_at_extreme_scale_ratios(tmp_path, capsys, sigma_c, sigma_e,
+                                                      predicted):
+    # (sigma_c/sigma_e)^2 = 1e600 once raised OverflowError after the clustering ran
+    cfg = tmp_path / "ratio.cfg"
+    cfg.write_text(SMALL_CFG + f"sigma_c = {sigma_c}\nsigma_e = {sigma_e}\n")
+    out = tmp_path / "out"
+    assert run(["cluster", "--config", cfg, "--out", out, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["predicted_q_sl"] == predicted
+    assert json.loads((out / "clustering.json").read_text()) == payload
+
+
 def test_cluster_from_dump(cfg_path, tmp_path, capsys):
     params = ModelParams(n_examples=30, n_classes=4, n_weights=40, hyperplane_dim=4)
     grads = sample_logit_gradients(params)

@@ -15,18 +15,18 @@ from lossgeom import (
     detect_outliers,
     eigh,
     gradient_overlaps,
-    model_hessian,
     q_sl,
     run_clustering_experiment,
     run_freezing_experiment,
     run_overlap_experiment,
+    run_projection_experiment,
     run_sigma_z_sweep,
     run_snr_sweep,
     run_spectrum_experiment,
     sample_ensemble,
     sample_logit_gradients,
-    weight_gradient,
 )
+from lossgeom.gradients import model_hessian, weight_gradient
 from lossgeom import experiments
 
 SMALL = ModelParams(n_examples=60, n_classes=5, n_weights=120, hyperplane_dim=6)
@@ -169,30 +169,33 @@ def test_sweeps_never_ask_for_a_whole_eigensystem(monkeypatch):
     assert calls == [(120, k, False)] * 2
 
 
-def test_pipelined_sweep_equals_its_stages_run_serially():
-    # 100,000 normals per tensor: the worker's draw runs chunked on the sampling
-    # pool while this thread solves, into the tensor the previous task assembled over
+def test_pipelined_sweep_equals_its_stages_run_serially(monkeypatch):
+    # blocks of 16 examples (a ragged last one of 8): the worker draws the next
+    # task, two blocks ahead on the sampling pool, while this thread solves
     params = ModelParams(n_examples=200, n_classes=5, n_weights=100, hyperplane_dim=6)
+    monkeypatch.setattr(experiments, "_BLOCK_BYTES", 16 * 8 * 5 * 100)
     spec = SweepSpec(points=3, repeats=2)
     grid = (10.0, 0.5, float("inf"))
+
+    def draw(point, prefix, reads):
+        blocks = [np.empty((16, 5, 100)) for _ in range(experiments._BLOCKS)]
+        return experiments._draw(point, prefix, reads, blocks, np.empty((100, 100)))
+
     serial, serial_snr = [], []
     with experiments.one_blas_thread:
         for i, sigma_z in enumerate(spec.grid()):
             point = experiments._sweep_point(params, spec, float(sigma_z))
             for rep in range(spec.repeats):
                 prefix = f"sweep:{i}:{rep}:"
-                ensemble, tensor, gradient = experiments._draw(point, prefix, weight_gradient)
-                hessian = model_hessian(tensor, ensemble)
+                ensemble, gradient, hessian = draw(point, prefix, experiments._gradient)
                 serial.append(experiments._sweep_record(
                     point, prefix, rep, ensemble, gradient, hessian
                 ))
         for i, snr in enumerate(grid):
             sigma_e = 0.0 if math.isinf(snr) else params.sigma_c / math.sqrt(snr)
             point = replace(params, sigma_e=sigma_e)
-            ensemble, tensor, _ = experiments._draw(point, f"snr:{i}:")
-            q = q_sl(tensor)
-            spectrum = eigh(model_hessian(tensor, ensemble), top=3 * params.n_classes + 1,
-                            vectors=False)
+            _, q, hessian = draw(point, f"snr:{i}:", experiments._same_logit_q)
+            spectrum = eigh(hessian, top=3 * params.n_classes + 1, vectors=False)
             report = detect_outliers(spectrum, max_candidates=3 * params.n_classes)
             serial_snr.append((snr, report.n_outliers, q))
     assert run_sigma_z_sweep(params, spec) == serial
@@ -200,18 +203,23 @@ def test_pipelined_sweep_equals_its_stages_run_serially():
 
 
 def test_every_hessian_is_drawn_and_assembled_in_the_one_loop():
-    # a second use of either stage would fork the measurement path
+    # a second use of either stage would fork the measurement path; the
+    # whole-tensor model_hessian and sample_logit_gradients are its one-block case
     uses = []
+    stages = ("_draw", "logit_gradient_blocks", "fold_hessian", "model_hessian")
     for path in sorted(Path(experiments.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for top in tree.body:
             for node in ast.walk(top):
                 name = getattr(node, "id", None) or getattr(node, "attr", None)
-                if name in ("_draw", "model_hessian") and isinstance(node.ctx, ast.Load):
+                if name in stages and isinstance(node.ctx, ast.Load):
                     uses.append((name, path.name, getattr(top, "name", None)))
     assert sorted(uses) == [
         ("_draw", "experiments.py", "_pipeline"),
-        ("model_hessian", "experiments.py", "_pipeline"),
+        ("fold_hessian", "experiments.py", "_draw"),
+        ("fold_hessian", "gradients.py", "model_hessian"),
+        ("logit_gradient_blocks", "experiments.py", "_draw"),
+        ("logit_gradient_blocks", "gradients.py", "sample_logit_gradients"),
     ]
 
 
@@ -331,11 +339,10 @@ def test_outputs_read_the_gradients_before_assembly_overwrites_them():
 
 
 def test_an_instance_holds_one_tensor():
-    # Assembly overwrites the sampled tensor, so an instance peaks near the
-    # tensor plus H: 1.34x the tensor here, against 2.34x with a second copy.
-    # A many-task run draws the next task into the same tensor while this one
-    # solves, and assembles only after the solve, so it holds one tensor, one H
-    # and one solve too.
+    # overlap builds from one block of all N examples and folds it over itself,
+    # so it peaks near the tensor plus H: 1.44x the tensor here, against 2.34x
+    # with a second copy or with the block kept through the solve. A sweep holds
+    # no tensor at all (test_a_blocked_sweep_holds_no_tensor).
     params = ModelParams()
     tensor_bytes = 8 * params.n_examples * params.n_classes * params.n_weights
     peaks = {
@@ -345,6 +352,34 @@ def test_an_instance_holds_one_tensor():
     for name, peak in peaks.items():
         print(f"{name} peak: {peak / tensor_bytes:.2f}x the tensor")
         assert peak < 1.6 * tensor_bytes, name
+
+
+def test_a_blocked_sweep_holds_no_tensor():
+    # A sweep task draws and folds 1 MB blocks of examples, so a run holds its
+    # two H (0.67x the tensor here), three blocks and the sampling chunks:
+    # 0.90-0.92x the tensor by tracemalloc, against 1.52x when each task drew
+    # the tensor.
+    params = ModelParams()
+    tensor_bytes = 8 * params.n_examples * params.n_classes * params.n_weights
+    peak = peak_bytes(run_sigma_z_sweep, params, SweepSpec(points=3, repeats=1))
+    print(f"3-task sweep peak: {peak / tensor_bytes:.2f}x the tensor")
+    assert peak < 1.0 * tensor_bytes
+
+
+def test_overlap_writes_the_whole_tensor_formula_bit_for_bit():
+    # overlap's one block gives the bits of H = X^T X / N over the whole tensor
+    cosines, cumulative = run_overlap_experiment(SMALL)
+    with experiments.one_blas_thread:
+        ensemble, tensor = sample_ensemble(SMALL), sample_logit_gradients(SMALL)
+        p, n = ensemble.probs, SMALL.n_examples
+        coef = np.eye(SMALL.n_classes)[ensemble.labels] - p
+        gradient = np.einsum("nc,ncd->d", coef, tensor) / n
+        x = tensor - np.einsum("nc,ncd->nd", p, tensor)[:, np.newaxis, :]
+        x *= np.sqrt(p)[:, :, np.newaxis]
+        x = x.reshape(-1, SMALL.n_weights)
+        expected = gradient_overlaps(eigh(x.T @ x / n), gradient)
+    assert cosines.tobytes() == expected[0].tobytes()
+    assert cumulative.tobytes() == expected[1].tobytes()
 
 
 def test_freezing_experiment_curve_and_simplex():
@@ -391,7 +426,8 @@ RESIDUALS_MESSAGE = (
             ModelParams(n_examples=2, n_classes=2, n_weights=12000, hyperplane_dim=1),
             "dense 12000x12000 Hessian with its eigensolve needs 4608000000 bytes",
         ),
-        (run_spectrum_experiment, TOO_MANY_RESIDUALS, RESIDUALS_MESSAGE),
+        # overlap and cluster hold the whole tensor; blocked outputs do not
+        (run_overlap_experiment, TOO_MANY_RESIDUALS, RESIDUALS_MESSAGE),
         (run_clustering_experiment, TOO_MANY_RESIDUALS, RESIDUALS_MESSAGE),
     ],
     ids=["hessian", "hessian-solve", "residuals", "cluster"],
@@ -400,6 +436,16 @@ def test_memory_guard_rejects_before_sampling(monkeypatch, run, params, message)
     no_draws(monkeypatch)
     with pytest.raises(ValueError, match=message):
         run(params)
+
+
+@pytest.mark.parametrize("run", [run_spectrum_experiment, run_projection_experiment,
+                                 lambda params: run_snr_sweep(params, (1.0,))])
+def test_blocked_outputs_are_not_held_to_the_tensor_memory_term(monkeypatch, run):
+    # 2 * 8 * N*C*D = 3.2e9 bytes for this tensor, but a blocked output holds
+    # three blocks of 13 examples: the guard passes, and the first draw follows
+    no_draws(monkeypatch)
+    with pytest.raises(AssertionError, match="sampled before the check"):
+        run(ModelParams(n_examples=20_000, n_classes=10, n_weights=1000))
 
 
 def test_clustering_is_not_held_to_the_hessian_memory_term():

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,16 +13,22 @@ from helpers import (
     fd_gradient,
     fd_hessian,
     peak_bytes,
+    sample_residuals,
 )
 from lossgeom import (
     LogitEnsemble,
     ModelParams,
-    model_hessian,
     sample_ensemble,
     sample_logit_gradients,
+)
+from lossgeom.gradients import (
+    finish_hessian,
+    fold_hessian,
+    logit_gradient_blocks,
+    model_hessian,
+    sample_mean_logit_gradients,
     weight_gradient,
 )
-from lossgeom.gradients import sample_mean_logit_gradients, sample_residuals
 from lossgeom.logits import softmax_probs
 from lossgeom.rng import substream
 
@@ -318,3 +328,89 @@ def test_clustered_split_is_close_at_reference_scale():
     # 0.26 to 0.30 over seeds at the reference scale) and fence it loosely.
     print(f"cross-term Frobenius fraction at reference scale: {ratio:.4f}")
     assert 0.0 < ratio < 0.5
+
+
+@pytest.mark.parametrize("buffers", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 16, 64])
+@pytest.mark.parametrize(
+    "n, c, d", [(150, 4, 6), (150, 3, 5), (45, 10, 1000)], ids=["even-CD", "odd-CD", "ref-CD"]
+)
+def test_gradient_blocks_are_the_rows_of_the_whole_draw(n, c, d, rows, buffers):
+    # at odd C*D a Box-Muller pair straddles every other block edge; 150 and 45
+    # examples leave a ragged last block; at C*D = 10,000 a block of 16 spans
+    # several sampling chunks; the other buffers are drawn while one is read
+    params = ModelParams(n_examples=n, n_classes=c, n_weights=d, hyperplane_dim=4, seed=2)
+    means, residuals = planted_split(params, "b:")
+    whole = residuals + means
+    buffers = [np.full((rows, c, d), np.nan) for _ in range(buffers)]
+    seen = 0
+    for start, block in logit_gradient_blocks(params, "b:", buffers):
+        assert start == seen
+        assert block.tobytes() == whole[start : start + rows].tobytes()
+        seen += len(block)
+    assert seen == n
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_blocked_hessian_matches_the_whole_tensor(seed):
+    params, ensemble, grads = small_instance(seed=seed, n=150, c=10, d=120)
+    n, _, d = grads.shape
+    whole = model_hessian(grads.copy(), ensemble)
+    for rows in (1, 16, 64, n):
+        h = np.full((d, d), np.nan)  # the first fold ignores what H held
+        for start in range(0, n, rows):
+            block = grads[start : start + rows].copy()
+            fold_hessian(h, block, ensemble.probs[start : start + rows], start == 0)
+        finish_hessian(h, n)
+        assert np.array_equal(h, h.T)
+        if rows == n:
+            assert h.tobytes() == whole.tobytes()
+        else:
+            assert np.abs(h - whole).max() <= 1e-15 * np.abs(whole).max(), rows
+
+
+def test_gradient_blocks_stopped_early_leave_no_draw_running():
+    params = ModelParams(n_examples=60, n_classes=10, n_weights=1000, seed=3)
+    _, residuals = planted_split(params, "s:")
+    buffers = [np.full((16, 10, 1000), np.nan) for _ in range(3)]
+    blocks = logit_gradient_blocks(params, "s:", buffers)
+    next(blocks)
+    blocks.close()  # the residuals of blocks 1 and 2 were being drawn into buffers 1 and 2
+    for b in (1, 2):
+        assert buffers[b].tobytes() == residuals[16 * b : 16 * b + 16].tobytes()
+
+
+def test_fold_hessian_rejects_a_hessian_blas_cannot_write():
+    _, ensemble, grads = small_instance()
+    d = grads.shape[2]
+    for bad in (np.empty((d, d), dtype=np.float32), np.empty((d, d + 1)),
+                np.empty((d, 2 * d))[:, ::2]):
+        with pytest.raises(ValueError, match="writable C-contiguous float64"):
+            fold_hessian(bad, grads.copy(), ensemble.probs, True)
+
+
+def test_concurrent_block_draws_share_the_sampling_pool_exactly():
+    # more drawing threads than cores, each two blocks ahead on the shared pool
+    params = [ModelParams(n_examples=40, n_classes=10, n_weights=1000, seed=s)
+              for s in range(2 * os.cpu_count() + 2)]
+    results = {}
+
+    def draw(p):
+        buffers = [np.empty((8, 10, 1000)) for _ in range(3)]
+        results[p.seed] = np.concatenate(
+            [block.copy() for _, block in logit_gradient_blocks(p, "c:", buffers)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(p,)) for p in params]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for p in params:
+        means, residuals = planted_split(p, "c:")
+        assert results[p.seed].tobytes() == (residuals + means).tobytes()

@@ -6,12 +6,11 @@ from lossgeom import (
     ModelParams,
     assign_labels,
     freezing_stats,
-    model_hessian,
     sample_ensemble,
     shannon_entropy,
     softmax_probs,
-    weight_gradient,
 )
+from lossgeom.gradients import model_hessian, weight_gradient
 from lossgeom.rng import substream
 
 

@@ -208,25 +208,24 @@ def test_forked_child_starts_its_own_sampling_pool():
 
 @pytest.mark.parametrize("n", [7, 2 * CHUNK_PAIRS + 1, 3 * CHUNK_PAIRS + 5])
 def test_gaussians_into_out_are_a_fresh_draw(n):
+    # a reserved draw written into a caller's buffer, in runs that split pairs,
+    # out of order and partly on the sampling pool
     fresh, into = RngStream(3, "out"), RngStream(3, "out")
     expected = fresh.gaussians(n, 0.7)
+    draw = rng.GaussianDraw(into, n, 0.7)
     buf = np.full(n, np.nan)
-    assert into.gaussians(n, 0.7, out=buf) is buf
+    edges = [0, 1, n // 3, n // 3 + 1, n - 1, n]
+    for a, b in reversed(list(zip(edges, edges[1:]))):
+        for future in draw.fill(buf[a:b], a, background=b - a > 1):
+            future.result()
     assert buf.tobytes() == expected.tobytes()
-    # the stream moved to the same position
+    # reserving moved the stream to the same position
     assert np.array_equal(into.uniforms(5), fresh.uniforms(5))
 
 
-def test_gaussian_matrix_into_a_shaped_out_is_a_view_of_it():
-    buf = np.full((2, 3, 5), np.nan)
-    m = gaussian_matrix(RngStream(4, "shaped"), 6, 5, 1.0, out=buf)
-    assert np.shares_memory(m, buf)
-    assert m.tobytes() == gaussian_matrix(RngStream(4, "shaped"), 6, 5, 1.0).tobytes()
-
-
 def test_zero_sigma_zeroes_out():
-    buf = np.ones(9)
-    assert RngStream(0, "zero-out").gaussians(9, 0.0, out=buf) is buf
+    buf = np.ones((3, 3))
+    assert rng.GaussianDraw(RngStream(0, "zero-out"), 9, 0.0).fill(buf) == []
     assert not buf.any()
 
 
@@ -238,11 +237,15 @@ def _read_only(n):
 
 @pytest.mark.parametrize(
     "buf",
-    [np.empty(8), np.empty(9, dtype=np.float32), np.empty(18)[::2], _read_only(9), [0.0] * 9],
+    [np.empty(10), np.empty(9, dtype=np.float32), np.empty(18)[::2], _read_only(9), [0.0] * 9],
     ids=["size", "dtype", "strided", "read-only", "list"],
 )
 def test_unusable_out_raises_before_any_draw(buf):
-    stream = RngStream(5, "bad-out")
-    with pytest.raises(ValueError, match="out must be a writable C-contiguous float64"):
-        stream.gaussians(9, out=buf)
-    assert np.array_equal(stream.uniforms(4), RngStream(5, "bad-out").uniforms(4))
+    draw = rng.GaussianDraw(RngStream(5, "bad-out"), 9)
+    with pytest.raises(ValueError, match=r"dest must be a writable C-contiguous float64|"
+                       r"draws \[0, 10\) are not among the 9"):
+        draw.fill(buf)
+    # nothing was consumed: the draw still fills a usable buffer with the fresh draw
+    good = np.empty(9)
+    draw.fill(good)
+    assert good.tobytes() == RngStream(5, "bad-out").gaussians(9).tobytes()

@@ -8,7 +8,6 @@ from lossgeom import (
     detect_outliers,
     eigh,
     gradient_overlaps,
-    model_hessian,
     project_hessian,
     random_orthonormal_basis,
     sample_ensemble,
@@ -16,6 +15,7 @@ from lossgeom import (
     spectral_norm,
     trace_norm_ratio,
 )
+from lossgeom.gradients import model_hessian
 from lossgeom import spectra
 from lossgeom.rng import gaussian_matrix, substream
 
