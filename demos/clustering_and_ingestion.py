@@ -7,9 +7,10 @@ i.i.d. residuals, and the mean pairwise cosine concentrates on the fraction
 of variance the mean carries.
 
 Part 2 exercises the ingestion path: a sampled gradient tensor is written to a
-binary .lgrd dump and a .csv dump, read back, and scored; both round trips
-reproduce the in-memory statistics exactly, which is how externally measured
-gradients would be scored.
+binary .lgrd dump and a .csv dump, then each is scored as ``cluster --input``
+scores it, one block of examples at a time as it is read; both reproduce the
+in-memory statistics exactly, which is how externally measured gradients
+would be scored.
 """
 
 import argparse
@@ -22,7 +23,7 @@ from lossgeom import (
     clustering_report,
     predicted_q_sl,
     q_sl,
-    read_dump,
+    run_dump_clustering,
     sample_ensemble,
     sample_logit_gradients,
     write_dump,
@@ -52,7 +53,7 @@ def main():
         for snr, predicted, measured in rows:
             fh.write(f"{snr:.17g},{predicted:.17g},{measured:.17g}\n")
 
-    # round trip: write, read, score; statistics must match bit for bit
+    # round trip: write, then read and score; statistics must match bit for bit
     params = ModelParams(n_examples=60, n_classes=5, n_weights=120,
                          hyperplane_dim=6, seed=1)
     grads = sample_logit_gradients(params)
@@ -62,8 +63,7 @@ def main():
     for name in ("dump.lgrd", "dump.csv"):
         path = os.path.join(args.out, name)
         write_dump(path, grads, labels)
-        dump = read_dump(path)
-        report = clustering_report(dump.data, dump.labels)
+        report = run_dump_clustering(path)
         match = (report.q_sl == in_memory.q_sl
                  and report.q_slsc == in_memory.q_slsc
                  and report.q_dl == in_memory.q_dl)

@@ -23,8 +23,6 @@ from .dumps import (
     DumpMagicError,
     DumpTruncatedError,
     DumpValueError,
-    LogitGradientDump,
-    read_dump,
     write_dump,
 )
 from .experiments import (
@@ -33,6 +31,7 @@ from .experiments import (
     SweepSpec,
     point_means,
     run_clustering_experiment,
+    run_dump_clustering,
     run_freezing_experiment,
     run_overlap_experiment,
     run_projection_experiment,

@@ -26,15 +26,14 @@ from dataclasses import astuple, fields, replace
 
 import numpy as np
 
-from .clustering import clustering_report, predicted_q_sl
+from .clustering import predicted_q_sl
 from .config import RunConfig, parse_config
-from .dumps import read_dump
 from .experiments import (
     SweepError,
     SweepRecord,
-    one_blas_thread,
     point_means,
     run_clustering_experiment,
+    run_dump_clustering,
     run_freezing_experiment,
     run_overlap_experiment,
     run_projection_experiment,
@@ -156,9 +155,7 @@ def _cmd_freeze(cfg: RunConfig, outdir: str, args) -> dict:
 
 def _cmd_cluster(cfg: RunConfig, outdir: str, args) -> dict:
     if args.input is not None:
-        dump = read_dump(args.input)
-        with one_blas_thread:
-            report = clustering_report(dump.data, dump.labels)
+        report = run_dump_clustering(args.input)
         payload = {"source": args.input}
     else:
         report = run_clustering_experiment(cfg.params)

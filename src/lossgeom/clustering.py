@@ -13,11 +13,13 @@ adds, from one normalization of the tensor:
 All pair averages are computed exactly at any N through closed forms over
 unit vectors (sums of all pairwise cosines reduce to norms of vector sums),
 so no pair subsampling is ever needed; brute-force all-pairs equivalence is
-covered by the tests at small N. The vector sums come from one blocked pass
-(:func:`_unit_sums`) that never copies the whole tensor.
+covered by the tests at small N. The vector sums come from one pass over
+blocks of examples (:func:`_unit_sums`) that never copies the whole tensor.
 
-Functions take the (N, C, D) gradient tensor as an array, sampled or ingested
-from a dump alike.
+:func:`q_sl` and :func:`clustering_report` take the (N, C, D) gradient tensor
+as an array; :func:`blocked_clustering_report` takes its blocks, so a tensor
+drawn or read block by block (a model draw, a dump file) is scored without
+ever being held whole.
 """
 
 from __future__ import annotations
@@ -39,22 +41,28 @@ class ClusteringReport:
     per_class_q: np.ndarray  # (C,) per-class same-logit-same-class averages
 
 
-_BLOCK_BYTES = 1 << 20  # tensor bytes per block of _unit_sums
+_BLOCK_BYTES = 1 << 20  # tensor bytes per block of _tensor_blocks
 
 
-def _unit_sums(tensor: np.ndarray, labels: np.ndarray | None = None):
-    """Sums of the unit rows u[mu, k] = tensor[mu, k] / |tensor[mu, k]|: per logit
-    over examples (C, D) and, given ``labels``, per class of u[mu, labels[mu]]
-    (C, D) and per example over logits (N, D), else None. One pass normalizes
-    ``_BLOCK_BYTES`` of examples at a time (:func:`_add_unit_sums`)."""
+def _tensor_blocks(tensor: np.ndarray):
+    """(start, tensor[start : start + rows]), rows = about ``_BLOCK_BYTES`` of examples."""
     n, c, d = tensor.shape
-    step = max(1, _BLOCK_BYTES // (8 * c * d))
+    step = max(1, _BLOCK_BYTES // max(1, 8 * c * d))
+    return ((start, tensor[start : start + step]) for start in range(0, n, step))
+
+
+def _unit_sums(shape: tuple, blocks, labels: np.ndarray | None = None):
+    """Sums of the unit rows u[mu, k] = J[mu, k] / |J[mu, k]| of the (N, C, D)
+    tensor J that ``blocks`` yields as (start, J[start : start + rows]): per
+    logit over examples (C, D) and, given ``labels``, per class of
+    u[mu, labels[mu]] (C, D) and per example over logits (N, D), else None.
+    One pass normalizes one block at a time (:func:`_add_unit_sums`)."""
+    n, c, d = shape
     per_logit = np.zeros((c, d))
     per_class = None if labels is None else np.zeros((c, d))
     per_example = None if labels is None else np.empty((n, d))
-    for start in range(0, n, step):
-        _add_unit_sums(tensor[start : start + step], start, per_logit, labels, per_class,
-                       per_example)
+    for start, block in blocks:
+        _add_unit_sums(block, start, per_logit, labels, per_class, per_example)
     return per_logit, per_class, per_example
 
 
@@ -89,7 +97,7 @@ def _same_logit(per_logit: np.ndarray, n: int) -> float:
 def q_sl(grads) -> float:
     """Same-logit statistic: mean cosine over all example pairs, per logit."""
     tensor = gradient_tensor(grads)
-    return _same_logit(_unit_sums(tensor)[0], tensor.shape[0])
+    return _same_logit(_unit_sums(tensor.shape, _tensor_blocks(tensor))[0], tensor.shape[0])
 
 
 def predicted_q_sl(sigma_c: float, sigma_e: float) -> float:
@@ -113,25 +121,35 @@ def class_counts(labels: np.ndarray, n_classes: int) -> list[int]:
 
 
 def clustering_report(grads, labels: np.ndarray) -> ClusteringReport:
-    """All three statistics plus the per-class same-logit-same-class vector.
-
-    Errors unless ``labels`` holds one integer label in [0, C) per example,
-    if any class has fewer than two labeled examples, if N < 2 or C < 2, or
-    if any (example, logit) gradient row is zero.
-    """
+    """All three statistics plus the per-class same-logit-same-class vector
+    of an (N, C, D) tensor: :func:`blocked_clustering_report` of its blocks."""
     tensor = gradient_tensor(grads)
-    n, c, _ = tensor.shape
+    return blocked_clustering_report(tensor.shape, labels, _tensor_blocks(tensor))
+
+
+def blocked_clustering_report(shape: tuple, labels, blocks) -> ClusteringReport:
+    """:func:`clustering_report` of the (N, C, D) tensor J that ``blocks``
+    yields one block of examples at a time, as (start, J[start : start + rows])
+    in example order; the bits do not depend on the blocks.
+
+    Errors, before the first block is read, unless ``labels`` holds one
+    integer label in [0, C) per example, if any class has fewer than two
+    labeled examples, or if N < 2 or C < 2; then at the first zero
+    (example, logit) gradient row.
+    """
+    n, c, _ = shape
     labels = class_labels(labels, n, c)
     counts = class_counts(labels, c)
     if n < 2 or c < 2:
         raise ValueError(f"need N >= 2 and C >= 2, got N={n}, C={c}")
-    per_logit, per_class, per_example = _unit_sums(tensor, labels)
+    per_logit, per_class, per_example = _unit_sums(shape, blocks, labels)
     # per class k: mean pairwise cosine of {dz[mu,k]/dW : label(mu) = k}
     per_class_q = np.array([_pair_mean(sums, m) for sums, m in zip(per_class, counts)])
     # different logits (k != l, mu != nu) by inclusion-exclusion over both
     total = per_logit.sum(axis=0)
     pair_sum = float(total @ total) - float((per_logit * per_logit).sum())
-    pair_sum = pair_sum - float((per_example * per_example).sum()) + n * c
+    per_example *= per_example  # in place: its square is the last read of it
+    pair_sum = pair_sum - float(per_example.sum()) + n * c
     return ClusteringReport(
         q_slsc=float(per_class_q.mean()),
         q_sl=_same_logit(per_logit, n),

@@ -16,9 +16,20 @@ C is inferred from the row count.
 
 Malformed inputs raise distinct diagnostics: :class:`DumpMagicError`,
 :class:`DumpTruncatedError` (with expected vs. actual byte counts),
-:class:`DumpLabelError` and :class:`DumpValueError` (a NaN or infinite
-gradient entry). Reading and writing check labels by the rule and message
-of scoring (:func:`~lossgeom.gradients.class_labels`), prefixed by the path.
+:class:`DumpLabelError`, :class:`DumpValueError` (a NaN or infinite
+gradient entry) and :class:`DumpError` itself for a dump of no gradient
+entries (N*C*D = 0). Reading and writing check labels by the rule and
+message of scoring (:func:`~lossgeom.gradients.class_labels`), prefixed by
+the path.
+
+:func:`read_dump_blocks` is the one reader: it checks the header, the file
+size and the labels, then yields about ``_BLOCK_BYTES`` of examples at a
+time, each checked for non-finite values as it is read. :func:`read_dump`
+fills one (N, C, D) array from it; scoring (``cluster --input``) reads the
+blocks without ever holding the tensor. So a file with two faults reports
+the first in this order: header, then size, then labels (and, when scored,
+the class counts), then per block of examples, in file order, a non-finite
+value, then (when scored) a zero gradient row.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from .gradients import class_labels, gradient_tensor
 MAGIC = b"LGRD"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIII")
+_BLOCK_BYTES = 1 << 20  # gradient bytes per block of read_dump_blocks
 
 
 class DumpError(ValueError):
@@ -88,8 +100,41 @@ def write_dump(path: str, grads, labels) -> None:
 
 def read_dump(path: str) -> LogitGradientDump:
     """Read a dump file (binary or CSV, by extension) into one array."""
+    shape, labels, blocks = read_dump_blocks(path)
+    data = np.empty(shape)
+    for start, block in blocks:
+        data[start : start + len(block)] = block
+    return LogitGradientDump(data=data, labels=labels)
+
+
+def read_dump_blocks(path: str):
+    """Check the dump at ``path``; return ((N, C, D), labels, blocks).
+
+    The header, the size and the labels are checked before this returns.
+    ``blocks`` yields (start, J[start : start + rows]), rows = about
+    ``_BLOCK_BYTES`` of examples, each block checked for non-finite values as
+    it is read. A binary file is read into one reused ``<f8`` buffer, which
+    the caller must be done with when it asks for the next block; a CSV file
+    is parsed whole and yields slices of the parsed array.
+    """
     if path.endswith(".csv"):
-        return _read_csv_dump(path)
+        data, labels = _read_csv_dump(path)
+        n, c, d = data.shape
+    else:
+        n, c, d, labels = _read_head(path)
+    if n * c * d == 0:
+        raise DumpError(f"{path}: N={n} C={c} D={d} holds no gradient entries")
+    labels = _labels(path, labels, n, c)
+    step = max(1, _BLOCK_BYTES // (8 * c * d))
+    if path.endswith(".csv"):
+        blocks = ((start, data[start : start + step]) for start in range(0, n, step))
+    else:
+        blocks = _file_blocks(path, (n, c, d), step)
+    return (n, c, d), labels, _finite_blocks(path, blocks)
+
+
+def _read_head(path: str):
+    """N, C, D and the raw labels of a binary dump, once its header and size check."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size or header[:4] != MAGIC:
@@ -99,19 +144,47 @@ def read_dump(path: str) -> LogitGradientDump:
         _, version, n, c, d = _HEADER.unpack(header)
         if version != VERSION:
             raise DumpMagicError(f"{path}: unsupported LGRD version {version}")
-        expected = _HEADER.size + n * c * d * 8 + n * 4
-        found = os.fstat(fh.fileno()).st_size
-        if found != expected:
-            raise DumpTruncatedError(
-                f"{path}: expected {expected} bytes for N={n} C={c} D={d}, "
-                f"found {found}"
+        if os.fstat(fh.fileno()).st_size != _HEADER.size + n * c * d * 8 + n * 4:
+            raise _truncated(path, fh, n, c, d)
+        fh.seek(_HEADER.size + n * c * d * 8)
+        raw = fh.read(n * 4)
+        if len(raw) != n * 4:  # the file shrank after the size check
+            raise _truncated(path, fh, n, c, d)
+    return n, c, d, np.frombuffer(raw, dtype="<i4")
+
+
+def _file_blocks(path: str, shape: tuple, step: int):
+    n, c, d = shape
+    with open(path, "rb") as fh:
+        fh.seek(_HEADER.size)
+        buffer = np.empty((min(n, step), c, d), dtype="<f8")
+        for start in range(0, n, step):
+            block = buffer[: n - start]
+            if fh.readinto(block) != block.nbytes:  # the file shrank after the size check
+                raise _truncated(path, fh, n, c, d)
+            yield start, block
+
+
+def _truncated(path: str, fh, n: int, c: int, d: int) -> DumpTruncatedError:
+    return DumpTruncatedError(
+        f"{path}: expected {_HEADER.size + n * c * d * 8 + n * 4} bytes for N={n} C={c} "
+        f"D={d}, found {os.fstat(fh.fileno()).st_size}"
+    )
+
+
+def _finite_blocks(path: str, blocks):
+    for start, block in blocks:
+        # min and max propagate NaN and expose +-inf without a block-size mask
+        if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+            mu, k, j = (int(i) for i in np.argwhere(~np.isfinite(block))[0])
+            raise DumpValueError(
+                f"{path}: non-finite value {float(block[mu, k, j])} at example "
+                f"{start + mu}, logit {k}, weight {j}"
             )
-        data = np.fromfile(fh, dtype="<f8", count=n * c * d).reshape(n, c, d)
-        labels = np.fromfile(fh, dtype="<i4", count=n)
-    return _checked(path, data, labels)
+        yield start, block
 
 
-def _read_csv_dump(path: str) -> LogitGradientDump:
+def _read_csv_dump(path: str) -> tuple[np.ndarray, np.ndarray]:
     sidecar = _csv_sidecar(path)
     labels = np.loadtxt(sidecar, ndmin=1)  # reals, so the label rule sees 0.5
     data = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -123,7 +196,7 @@ def _read_csv_dump(path: str) -> LogitGradientDump:
             f"{n} labels in {sidecar}"
         )
     c = rows // n
-    return _checked(path, data.reshape(n, c, data.shape[1]), labels)
+    return data.reshape(n, c, data.shape[1]), labels
 
 
 def _labels(path: str, labels, n: int, c: int) -> np.ndarray:
@@ -131,15 +204,3 @@ def _labels(path: str, labels, n: int, c: int) -> np.ndarray:
         return class_labels(labels, n, c)
     except ValueError as exc:
         raise DumpLabelError(f"{path}: {exc}") from None
-
-
-def _checked(path: str, data: np.ndarray, labels: np.ndarray) -> LogitGradientDump:
-    # min and max propagate NaN and expose +-inf without a full-size mask
-    if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
-        mu, k, j = (int(i) for i in np.argwhere(~np.isfinite(data))[0])
-        raise DumpValueError(
-            f"{path}: non-finite value {float(data[mu, k, j])} at example {mu}, "
-            f"logit {k}, weight {j}"
-        )
-    n, c, _ = data.shape
-    return LogitGradientDump(data=data, labels=_labels(path, labels, n, c))

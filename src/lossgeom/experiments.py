@@ -35,15 +35,15 @@ from .clustering import (
     ClusteringReport,
     _add_unit_sums,
     _same_logit,
+    blocked_clustering_report,
     class_counts,
-    clustering_report,
 )
+from .dumps import read_dump_blocks
 from .gradients import (
     finish_hessian,
     fold_hessian,
     gradient_sum,
     logit_gradient_blocks,
-    sample_logit_gradients,
 )
 from .logits import LogitEnsemble, freezing_stats, sample_ensemble
 from .params import ModelParams
@@ -62,7 +62,7 @@ from .spectra import (
 )
 
 DEFAULT_MEMORY_LIMIT = 2**31  # bytes allowed for one instance's large arrays
-_BLOCK_BYTES = 1 << 20  # gradient bytes per block of a blocked Hessian output
+_BLOCK_BYTES = 1 << 20  # gradient bytes per drawn block (blocked Hessian outputs, cluster)
 _BLOCKS = 3  # block buffers: the one read and two drawn meanwhile
 SIMPLEX_SAMPLE_LIMIT = 500
 # equilateral-triangle corners for barycentric plotting of C=3 rows
@@ -199,7 +199,8 @@ def point_means(records: list[SweepRecord], name: str) -> np.ndarray:
     return values.reshape(-1, repeats).mean(axis=1)
 
 
-def _check_memory(params: ModelParams, rows: int | None = None, hessian: bool = True) -> None:
+def _check_memory(params: ModelParams, rows: int | None = None, hessian: bool = True,
+                  sums: bool = False) -> None:
     """Fail before any draw if the ensemble, gradients or dense Hessian would not fit.
 
     ``rows`` counts the examples whose gradients are held at once: N (the
@@ -215,7 +216,8 @@ def _check_memory(params: ModelParams, rows: int | None = None, hessian: bool = 
     nothing for the top k (solved in H's buffer) and 3.0x H for a whole
     eigensystem (tracemalloc, D=600 and D=1000), so the bound counts four D*D
     doubles: one H and a whole solve, or a many-task run's two H and top-k
-    solves. ``hessian=False`` skips that term.
+    solves. ``hessian=False`` skips that term. ``sums=True`` counts the
+    N*D per-example unit sums of ``cluster`` (:func:`blocked_clustering_report`).
     """
     n, c, d = params.n_examples, params.n_classes, params.n_weights
     rows = n if rows is None else rows
@@ -225,6 +227,8 @@ def _check_memory(params: ModelParams, rows: int | None = None, hessian: bool = 
         terms[f"{rows}x{c}x{d} {held} with its temporaries"] = 2 * 8 * rows * c * d
     if hessian:
         terms[f"dense {d}x{d} Hessian with its eigensolve"] = 4 * 8 * d * d
+    if sums:
+        terms[f"{n}x{d} per-example unit sums"] = 8 * n * d
     needed = sum(terms.values())
     if needed > DEFAULT_MEMORY_LIMIT:
         name = max(terms, key=terms.get)
@@ -232,6 +236,15 @@ def _check_memory(params: ModelParams, rows: int | None = None, hessian: bool = 
             f"{name} needs {terms[name]} bytes ({needed} in all), over the "
             f"{DEFAULT_MEMORY_LIMIT}-byte memory limit"
         )
+
+
+def _block_rows(params: ModelParams, whole: bool = False) -> tuple[int, int]:
+    """(buffers, rows) of the gradient blocks of ``params``: one block of all
+    N examples when ``whole`` or when about ``_BLOCK_BYTES`` holds them all,
+    else ``_BLOCKS`` blocks of about ``_BLOCK_BYTES`` of examples."""
+    n, c, d = params.n_examples, params.n_classes, params.n_weights
+    rows = n if whole else min(n, max(1, _BLOCK_BYTES // (8 * c * d)))
+    return (1 if rows == n else _BLOCKS), rows
 
 
 def _draw(params: ModelParams, prefix: str, reads, blocks: list, hessian: np.ndarray):
@@ -290,13 +303,13 @@ def _pipeline(tasks: list[_Task], reads, measure, results: list, whole: bool = F
     thread, into the other H, and measures meanwhile. Errors raise here,
     under the failing task's ``errors``, the first failing task's first."""
     n, c, d = tasks[0].params.n_examples, tasks[0].params.n_classes, tasks[0].params.n_weights
-    rows = n if whole else min(n, max(1, _BLOCK_BYTES // (8 * c * d)))
+    count, rows = _block_rows(tasks[0].params, whole)
     blocks, hessians = [], []
 
     def draw(t: int):
         if not hessians:  # task 0, under its errors
-            _check_memory(tasks[t].params, n if rows == n else _BLOCKS * rows)
-            blocks.extend(np.empty((rows, c, d)) for _ in range(1 if rows == n else _BLOCKS))
+            _check_memory(tasks[t].params, count * rows)
+            blocks.extend(np.empty((rows, c, d)) for _ in range(count))
             hessians.extend(np.empty((d, d)) for _ in tasks[:2])
         return _draw(tasks[t].params, tasks[t].prefix, reads, blocks, hessians[t % 2])
 
@@ -358,11 +371,23 @@ def run_projection_experiment(
 
 @one_blas_thread
 def run_clustering_experiment(params: ModelParams) -> ClusteringReport:
-    """Clustering statistics of one model-sampled gradient tensor."""
-    _check_memory(params, hessian=False)
+    """Clustering statistics of one model-sampled gradient tensor, scored one
+    block of about 1 MB of examples at a time as it is drawn."""
+    n, c, d = params.n_examples, params.n_classes, params.n_weights
+    count, rows = _block_rows(params)
+    _check_memory(params, count * rows, hessian=False, sums=True)
     labels = sample_ensemble(params).labels
-    class_counts(labels, params.n_classes)  # before the tensor is drawn
-    return clustering_report(sample_logit_gradients(params), labels)
+    class_counts(labels, c)  # before the blocks are allocated and drawn
+    blocks = [np.empty((rows, c, d)) for _ in range(count)]
+    return blocked_clustering_report((n, c, d), labels, logit_gradient_blocks(params, "", blocks))
+
+
+@one_blas_thread
+def run_dump_clustering(path: str) -> ClusteringReport:
+    """Clustering statistics of the gradient dump at ``path``, read and scored
+    one block of about 1 MB of examples at a time (:func:`read_dump_blocks`)."""
+    shape, labels, blocks = read_dump_blocks(path)
+    return blocked_clustering_report(shape, labels, blocks)
 
 
 @one_blas_thread

@@ -271,7 +271,7 @@ def full_solve_sweep(params, spec):
     return records
 
 
-def no_draws(monkeypatch, samplers=("sample_ensemble", "sample_logit_gradients")):
+def no_draws(monkeypatch, samplers=("sample_ensemble", "logit_gradient_blocks")):
     """Fail the test if an experiment calls one of ``samplers``: by default it
     may sample neither an ensemble nor a gradient tensor."""
     def fail(*args, **kwargs):

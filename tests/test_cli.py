@@ -10,12 +10,13 @@ from lossgeom import (
     ModelParams,
     SweepRecord,
     SweepSpec,
+    clustering_report,
     run_sigma_z_sweep,
     sample_ensemble,
     sample_logit_gradients,
     write_dump,
 )
-from lossgeom import experiments
+from lossgeom import dumps, experiments
 from lossgeom.cli import SWEEP_CSV_HEADER, _write_json, run_command
 
 
@@ -154,7 +155,7 @@ def test_sweep_whose_scaling_cannot_run_fails_before_any_draw(
 ):
     calls = []
     monkeypatch.setattr(
-        experiments, "sample_logit_gradients", lambda *a: calls.append(a)
+        experiments, "logit_gradient_blocks", lambda *a: calls.append(a)
     )
     cfg = tmp_path / "scale.cfg"
     small = SMALL_CFG.replace("points = 4", "points = 3").replace("repeats = 2", "repeats = 1")
@@ -233,7 +234,7 @@ def test_sigmas_under_the_sum_bound_run(tmp_path, command):
 
 def test_cluster_checks_class_counts_before_drawing_the_tensor(tmp_path, capsys, monkeypatch):
     # 9 labels cannot give 5 classes two examples each; the tensor would be 360 MB
-    no_draws(monkeypatch, ["sample_logit_gradients"])
+    no_draws(monkeypatch, ["logit_gradient_blocks"])
     cfg = tmp_path / "few.cfg"
     cfg.write_text("n_examples = 9\nn_classes = 5\nn_weights = 1000000\n")
     out = tmp_path / "out"
@@ -351,6 +352,31 @@ def test_cluster_from_dump(cfg_path, tmp_path, capsys):
     assert payload["source"] == str(dump_path)
     assert "predicted_q_sl" not in payload
     assert len(payload["per_class_q"]) == 4
+
+
+@pytest.mark.parametrize("rows", [1, 16])
+@pytest.mark.parametrize("source", ["model", "x.lgrd", "x.csv"])
+def test_blocked_cluster_writes_the_whole_tensor_report(tmp_path, monkeypatch, source, rows):
+    # 53 examples: blocks of 16 leave a ragged last block of 5. At this shape
+    # and seed, adding each block's row sum at once (not row by row) moves q_dl.
+    params = ModelParams(n_examples=53, n_classes=4, n_weights=64, hyperplane_dim=4, seed=3)
+    tensor, labels = sample_logit_gradients(params), sample_ensemble(params).labels
+    with experiments.one_blas_thread:
+        expected = clustering_report(tensor, labels)  # one block of the whole tensor
+    monkeypatch.setattr(experiments, "_BLOCK_BYTES", rows * 8 * 4 * 64)
+    monkeypatch.setattr(dumps, "_BLOCK_BYTES", rows * 8 * 4 * 64)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_examples = 53\nn_classes = 4\nn_weights = 64\nhyperplane_dim = 4\n")
+    args = ["cluster", "--config", cfg, "--seed", "3", "--out", tmp_path / "out"]
+    if source != "model":
+        write_dump(str(tmp_path / source), tensor, labels)
+        args += ["--input", tmp_path / source]
+    assert run(args) == 0
+    payload = json.loads((tmp_path / "out" / "clustering.json").read_text())
+    assert [payload[k].hex() for k in ("q_sl", "q_slsc", "q_dl")] == [
+        expected.q_sl.hex(), expected.q_slsc.hex(), expected.q_dl.hex()]
+    assert [v.hex() for v in payload["per_class_q"]] == [
+        float(v).hex() for v in expected.per_class_q]
 
 
 def test_project_reports_interlacing(cfg_path, tmp_path, capsys):

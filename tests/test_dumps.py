@@ -1,3 +1,5 @@
+import os
+import re
 import struct
 
 import numpy as np
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import peak_bytes
+from lossgeom import dumps
 from lossgeom import (
+    cli,
     DumpError,
     DumpLabelError,
     DumpMagicError,
@@ -15,11 +19,11 @@ from lossgeom import (
     DumpValueError,
     ModelParams,
     q_sl,
-    read_dump,
     sample_ensemble,
     sample_logit_gradients,
     write_dump,
 )
+from lossgeom.dumps import read_dump, read_dump_blocks
 
 
 def small_set(seed=0):
@@ -82,6 +86,22 @@ def test_binary_write_holds_no_copy_of_the_tensor(tmp_path):
     peak = peak_bytes(write_dump, str(tmp_path / "big.lgrd"), tensor, labels)
     print(f"write_dump peak: {peak / tensor.nbytes:.4f}x the tensor")
     assert peak < 0.05 * tensor.nbytes
+
+
+def test_scoring_a_binary_dump_holds_no_copy_of_the_tensor(tmp_path):
+    # cluster --input reads and scores 1 MB blocks of examples, so it holds the
+    # N x D per-example unit sums (1/C of the dump), one block and its unit
+    # rows: 0.20x the dump by tracemalloc here, against 1.21x when the whole
+    # dump was read and then scored.
+    n, c, d = 300, 10, 1000
+    gen = np.random.default_rng(8)
+    path, out = tmp_path / "big.lgrd", tmp_path / "out"
+    write_dump(str(path), gen.standard_normal((n, c, d)) + gen.standard_normal((c, d)),
+               np.arange(n) % c)
+    peak = peak_bytes(cli.run_command, ["cluster", "--input", str(path), "--out", str(out)])
+    print(f"cluster --input peak: {peak / (8 * n * c * d):.3f}x the dump")
+    assert (out / "clustering.json").exists()
+    assert peak < 8 * n * d + 4 * 2**20
 
 
 def test_bad_magic_raises_magic_error(tmp_path):
@@ -166,6 +186,55 @@ def test_non_finite_value_raises_value_error(tmp_path, name, value):
         read_dump(path)
 
 
+def scored_error(path, capsys):
+    """The one error line ``cluster --input path`` exits 1 with."""
+    assert cli.run_command(["cluster", "--input", str(path), "--out", str(path) + ".out"]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    return line
+
+
+# A file with two faults reports the first of: header, size, labels, class
+# counts, then per block of examples a non-finite value, then a zero row.
+def test_a_label_error_is_reported_before_a_non_finite_value(tmp_path, capsys):
+    tensor = np.ones((4, 3, 5))
+    tensor[1, 0, 2] = np.nan
+    path = tmp_path / "both.lgrd"
+    write_dump(str(path), tensor, [0, 1, 2, 0])
+    blob = bytearray(path.read_bytes())
+    blob[-4:] = (7).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    message = "label 7 of example 3 is not an integer in [0, 3)"
+    with pytest.raises(DumpLabelError, match=re.escape(message)):
+        read_dump(str(path))
+    assert scored_error(path, capsys) == f"error: {path}: {message}"
+
+
+def test_a_class_count_error_is_reported_before_a_non_finite_value(tmp_path, capsys):
+    tensor = np.ones((4, 2, 5))
+    tensor[3, 1, 4] = np.inf
+    path = tmp_path / "both.lgrd"
+    write_dump(str(path), tensor, [0, 0, 0, 1])
+    with pytest.raises(DumpValueError):  # reading alone finds the value
+        read_dump(str(path))
+    line = scored_error(path, capsys)
+    assert line == "error: class 1 has 1 labeled example(s); need at least 2"
+
+
+def test_a_zero_row_is_reported_before_a_non_finite_value_in_a_later_block(
+    tmp_path, capsys, monkeypatch
+):
+    tensor = np.random.default_rng(7).standard_normal((6, 2, 5))
+    tensor[1, 0] = 0.0
+    tensor[3, 1, 2] = np.nan
+    path = tmp_path / "both.lgrd"
+    write_dump(str(path), tensor, [0, 1, 0, 1, 0, 1])
+    # in one block the non-finite value is found first
+    assert "non-finite value nan at example 3, logit 1, weight 2" in scored_error(path, capsys)
+    monkeypatch.setattr(dumps, "_BLOCK_BYTES", 8 * 2 * 5 * 2)  # two examples per block
+    line = scored_error(path, capsys)
+    assert line == "error: zero gradient vector at example 1, logit 0"
+
+
 def test_write_rejects_mismatched_label_count(tmp_path):
     tensor = np.ones((3, 2, 4))
     with pytest.raises(DumpLabelError, match=r"labels of shape \(2,\) for 3 examples"):
@@ -198,6 +267,34 @@ def test_ingested_statistics_match_in_memory(tmp_path):
     assert q_sl(dump.data) == q_sl(grads)
 
 
+@pytest.mark.parametrize("n, c, d", [(3, 2, 0), (3, 0, 4), (0, 2, 3), (0, 0, 0),
+                                     (0, 2**32 - 1, 2**32 - 1)])
+def test_a_dump_of_no_gradient_entries_raises_a_dump_error(tmp_path, capsys, n, c, d):
+    # the block step divides by 8*C*D, and a block buffer holds C*D doubles per
+    # example: neither may be reached for a dump of no gradient entries
+    path = tmp_path / "empty.lgrd"
+    path.write_bytes(HEADER.pack(b"LGRD", 1, n, c, d) + np.arange(n, dtype="<i4").tobytes())
+    with pytest.raises(DumpError):
+        read_dump(str(path))
+    assert cli.run_command(["cluster", "--input", str(path), "--out", str(tmp_path)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {path}: ")
+
+
+def test_a_dump_that_shrinks_while_it_is_read_raises_truncated_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(dumps, "_BLOCK_BYTES", 8 * 2 * 4)  # one example per block
+    tensor = np.random.default_rng(6).standard_normal((5, 2, 4))
+    path = tmp_path / "shrinks.lgrd"
+    write_dump(str(path), tensor, [0, 1, 0, 1, 0])
+    shape, labels, blocks = read_dump_blocks(str(path))  # header, size and labels pass
+    os.truncate(path, 20 + 8 * 2 * 4 * 3 + 4)  # the file now ends inside example 3
+    for mu in range(3):
+        start, block = next(blocks)
+        assert start == mu and np.array_equal(block, tensor[mu : mu + 1])
+    with pytest.raises(DumpTruncatedError, match=r"expected \d+ bytes for N=5 C=2 D=4, found 216"):
+        next(blocks)
+
+
 def test_missing_file_raises_os_error(tmp_path):
     with pytest.raises(OSError):
         read_dump(str(tmp_path / "absent.lgrd"))
@@ -210,21 +307,30 @@ FUZZ = settings(
 HEADER = struct.Struct("<4sIIII")
 
 
-def read_rejects_or_returns(path):
-    """read_dump on a malformed file may only raise a DumpError or OSError."""
+def read_rejects_or_returns(path, capsys):
+    """read_dump on a malformed file may only raise a DumpError or OSError;
+    scoring it (``cluster --input``) exits 0, or 1 with one error line."""
     try:
         dump = read_dump(str(path))
     except (DumpError, OSError):
-        return
-    assert set(vars(dump)) == {"data", "labels"}
+        pass
+    else:
+        assert set(vars(dump)) == {"data", "labels"}
+    code = cli.run_command(["cluster", "--input", str(path), "--out", str(path) + ".out"])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        [line] = err.splitlines()
+        assert code == 1 and line.startswith("error: "), (code, err)
 
 
 @FUZZ
 @given(st.binary(max_size=200))
-def test_random_bytes_raise_only_dump_errors(tmp_path, blob):
+def test_random_bytes_raise_only_dump_errors(tmp_path, capsys, blob):
     path = tmp_path / "fuzz.lgrd"
     path.write_bytes(blob)
-    read_rejects_or_returns(path)
+    read_rejects_or_returns(path, capsys)
 
 
 @st.composite
@@ -241,10 +347,10 @@ def headed_payloads(draw):
 
 @FUZZ
 @given(headed_payloads())
-def test_random_headers_and_payloads_raise_only_dump_errors(tmp_path, blob):
+def test_random_headers_and_payloads_raise_only_dump_errors(tmp_path, capsys, blob):
     path = tmp_path / "fuzz.lgrd"
     path.write_bytes(blob)
-    read_rejects_or_returns(path)
+    read_rejects_or_returns(path, capsys)
 
 
 def test_every_truncation_raises_a_dump_error(tmp_path):

@@ -204,7 +204,8 @@ def test_pipelined_sweep_equals_its_stages_run_serially(monkeypatch):
 
 def test_every_hessian_is_drawn_and_assembled_in_the_one_loop():
     # a second use of either stage would fork the measurement path; the
-    # whole-tensor model_hessian and sample_logit_gradients are its one-block case
+    # whole-tensor model_hessian and sample_logit_gradients are its one-block
+    # case, and cluster, which builds no Hessian, reads the blocks it draws
     uses = []
     stages = ("_draw", "logit_gradient_blocks", "fold_hessian", "model_hessian")
     for path in sorted(Path(experiments.__file__).parent.glob("*.py")):
@@ -219,6 +220,7 @@ def test_every_hessian_is_drawn_and_assembled_in_the_one_loop():
         ("fold_hessian", "experiments.py", "_draw"),
         ("fold_hessian", "gradients.py", "model_hessian"),
         ("logit_gradient_blocks", "experiments.py", "_draw"),
+        ("logit_gradient_blocks", "experiments.py", "run_clustering_experiment"),
         ("logit_gradient_blocks", "gradients.py", "sample_logit_gradients"),
     ]
 
@@ -426,9 +428,14 @@ RESIDUALS_MESSAGE = (
             ModelParams(n_examples=2, n_classes=2, n_weights=12000, hyperplane_dim=1),
             "dense 12000x12000 Hessian with its eigensolve needs 4608000000 bytes",
         ),
-        # overlap and cluster hold the whole tensor; blocked outputs do not
+        # overlap holds the whole tensor; blocked outputs do not
         (run_overlap_experiment, TOO_MANY_RESIDUALS, RESIDUALS_MESSAGE),
-        (run_clustering_experiment, TOO_MANY_RESIDUALS, RESIDUALS_MESSAGE),
+        # cluster holds three blocks, but also N x D per-example unit sums
+        (
+            run_clustering_experiment,
+            ModelParams(n_examples=300_000, n_classes=2, n_weights=1000),
+            "300000x1000 per-example unit sums needs 2400000000 bytes",
+        ),
     ],
     ids=["hessian", "hessian-solve", "residuals", "cluster"],
 )
@@ -439,10 +446,12 @@ def test_memory_guard_rejects_before_sampling(monkeypatch, run, params, message)
 
 
 @pytest.mark.parametrize("run", [run_spectrum_experiment, run_projection_experiment,
-                                 lambda params: run_snr_sweep(params, (1.0,))])
+                                 lambda params: run_snr_sweep(params, (1.0,)),
+                                 run_clustering_experiment])
 def test_blocked_outputs_are_not_held_to_the_tensor_memory_term(monkeypatch, run):
     # 2 * 8 * N*C*D = 3.2e9 bytes for this tensor, but a blocked output holds
-    # three blocks of 13 examples: the guard passes, and the first draw follows
+    # three blocks of 13 examples (cluster also its 1.6e8 bytes of N x D
+    # per-example sums): the guard passes, and the first draw follows
     no_draws(monkeypatch)
     with pytest.raises(AssertionError, match="sampled before the check"):
         run(ModelParams(n_examples=20_000, n_classes=10, n_weights=1000))

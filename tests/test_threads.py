@@ -84,13 +84,14 @@ def test_failed_run_and_dump_scoring_restore_the_counts(tmp_path, monkeypatch, c
     assert openblas_thread_counts() == before
 
     seen = []
-    original = cli.clustering_report
+    # cluster --input scores the dump's blocks as they are read; watch the scoring
+    original = experiments.blocked_clustering_report
 
-    def clustering_report(*args):
+    def blocked_clustering_report(*args):
         seen.append(openblas_thread_counts())
         return original(*args)
 
-    monkeypatch.setattr(cli, "clustering_report", clustering_report)
+    monkeypatch.setattr(experiments, "blocked_clustering_report", blocked_clustering_report)
     dump = tmp_path / "g.lgrd"
     write_dump(str(dump), np.ones((4, 2, 3)) + np.arange(3), [0, 1, 0, 1])
     args = ["cluster", "--input", dump, "--out", tmp_path / "out"]
