@@ -17,14 +17,7 @@ from .clustering import (
     q_sl,
 )
 from .config import ConfigError, RunConfig, parse_config
-from .dumps import (
-    DumpError,
-    DumpLabelError,
-    DumpMagicError,
-    DumpTruncatedError,
-    DumpValueError,
-    write_dump,
-)
+from .dumps import DumpError, write_dump
 from .experiments import (
     SweepError,
     SweepRecord,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import class_labels, gradient_tensor
+from .gradients import class_labels, gradient_tensor, tensor_blocks
 
 
 @dataclass(frozen=True)
@@ -39,16 +39,6 @@ class ClusteringReport:
     q_sl: float
     q_dl: float
     per_class_q: np.ndarray  # (C,) per-class same-logit-same-class averages
-
-
-_BLOCK_BYTES = 1 << 20  # tensor bytes per block of _tensor_blocks
-
-
-def _tensor_blocks(tensor: np.ndarray):
-    """(start, tensor[start : start + rows]), rows = about ``_BLOCK_BYTES`` of examples."""
-    n, c, d = tensor.shape
-    step = max(1, _BLOCK_BYTES // max(1, 8 * c * d))
-    return ((start, tensor[start : start + step]) for start in range(0, n, step))
 
 
 def _unit_sums(shape: tuple, blocks, labels: np.ndarray | None = None):
@@ -69,11 +59,20 @@ def _unit_sums(shape: tuple, blocks, labels: np.ndarray | None = None):
 def _add_unit_sums(block, start, per_logit, labels=None, per_class=None, per_example=None):
     """Add the unit rows of a block of examples start, start + 1, ... to the
     sums of :func:`_unit_sums`, in example order, as numpy's axis-0 reduction
-    adds them: whatever the blocks, every sum keeps the whole-tensor bits."""
-    norms = np.linalg.norm(block, axis=-1)
-    if np.any(norms == 0.0):
-        mu, k = np.argwhere(norms == 0.0)[0]
-        raise ValueError(f"zero gradient vector at example {start + mu}, logit {k}")
+    adds them: whatever the blocks, every sum keeps the whole-tensor bits. A
+    row whose squares overflow or may underflow (norm inf or under 1e-140,
+    where an entry's square can be subnormal) is divided by its largest
+    magnitude first; other rows keep their bits, a zero row raises."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(block, axis=-1)
+    odd = (norms < 1e-140) | (norms == np.inf)
+    if odd.any():
+        peaks = np.abs(block).max(axis=-1)
+        if np.any(peaks == 0.0):
+            mu, k = np.argwhere(peaks == 0.0)[0]
+            raise ValueError(f"zero gradient vector at example {start + mu}, logit {k}")
+        block = np.where(odd[..., np.newaxis], block / peaks[..., np.newaxis], block)
+        norms = np.linalg.norm(block, axis=-1)
     units = block / norms[..., np.newaxis]
     for mu, rows in enumerate(units, start):
         per_logit += rows
@@ -97,7 +96,7 @@ def _same_logit(per_logit: np.ndarray, n: int) -> float:
 def q_sl(grads) -> float:
     """Same-logit statistic: mean cosine over all example pairs, per logit."""
     tensor = gradient_tensor(grads)
-    return _same_logit(_unit_sums(tensor.shape, _tensor_blocks(tensor))[0], tensor.shape[0])
+    return _same_logit(_unit_sums(tensor.shape, tensor_blocks(tensor))[0], tensor.shape[0])
 
 
 def predicted_q_sl(sigma_c: float, sigma_e: float) -> float:
@@ -124,7 +123,7 @@ def clustering_report(grads, labels: np.ndarray) -> ClusteringReport:
     """All three statistics plus the per-class same-logit-same-class vector
     of an (N, C, D) tensor: :func:`blocked_clustering_report` of its blocks."""
     tensor = gradient_tensor(grads)
-    return blocked_clustering_report(tensor.shape, labels, _tensor_blocks(tensor))
+    return blocked_clustering_report(tensor.shape, labels, tensor_blocks(tensor))
 
 
 def blocked_clustering_report(shape: tuple, labels, blocks) -> ClusteringReport:

@@ -14,66 +14,39 @@ digits (lossless for float64); labels live in a sidecar file named
 ``<stem>.labels.csv``, one label per line. N is the sidecar's line count and
 C is inferred from the row count.
 
-Malformed inputs raise distinct diagnostics: :class:`DumpMagicError`,
-:class:`DumpTruncatedError` (with expected vs. actual byte counts),
-:class:`DumpLabelError`, :class:`DumpValueError` (a NaN or infinite
-gradient entry) and :class:`DumpError` itself for a dump of no gradient
-entries (N*C*D = 0). Reading and writing check labels by the rule and
-message of scoring (:func:`~lossgeom.gradients.class_labels`), prefixed by
-the path.
+Every malformed input raises :class:`DumpError` with a message that says
+which fault it found: the magic or version, the size (with expected vs.
+actual byte counts), a label, a NaN or infinite gradient entry (with its
+place in the tensor), or a dump of no gradient entries (N*C*D = 0). Reading
+and writing check labels by the rule and message of scoring
+(:func:`~lossgeom.gradients.class_labels`), prefixed by the path.
 
 :func:`read_dump_blocks` is the one reader: it checks the header, the file
-size and the labels, then yields about ``_BLOCK_BYTES`` of examples at a
-time, each checked for non-finite values as it is read. :func:`read_dump`
-fills one (N, C, D) array from it; scoring (``cluster --input``) reads the
-blocks without ever holding the tensor. So a file with two faults reports
-the first in this order: header, then size, then labels (and, when scored,
-the class counts), then per block of examples, in file order, a non-finite
-value, then (when scored) a zero gradient row.
+size and the labels, then yields :func:`~lossgeom.gradients.block_rows`
+examples at a time, each block checked for non-finite values as it is read.
+Scoring (``cluster --input``) reads the blocks without ever holding the
+tensor. So a file with two faults reports the first in this order: header,
+then size, then labels (and, when scored, the class counts), then per block
+of examples, in file order, a non-finite value, then (when scored) a zero
+gradient row.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import class_labels, gradient_tensor
+from .gradients import block_rows, class_labels, gradient_tensor, tensor_blocks
 
 MAGIC = b"LGRD"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIII")
-_BLOCK_BYTES = 1 << 20  # gradient bytes per block of read_dump_blocks
 
 
 class DumpError(ValueError):
-    """Base class for malformed dump files."""
-
-
-class DumpMagicError(DumpError):
-    """File does not start with the LGRD magic / supported version."""
-
-
-class DumpTruncatedError(DumpError):
-    """Payload shorter or longer than the header promises."""
-
-
-class DumpLabelError(DumpError):
-    """A label is not an integer in [0, C)."""
-
-
-class DumpValueError(DumpError):
-    """A gradient entry is NaN or infinite."""
-
-
-@dataclass(frozen=True)
-class LogitGradientDump:
-    """An ingested (N, C, D) gradient tensor with per-example labels."""
-
-    data: np.ndarray  # (N, C, D) float64
-    labels: np.ndarray  # (N,) int32
+    """A malformed dump file; the message names the fault."""
 
 
 def _csv_sidecar(path: str) -> str:
@@ -98,66 +71,54 @@ def write_dump(path: str, grads, labels) -> None:
         fh.write(labels.astype("<i4").tobytes())
 
 
-def read_dump(path: str) -> LogitGradientDump:
-    """Read a dump file (binary or CSV, by extension) into one array."""
-    shape, labels, blocks = read_dump_blocks(path)
-    data = np.empty(shape)
-    for start, block in blocks:
-        data[start : start + len(block)] = block
-    return LogitGradientDump(data=data, labels=labels)
-
-
 def read_dump_blocks(path: str):
     """Check the dump at ``path``; return ((N, C, D), labels, blocks).
 
     The header, the size and the labels are checked before this returns.
-    ``blocks`` yields (start, J[start : start + rows]), rows = about
-    ``_BLOCK_BYTES`` of examples, each block checked for non-finite values as
-    it is read. A binary file is read into one reused ``<f8`` buffer, which
-    the caller must be done with when it asks for the next block; a CSV file
-    is parsed whole and yields slices of the parsed array.
+    ``blocks`` yields (start, J[start : start + rows]), rows =
+    :func:`~lossgeom.gradients.block_rows`, each block checked for non-finite
+    values as it is read. A binary file is read into one reused ``<f8``
+    buffer, which the caller must be done with when it asks for the next
+    block; a CSV file is parsed whole and yields slices of the parsed array.
     """
     if path.endswith(".csv"):
         data, labels = _read_csv_dump(path)
-        n, c, d = data.shape
+        shape, blocks = data.shape, tensor_blocks(data)
     else:
-        n, c, d, labels = _read_head(path)
+        shape, labels = _read_head(path)
+        blocks = _file_blocks(path, shape)
+    n, c, d = shape
     if n * c * d == 0:
         raise DumpError(f"{path}: N={n} C={c} D={d} holds no gradient entries")
-    labels = _labels(path, labels, n, c)
-    step = max(1, _BLOCK_BYTES // (8 * c * d))
-    if path.endswith(".csv"):
-        blocks = ((start, data[start : start + step]) for start in range(0, n, step))
-    else:
-        blocks = _file_blocks(path, (n, c, d), step)
-    return (n, c, d), labels, _finite_blocks(path, blocks)
+    return shape, _labels(path, labels, n, c), _finite_blocks(path, blocks)
 
 
 def _read_head(path: str):
-    """N, C, D and the raw labels of a binary dump, once its header and size check."""
+    """(N, C, D) and the raw labels of a binary dump, once its header and size check."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size or header[:4] != MAGIC:
-            raise DumpMagicError(
+            raise DumpError(
                 f"{path}: not an LGRD dump (magic {header[:4]!r}, need {MAGIC!r})"
             )
         _, version, n, c, d = _HEADER.unpack(header)
         if version != VERSION:
-            raise DumpMagicError(f"{path}: unsupported LGRD version {version}")
+            raise DumpError(f"{path}: unsupported LGRD version {version}")
         if os.fstat(fh.fileno()).st_size != _HEADER.size + n * c * d * 8 + n * 4:
             raise _truncated(path, fh, n, c, d)
         fh.seek(_HEADER.size + n * c * d * 8)
         raw = fh.read(n * 4)
         if len(raw) != n * 4:  # the file shrank after the size check
             raise _truncated(path, fh, n, c, d)
-    return n, c, d, np.frombuffer(raw, dtype="<i4")
+    return (n, c, d), np.frombuffer(raw, dtype="<i4")
 
 
-def _file_blocks(path: str, shape: tuple, step: int):
+def _file_blocks(path: str, shape: tuple):
     n, c, d = shape
+    step = block_rows(n, c, d)
     with open(path, "rb") as fh:
         fh.seek(_HEADER.size)
-        buffer = np.empty((min(n, step), c, d), dtype="<f8")
+        buffer = np.empty((step, c, d), dtype="<f8")
         for start in range(0, n, step):
             block = buffer[: n - start]
             if fh.readinto(block) != block.nbytes:  # the file shrank after the size check
@@ -165,8 +126,8 @@ def _file_blocks(path: str, shape: tuple, step: int):
             yield start, block
 
 
-def _truncated(path: str, fh, n: int, c: int, d: int) -> DumpTruncatedError:
-    return DumpTruncatedError(
+def _truncated(path: str, fh, n: int, c: int, d: int) -> DumpError:
+    return DumpError(
         f"{path}: expected {_HEADER.size + n * c * d * 8 + n * 4} bytes for N={n} C={c} "
         f"D={d}, found {os.fstat(fh.fileno()).st_size}"
     )
@@ -177,7 +138,7 @@ def _finite_blocks(path: str, blocks):
         # min and max propagate NaN and expose +-inf without a block-size mask
         if not (np.isfinite(block.min()) and np.isfinite(block.max())):
             mu, k, j = (int(i) for i in np.argwhere(~np.isfinite(block))[0])
-            raise DumpValueError(
+            raise DumpError(
                 f"{path}: non-finite value {float(block[mu, k, j])} at example "
                 f"{start + mu}, logit {k}, weight {j}"
             )
@@ -191,7 +152,7 @@ def _read_csv_dump(path: str) -> tuple[np.ndarray, np.ndarray]:
     n = labels.shape[0]
     rows = data.shape[0]
     if n == 0 or rows % n != 0:
-        raise DumpTruncatedError(
+        raise DumpError(
             f"{path}: {rows} gradient rows are not a multiple of the "
             f"{n} labels in {sidecar}"
         )
@@ -203,4 +164,4 @@ def _labels(path: str, labels, n: int, c: int) -> np.ndarray:
     try:
         return class_labels(labels, n, c)
     except ValueError as exc:
-        raise DumpLabelError(f"{path}: {exc}") from None
+        raise DumpError(f"{path}: {exc}") from None

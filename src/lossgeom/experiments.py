@@ -40,6 +40,7 @@ from .clustering import (
 )
 from .dumps import read_dump_blocks
 from .gradients import (
+    block_rows,
     finish_hessian,
     fold_hessian,
     gradient_sum,
@@ -62,7 +63,6 @@ from .spectra import (
 )
 
 DEFAULT_MEMORY_LIMIT = 2**31  # bytes allowed for one instance's large arrays
-_BLOCK_BYTES = 1 << 20  # gradient bytes per drawn block (blocked Hessian outputs, cluster)
 _BLOCKS = 3  # block buffers: the one read and two drawn meanwhile
 SIMPLEX_SAMPLE_LIMIT = 500
 # equilateral-triangle corners for barycentric plotting of C=3 rows
@@ -240,10 +240,10 @@ def _check_memory(params: ModelParams, rows: int | None = None, hessian: bool = 
 
 def _block_rows(params: ModelParams, whole: bool = False) -> tuple[int, int]:
     """(buffers, rows) of the gradient blocks of ``params``: one block of all
-    N examples when ``whole`` or when about ``_BLOCK_BYTES`` holds them all,
-    else ``_BLOCKS`` blocks of about ``_BLOCK_BYTES`` of examples."""
+    N examples when ``whole`` or when one :func:`block_rows` block holds them
+    all, else ``_BLOCKS`` blocks of :func:`block_rows` examples."""
     n, c, d = params.n_examples, params.n_classes, params.n_weights
-    rows = n if whole else min(n, max(1, _BLOCK_BYTES // (8 * c * d)))
+    rows = n if whole else block_rows(n, c, d)
     return (1 if rows == n else _BLOCKS), rows
 
 
@@ -265,7 +265,7 @@ def _no_read(params: ModelParams, ensemble: LogitEnsemble):
 
 
 def _gradient(params: ModelParams, ensemble: LogitEnsemble):
-    """Read the weight gradient g (:func:`weight_gradient`), summed by block."""
+    """Read the weight gradient g = (1/N) sum_mu (y - p)[mu] J[mu], summed by block."""
     total = np.zeros(params.n_weights)
     return ((lambda start, block: np.add(total, gradient_sum(block, ensemble, start), out=total)),
             lambda: total / params.n_examples)
@@ -297,8 +297,8 @@ class _Task:
 def _pipeline(tasks: list[_Task], reads, measure, results: list, whole: bool = False) -> list:
     """Append ``measure(task, ensemble, read, hessian)`` to ``results`` per task,
     in order; returns ``results``. Tasks share one shape, drawn in blocks of
-    about ``_BLOCK_BYTES`` into ``_BLOCKS`` buffers or, ``whole``, in one
-    block of all N. The blocks and up to two H are allocated once. This
+    :func:`block_rows` examples into ``_BLOCKS`` buffers or, ``whole``, in
+    one block of all N. The blocks and up to two H are allocated once. This
     thread draws task 0, then hands each next task's draw to one worker
     thread, into the other H, and measures meanwhile. Errors raise here,
     under the failing task's ``errors``, the first failing task's first."""

@@ -5,7 +5,7 @@ J[mu,k] = dz[mu,k]/dW = c[k] + E[mu,k], with c ~ N(0, sigma_c^2) (optionally
 length-varied per class) and E ~ N(0, sigma_e^2). J is an (N, C, D) array,
 sampled whole by :func:`sample_logit_gradients` or read from a dump, or
 sampled a block of examples at a time by :func:`logit_gradient_blocks`. The
-weight-space objects are sums over examples, so both can be built by block:
+weight-space objects are sums over examples, so both are built by block:
 
     g  = (1/N) sum_mu sum_k (y - p)[mu,k] J[mu,k]
     H  = (1/N) sum_mu J[mu]^T A[mu] J[mu],   A[mu] = diag(p) - p p^T
@@ -14,8 +14,8 @@ H is assembled through the exact variance identity
 J^T A J = sum_k p_k (J_k - w)(J_k - w)^T with w = sum_l p_l J_l, which keeps
 it PSD by construction: :func:`fold_hessian` writes the rows
 X = sqrt(p_k) (J_k - w) over a block and adds X^T X to H's upper triangle;
-:func:`finish_hessian` mirrors it and divides by N. :func:`model_hessian` is
-the one-block case, a whole tensor.
+:func:`finish_hessian` mirrors it and divides by N. Every blocked reader
+(assembly, clustering, the dump reader) takes :func:`block_rows` examples.
 
 Sign convention: g uses y - p, so g is minus the gradient of the
 cross-entropy loss (the finite-difference tests check -g).
@@ -32,6 +32,8 @@ from .logits import LogitEnsemble
 from .params import ModelParams
 from .rng import GaussianDraw, RngStream, gaussian_matrix, substream
 from .spectra import _fortran
+
+_BLOCK_BYTES = 1 << 20  # gradient bytes per block of examples
 
 
 def gradient_tensor(grads) -> np.ndarray:
@@ -52,6 +54,18 @@ def class_labels(labels, n: int, c: int) -> np.ndarray:
         mu = bad[0]
         raise ValueError(f"label {given[mu]} of example {mu} is not an integer in [0, {c})")
     return given.astype(np.int32)
+
+
+def block_rows(n: int, c: int, d: int) -> int:
+    """Examples per block of an (N, C, D) tensor: about ``_BLOCK_BYTES`` of
+    gradients, at least one and at most N (when N > 0)."""
+    return max(1, min(n, _BLOCK_BYTES // max(1, 8 * c * d)))
+
+
+def tensor_blocks(tensor: np.ndarray):
+    """(start, tensor[start : start + rows]) per block, rows = :func:`block_rows`."""
+    step = block_rows(*tensor.shape)
+    return ((start, tensor[start : start + step]) for start in range(0, len(tensor), step))
 
 
 def sample_mean_logit_gradients(params: ModelParams, stream: RngStream) -> np.ndarray:
@@ -116,11 +130,6 @@ def gradient_sum(tensor: np.ndarray, ensemble: LogitEnsemble, start: int = 0) ->
     return np.einsum("nc,ncd->d", coef, tensor)
 
 
-def weight_gradient(tensor: np.ndarray, ensemble: LogitEnsemble) -> np.ndarray:
-    """The D-vector g = (1/N) sum_{mu,k} (y - p)[mu,k] J[mu,k]."""
-    return gradient_sum(tensor, ensemble) / ensemble.n_examples
-
-
 def fold_hessian(hessian: np.ndarray, block: np.ndarray, probs: np.ndarray, first: bool) -> None:
     """Add X^T X to the upper triangle of the D x D ``hessian`` (write it there
     when ``first``), for X the rows sqrt(p[mu,k]) (J[mu,k] - w[mu]) of a block
@@ -154,20 +163,3 @@ def finish_hessian(hessian: np.ndarray, n: int) -> np.ndarray:
         np.copyto(hessian[i:j, :j], hessian[:j, i:j].T, where=np.tri(j - i, j, i - 1, dtype=bool))
     hessian /= n
     return hessian
-
-
-def model_hessian(tensor: np.ndarray, ensemble: LogitEnsemble) -> np.ndarray:
-    """Dense D x D G-term Hessian H = (1/N) sum_mu J[mu]^T A[mu] J[mu].
-
-    The whole tensor as one block of :func:`fold_hessian`: overwrites
-    ``tensor`` with X and returns X^T X / N, PSD up to roundoff and exactly
-    symmetric. Raises ValueError, rather than work on a copy, unless
-    ``tensor`` is writable float64.
-    """
-    if tensor.dtype != np.float64 or not tensor.flags.writeable:
-        raise ValueError("model_hessian overwrites its tensor: need a writable float64 "
-                         f"array, got {tensor.dtype} (writeable={tensor.flags.writeable})")
-    n, _, d = tensor.shape
-    hessian = np.empty((d, d))
-    fold_hessian(hessian, tensor, ensemble.probs, first=True)
-    return finish_hessian(hessian, n)

@@ -4,7 +4,9 @@ The oracles are deliberately independent of the package internals: losses
 are recomputed from first principles and derivatives come from central finite
 differences, so agreement with the library is evidence rather than tautology.
 The one exception, :func:`full_solve_sweep`, samples through the package and
-differs from it only in how it solves each Hessian.
+differs from it only in how it solves each Hessian. :func:`model_hessian`,
+:func:`weight_gradient` and :func:`read_dump` are the package's blocked
+paths applied to a whole tensor or file, one block or all blocks at once.
 """
 
 import hashlib
@@ -24,8 +26,33 @@ from lossgeom import (
     sample_logit_gradients,
     substream,
 )
-from lossgeom.gradients import model_hessian, weight_gradient
+from lossgeom.dumps import read_dump_blocks
+from lossgeom.gradients import finish_hessian, fold_hessian, gradient_sum
 from lossgeom import experiments
+
+
+def model_hessian(tensor, ensemble):
+    """H = (1/N) sum_mu J[mu]^T A[mu] J[mu] folded from the whole tensor as one
+    block, which it overwrites with the rows X."""
+    n, _, d = tensor.shape
+    hessian = np.empty((d, d))
+    fold_hessian(hessian, tensor, ensemble.probs, first=True)
+    return finish_hessian(hessian, n)
+
+
+def weight_gradient(tensor, ensemble):
+    """g = (1/N) sum_{mu,k} (y - p)[mu,k] J[mu,k] of the whole tensor."""
+    return gradient_sum(tensor, ensemble) / ensemble.n_examples
+
+
+def read_dump(path):
+    """(tensor, labels) of the dump at ``path``, its blocks copied into one array
+    (the binary reader reuses one buffer for every block)."""
+    shape, labels, blocks = read_dump_blocks(path)
+    data = np.empty(shape)
+    for start, block in blocks:
+        data[start : start + len(block)] = block
+    return data, labels
 
 
 def philox_generator(seed, label):

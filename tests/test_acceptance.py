@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from helpers import fd_gradient, fd_hessian
+from helpers import fd_gradient, fd_hessian, model_hessian, weight_gradient
 from lossgeom import (
     LogitEnsemble,
     ModelParams,
@@ -42,7 +42,6 @@ from lossgeom import (
     sample_ensemble,
     sample_logit_gradients,
 )
-from lossgeom.gradients import model_hessian, weight_gradient
 from lossgeom.logits import freezing_stats, softmax_probs
 from lossgeom.rng import substream
 

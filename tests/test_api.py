@@ -35,3 +35,18 @@ def test_every_name_a_demo_imports_is_public():
         for alias in node.names
     }
     assert sorted(imported - set(lossgeom.__all__)) == []
+
+
+def test_every_public_definition_is_used_by_the_package_or_a_demo():
+    # a public function or class that only tests call is a test oracle: it
+    # belongs under tests/, not in src/
+    sources = [p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py"]
+    used = set().union(*(loaded_names(p) for p in sources + sorted(DEMO_DIR.glob("*.py"))))
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(sources)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in used
+    ]
+    assert unused == []

@@ -16,7 +16,7 @@ from lossgeom import (
     sample_logit_gradients,
     write_dump,
 )
-from lossgeom import dumps, experiments
+from lossgeom import experiments, gradients
 from lossgeom.cli import SWEEP_CSV_HEADER, _write_json, run_command
 
 
@@ -363,8 +363,7 @@ def test_blocked_cluster_writes_the_whole_tensor_report(tmp_path, monkeypatch, s
     tensor, labels = sample_logit_gradients(params), sample_ensemble(params).labels
     with experiments.one_blas_thread:
         expected = clustering_report(tensor, labels)  # one block of the whole tensor
-    monkeypatch.setattr(experiments, "_BLOCK_BYTES", rows * 8 * 4 * 64)
-    monkeypatch.setattr(dumps, "_BLOCK_BYTES", rows * 8 * 4 * 64)
+    monkeypatch.setattr(gradients, "_BLOCK_BYTES", rows * 8 * 4 * 64)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_examples = 53\nn_classes = 4\nn_weights = 64\nhyperplane_dim = 4\n")
     args = ["cluster", "--config", cfg, "--seed", "3", "--out", tmp_path / "out"]

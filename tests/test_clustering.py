@@ -15,7 +15,7 @@ from lossgeom import (
     sample_ensemble,
     sample_logit_gradients,
 )
-from lossgeom import clustering
+from lossgeom import gradients
 from lossgeom.gradients import sample_mean_logit_gradients
 from lossgeom.rng import substream
 
@@ -243,7 +243,7 @@ def test_blocked_pass_matches_the_whole_tensor_formula_bit_for_bit(
 ):
     # N = 11 is not a multiple of 3 or 4; classes hold 6, 3 and 2 examples
     n, c, d = 11, 3, 7
-    monkeypatch.setattr(clustering, "_BLOCK_BYTES", rows_per_block * 8 * c * d)
+    monkeypatch.setattr(gradients, "_BLOCK_BYTES", rows_per_block * 8 * c * d)
     tensor = np.random.default_rng(20).standard_normal((n, c, d)) + 0.4
     labels = np.array([0, 1, 0, 2, 0, 1, 0, 0, 2, 1, 0])
     assert_matches_whole_tensor_formula(tensor, labels)
@@ -260,13 +260,13 @@ def test_blocked_pass_matches_the_whole_tensor_formula_at_full_blocks():
 def test_q_sl_matches_the_whole_tensor_formula_at_two_examples(monkeypatch):
     tensor = np.random.default_rng(22).standard_normal((2, 4, 9))
     assert q_sl(tensor) == whole_tensor_clustering(tensor, None)[1]
-    monkeypatch.setattr(clustering, "_BLOCK_BYTES", 8)  # one example per block
+    monkeypatch.setattr(gradients, "_BLOCK_BYTES", 8)  # one example per block
     assert q_sl(tensor) == whole_tensor_clustering(tensor, None)[1]
 
 
 def test_zero_row_past_the_first_block_names_its_global_index(monkeypatch):
     n, c, d = 10, 2, 5
-    monkeypatch.setattr(clustering, "_BLOCK_BYTES", 3 * 8 * c * d)
+    monkeypatch.setattr(gradients, "_BLOCK_BYTES", 3 * 8 * c * d)
     tensor = np.random.default_rng(23).standard_normal((n, c, d))
     tensor[7, 1] = 0.0
     message = "zero gradient vector at example 7, logit 1"

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import full_solve_sweep, no_draws, peak_bytes
+from helpers import full_solve_sweep, model_hessian, no_draws, peak_bytes, weight_gradient
 from lossgeom import (
     ModelParams,
     SweepError,
@@ -26,8 +26,7 @@ from lossgeom import (
     sample_ensemble,
     sample_logit_gradients,
 )
-from lossgeom.gradients import model_hessian, weight_gradient
-from lossgeom import experiments
+from lossgeom import experiments, gradients
 
 SMALL = ModelParams(n_examples=60, n_classes=5, n_weights=120, hyperplane_dim=6)
 
@@ -173,7 +172,7 @@ def test_pipelined_sweep_equals_its_stages_run_serially(monkeypatch):
     # blocks of 16 examples (a ragged last one of 8): the worker draws the next
     # task, two blocks ahead on the sampling pool, while this thread solves
     params = ModelParams(n_examples=200, n_classes=5, n_weights=100, hyperplane_dim=6)
-    monkeypatch.setattr(experiments, "_BLOCK_BYTES", 16 * 8 * 5 * 100)
+    monkeypatch.setattr(gradients, "_BLOCK_BYTES", 16 * 8 * 5 * 100)
     spec = SweepSpec(points=3, repeats=2)
     grid = (10.0, 0.5, float("inf"))
 
@@ -204,10 +203,10 @@ def test_pipelined_sweep_equals_its_stages_run_serially(monkeypatch):
 
 def test_every_hessian_is_drawn_and_assembled_in_the_one_loop():
     # a second use of either stage would fork the measurement path; the
-    # whole-tensor model_hessian and sample_logit_gradients are its one-block
-    # case, and cluster, which builds no Hessian, reads the blocks it draws
+    # whole-tensor sample_logit_gradients is its one-block case, and cluster,
+    # which builds no Hessian, reads the blocks it draws
     uses = []
-    stages = ("_draw", "logit_gradient_blocks", "fold_hessian", "model_hessian")
+    stages = ("_draw", "logit_gradient_blocks", "fold_hessian")
     for path in sorted(Path(experiments.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for top in tree.body:
@@ -218,7 +217,6 @@ def test_every_hessian_is_drawn_and_assembled_in_the_one_loop():
     assert sorted(uses) == [
         ("_draw", "experiments.py", "_pipeline"),
         ("fold_hessian", "experiments.py", "_draw"),
-        ("fold_hessian", "gradients.py", "model_hessian"),
         ("logit_gradient_blocks", "experiments.py", "_draw"),
         ("logit_gradient_blocks", "experiments.py", "run_clustering_experiment"),
         ("logit_gradient_blocks", "gradients.py", "sample_logit_gradients"),

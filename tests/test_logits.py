@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import model_hessian, weight_gradient
 from lossgeom import (
     LogitEnsemble,
     ModelParams,
@@ -10,7 +11,6 @@ from lossgeom import (
     shannon_entropy,
     softmax_probs,
 )
-from lossgeom.gradients import model_hessian, weight_gradient
 from lossgeom.rng import substream
 
 

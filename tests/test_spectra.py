@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import gram_schmidt, peak_bytes, random_symmetric
+from helpers import gram_schmidt, model_hessian, peak_bytes, random_symmetric
 from lossgeom import (
     ModelParams,
     detect_outliers,
@@ -15,7 +15,6 @@ from lossgeom import (
     spectral_norm,
     trace_norm_ratio,
 )
-from lossgeom.gradients import model_hessian
 from lossgeom import spectra
 from lossgeom.rng import gaussian_matrix, substream
 
