@@ -11,9 +11,12 @@ when none finished, and no summary).
 
 All CSVs are written with 17 significant digits so they re-parse to the
 exact values computed. The same config, seed and numpy/scipy/BLAS build give
-byte-identical files. Every measurement holds each OpenBLAS it finds loaded
-to one thread, so where the BLAS is OpenBLAS the bytes do not depend on its
-thread count (``OPENBLAS_NUM_THREADS``).
+byte-identical files. Every measurement holds to one thread each OpenBLAS
+loaded when it starts, so where the BLAS is OpenBLAS the bytes do not depend
+on its thread count (``OPENBLAS_NUM_THREADS``). The five Hessian commands
+import scipy, and so load its BLAS and LAPACK, before their measurement
+starts; ``cluster``, ``freeze`` and every usage or config error run on numpy
+alone.
 """
 
 from __future__ import annotations

@@ -13,7 +13,9 @@ where applicable): identical inputs give identical outputs. Sweep tasks draw
 from labeled substreams (``sweep:<point>:<repeat>:<role>``), so points and
 repeats are independent. Every public ``run_*`` function runs under
 :data:`one_blas_thread`, so its outputs do not depend on the BLAS thread
-count.
+count. The five Hessian runs load scipy's BLAS and LAPACK before they
+enter it; ``cluster`` and ``freeze`` run on numpy alone and never import
+scipy.
 
 Labels are re-drawn per sweep point and repeat at the configured target
 accuracy: each point models a training snapshot at fixed accuracy.
@@ -55,6 +57,7 @@ from .spectra import (
     detect_outliers,
     eigh,
     gradient_overlaps,
+    load_lapack,
     project_hessian,
     random_orthonormal_basis,
     spectral_norm,
@@ -141,25 +144,29 @@ class SweepError(ValueError):
         self.records: list[SweepRecord] = []
 
 
-@functools.cache
-def _openblas_threads() -> tuple:
-    """(get, set) thread-count functions of each OpenBLAS loaded in this process."""
+def _openblas_threads() -> list:
+    """(get, set) thread-count functions of each OpenBLAS mapped into this
+    process now: the memory map is read at every call."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {ln[ln.index("/"):].strip() for ln in fh if "openblas" in ln.lower()}
     except OSError:  # no /proc: no OpenBLAS is found
-        return ()
-    found = []
-    for lib in map(ctypes.CDLL, sorted(paths)):
-        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
-                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                found.append((get, put))
-                break
-    return tuple(found)
+        return []
+    return [found for found in map(_thread_count_functions, sorted(paths)) if found]
+
+
+@functools.cache
+def _thread_count_functions(path: str) -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS at ``path``, or ()."""
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                 "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return ()
 
 
 class _OneBlasThread(contextlib.ContextDecorator):
@@ -167,9 +174,10 @@ class _OneBlasThread(contextlib.ContextDecorator):
 
     Each BLAS or LAPACK call then runs on the calling thread, so results do
     not depend on the BLAS thread count, and no BLAS worker competes with the
-    sampling threads (:mod:`lossgeom.rng`) for the cores. The libraries are
-    found at the first hold, not at import. A nested hold re-enters; holds
-    in other threads wait for it.
+    sampling threads (:mod:`lossgeom.rng`) for the cores. Each hold reads the
+    libraries loaded when it is entered: one loaded later is not held, so the
+    Hessian runs load scipy's first (:func:`_lapack_held`). A nested hold
+    re-enters; holds in other threads wait for it.
     """
 
     def __init__(self) -> None:
@@ -190,6 +198,20 @@ class _OneBlasThread(contextlib.ContextDecorator):
 
 
 one_blas_thread = _OneBlasThread()
+
+
+def _lapack_held(run):
+    """``run`` under :data:`one_blas_thread`, with scipy's BLAS and LAPACK
+    loaded on the calling thread first (:func:`load_lapack`), so that the
+    hold holds them too."""
+    held = one_blas_thread(run)
+
+    @functools.wraps(run)
+    def call(*args, **kwargs):
+        load_lapack()
+        return held(*args, **kwargs)
+
+    return call
 
 
 def point_means(records: list[SweepRecord], name: str) -> np.ndarray:
@@ -333,7 +355,7 @@ def _projected(params: ModelParams, prefix: str, hessian: np.ndarray) -> Symmetr
     return eigh(project_hessian(hessian, basis), vectors=False)
 
 
-@one_blas_thread
+@_lapack_held
 def run_spectrum_experiment(
     params: ModelParams,
 ) -> tuple[SymmetricSpectrum, OutlierReport]:
@@ -344,7 +366,7 @@ def run_spectrum_experiment(
     return spectrum, detect_outliers(spectrum, max_candidates=3 * params.n_classes)
 
 
-@one_blas_thread
+@_lapack_held
 def run_overlap_experiment(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Gradient/eigenvector cosines and cumulative power at params.
 
@@ -358,7 +380,7 @@ def run_overlap_experiment(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     )[0]
 
 
-@one_blas_thread
+@_lapack_held
 def run_projection_experiment(
     params: ModelParams,
 ) -> tuple[SymmetricSpectrum, SymmetricSpectrum]:
@@ -390,7 +412,7 @@ def run_dump_clustering(path: str) -> ClusteringReport:
     return blocked_clustering_report(shape, labels, blocks)
 
 
-@one_blas_thread
+@_lapack_held
 def run_sigma_z_sweep(params: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
     """Sweep sigma_z over spec's grid, one record per (point, repeat).
 
@@ -471,7 +493,7 @@ def _sweep_record(
     )
 
 
-@one_blas_thread
+@_lapack_held
 def run_snr_sweep(
     params: ModelParams, snr_grid
 ) -> list[tuple[float, int, float]]:

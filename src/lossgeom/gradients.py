@@ -26,7 +26,6 @@ from __future__ import annotations
 import ctypes
 
 import numpy as np
-from scipy.linalg import cython_blas
 
 from .logits import LogitEnsemble
 from .params import ModelParams
@@ -147,7 +146,7 @@ def fold_hessian(hessian: np.ndarray, block: np.ndarray, probs: np.ndarray, firs
     x = np.ascontiguousarray(block.reshape(rows * c, d), dtype=np.float64)
     # column-major, H's buffer holds H^T: its lower triangle ("L") is H's upper one
     alpha, beta, ints = ctypes.c_double(1.0), ctypes.c_double(0.0 if first else 1.0), ctypes.c_int
-    _fortran(cython_blas, "dsyrk", 2, 8)(
+    _fortran("cython_blas", "dsyrk", 2, 8)(
         b"L", b"N", ctypes.byref(ints(d)), ctypes.byref(ints(rows * c)), ctypes.byref(alpha),
         x.ctypes.data, ctypes.byref(ints(d)), ctypes.byref(beta), hessian.ctypes.data,
         ctypes.byref(ints(d)))

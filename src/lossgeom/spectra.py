@@ -15,18 +15,21 @@ with a deterministic eigenvector sign convention. On top of that sit the
 diagnostics used by the experiments: largest-relative-gap outlier detection,
 gradient/eigenvector overlaps, the trace-to-spectral-norm ratio, and
 random-hyperplane projection.
+
+This module is the package's one importer of scipy, and it imports scipy
+only when a solve or a BLAS routine first needs it, or a Hessian run asks
+for it (:func:`load_lapack`): importing the package loads numpy alone.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import cython_lapack
 
 from .params import ModelParams
 from .rng import RngStream, gaussian_matrix
@@ -106,6 +109,8 @@ def eigh(
     trace = float(np.trace(h))
     k = d if top is None else min(int(top), d)
     if k == d:
+        import scipy.linalg
+
         solved = scipy.linalg.eigh(h, eigvals_only=not vectors, driver="evd",
                                    check_finite=False)
         values, vecs = solved if vectors else (solved, None)
@@ -118,15 +123,22 @@ def eigh(
     return SymmetricSpectrum(values[::-1].copy(), vecs, trace)
 
 
+def load_lapack() -> None:
+    """Import scipy.linalg, which maps scipy's BLAS and LAPACK into the
+    process. A Hessian run calls it before it holds BLAS to one thread, so
+    that the hold finds scipy's library loaded."""
+    import scipy.linalg  # noqa: F401
+
+
 @functools.cache
-def _fortran(module, name: str, chars: int, pointers: int):
-    """BLAS or LAPACK routine ``name`` from the pointer that ``module``
-    (scipy.linalg.cython_blas or cython_lapack) exports, taking ``chars``
-    character and then ``pointers`` pointer arguments: the Fortran argument
-    list, without string lengths. A CFUNCTYPE call releases the GIL. Made at
-    the routine's first call.
+def _fortran(module: str, name: str, chars: int, pointers: int):
+    """BLAS or LAPACK routine ``name`` from the pointer that
+    ``scipy.linalg.<module>`` (cython_blas or cython_lapack) exports, taking
+    ``chars`` character and then ``pointers`` pointer arguments: the Fortran
+    argument list, without string lengths. A CFUNCTYPE call releases the GIL.
+    Made at the routine's first call, which imports the module.
     """
-    capsule = module.__pyx_capi__[name]
+    capsule = importlib.import_module(f"scipy.linalg.{module}").__pyx_capi__[name]
     api = ctypes.pythonapi
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
     pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
@@ -148,7 +160,7 @@ def _top_eigenpairs(
     (D, k) array, as scipy returns them.
     """
     d = h.shape[0]
-    dsyevr, addr = _fortran(cython_lapack, "dsyevr", 3, 18), ctypes.byref
+    dsyevr, addr = _fortran("cython_lapack", "dsyevr", 3, 18), ctypes.byref
     values = np.empty(d)
     z = np.empty((k, d) if vectors else (1, 1))  # column-major D x k, LDZ = D
     isuppz = np.empty(2 * k, dtype=np.intc)

@@ -1,6 +1,9 @@
 """The package's threads: BLAS held to one thread inside each measurement,
-outputs independent of the BLAS thread count, and nothing started at import."""
+outputs independent of the BLAS thread count, and nothing started at import.
+Importing the package, and every command that builds no Hessian, loads numpy
+alone: scipy is imported by the Hessian commands, before their BLAS hold."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -45,6 +48,111 @@ def test_import_starts_no_thread_and_keeps_blas_counts():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_cold_import_loads_numpy_alone():
+    # scipy.linalg was about 0.35 s of every command's 0.55 s of imports, and
+    # only the Hessian commands call it
+    code = (
+        "import os, sys, threading, numpy\n"
+        "from blas_threads import openblas_thread_counts as counts\n"
+        "def state():\n"
+        "    return threading.active_count(), len(os.listdir('/proc/self/task')), counts()\n"
+        "before = state()\n"
+        "import lossgeom, lossgeom.cli\n"
+        "after = state()\n"
+        "assert before == after, (before, after)\n"
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not scipy, scipy\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_env(),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+# python -m lossgeom <args>, then print the scipy modules it imported
+WITHOUT_SCIPY = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('lossgeom', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as done:\n"
+    "    code = done.code\n"
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    "sys.exit(code)\n"
+)
+TINY_CFG = "n_examples = 20\nn_classes = 3\nn_weights = 30\nhyperplane_dim = 4\n"
+NUMPY_ALONE = {
+    "cluster --input": (["cluster", "--input", "{dir}/g.lgrd"], 0),
+    "cluster": (["cluster", "--config", "{dir}/tiny.cfg"], 0),
+    "freeze": (["freeze", "--config", "{dir}/tiny.cfg"], 0),
+    "usage error": (["spectrum", "--no-such-flag"], 1),
+    "config error": (["spectrum", "--config", "{dir}/bad.cfg"], 1),
+}
+
+
+@pytest.mark.parametrize("case", NUMPY_ALONE)
+def test_commands_without_a_hessian_never_import_scipy(case, tmp_path):
+    argv, expected = NUMPY_ALONE[case]
+    (tmp_path / "tiny.cfg").write_text(TINY_CFG)
+    (tmp_path / "bad.cfg").write_text(TINY_CFG + "no_such_key = 1\n")
+    write_dump(str(tmp_path / "g.lgrd"), np.ones((4, 2, 3)) + np.arange(3), [0, 1, 0, 1])
+    args = [a.format(dir=tmp_path) for a in argv] + ["--out", str(tmp_path / "out")]
+    result = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, *args], capture_output=True, text=True,
+        env=_env(), timeout=120,
+    )
+    assert result.returncode == expected, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+# run commands in turn with scipy not yet imported; print their exit codes and
+# the OpenBLAS thread counts before them, at each fold and each solve, and after
+COLD_HESSIAN_RUN = (
+    "import sys\n"
+    "from blas_threads import openblas_thread_counts as counts\n"
+    "from lossgeom import cli, experiments\n"
+    "cfg, out, *commands = sys.argv[1:]\n"
+    "seen = {}\n"
+    "def spy(stage, fn):\n"
+    "    def call(*args, **kwargs):\n"
+    "        seen.setdefault(stage, []).append(counts())\n"
+    "        return fn(*args, **kwargs)\n"
+    "    return call\n"
+    "experiments.fold_hessian = spy('fold', experiments.fold_hessian)\n"
+    "experiments.eigh = spy('solve', experiments.eigh)\n"
+    "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+    "before = counts()\n"
+    "codes = [cli.run_command([c, '--config', cfg, '--out', out]) for c in commands]\n"
+    "print(repr((codes, before, seen, counts())))\n"
+)
+
+
+@needs_openblas
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+@pytest.mark.parametrize("commands", [["spectrum"], ["sweep-sigmaz"], ["freeze", "spectrum"]],
+                         ids=["spectrum", "sweep-sigmaz", "freeze-then-spectrum"])
+def test_a_cold_hessian_run_holds_scipys_blas_too(commands, tmp_path):
+    # scipy's OpenBLAS is mapped by the run itself: it must be loaded before
+    # the hold reads the libraries, or its solves use every thread; after a
+    # hold without it (freeze), the next hold must read the libraries again
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CFG + "points = 2\nrepeats = 1\n")  # sweep-sigmaz: two tasks
+    result = subprocess.run(
+        [sys.executable, "-c", COLD_HESSIAN_RUN, str(cfg), str(tmp_path / "out"), *commands],
+        capture_output=True, text=True, timeout=120, env=_env(OPENBLAS_NUM_THREADS="2"),
+    )
+    assert result.returncode == 0, result.stderr
+    codes, before, seen, after = ast.literal_eval(result.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    assert sorted(seen) == ["fold", "solve"]
+    for stage, readings in seen.items():
+        for counts in readings:
+            assert counts == dict.fromkeys(after, 1), (stage, counts)
+    [count] = set(before.values())  # every OpenBLAS starts at the same count
+    assert after == dict.fromkeys(after, count)
 
 
 RUNS = {
