@@ -14,9 +14,9 @@ exact values computed. The same config, seed and numpy/scipy/BLAS build give
 byte-identical files. Every measurement holds to one thread each OpenBLAS
 loaded when it starts, so where the BLAS is OpenBLAS the bytes do not depend
 on its thread count (``OPENBLAS_NUM_THREADS``). The five Hessian commands
-import scipy, and so load its BLAS and LAPACK, before their measurement
-starts; ``cluster``, ``freeze`` and every usage or config error run on numpy
-alone.
+import scipy, and so load its BLAS and LAPACK, when their measurement
+starts; ``cluster``, ``freeze``, every usage or config error and a Hessian
+command that fails its checks before it measures run on numpy alone.
 """
 
 from __future__ import annotations

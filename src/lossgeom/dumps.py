@@ -16,9 +16,10 @@ C is inferred from the row count.
 
 Every malformed input raises :class:`DumpError` with a message that says
 which fault it found: the magic or version, the size (with expected vs.
-actual byte counts), a label, a NaN or infinite gradient entry (with its
-place in the tensor), or a dump of no gradient entries (N*C*D = 0). Reading
-and writing check labels by the rule and message of scoring
+actual byte counts), a CSV row or value that does not parse (prefixed by the
+data file or the sidecar), a label, a NaN or infinite gradient entry (with
+its place in the tensor), or a dump of no gradient entries (N*C*D = 0).
+Reading and writing check labels by the rule and message of scoring
 (:func:`~lossgeom.gradients.class_labels`), prefixed by the path.
 
 :func:`read_dump_blocks` is the one reader: it checks the header, the file
@@ -147,8 +148,8 @@ def _finite_blocks(path: str, blocks):
 
 def _read_csv_dump(path: str) -> tuple[np.ndarray, np.ndarray]:
     sidecar = _csv_sidecar(path)
-    labels = np.loadtxt(sidecar, ndmin=1)  # reals, so the label rule sees 0.5
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    labels = _loadtxt(sidecar, ndmin=1)  # reals, so the label rule sees 0.5
+    data = _loadtxt(path, delimiter=",", ndmin=2)
     n = labels.shape[0]
     rows = data.shape[0]
     if n == 0 or rows % n != 0:
@@ -158,6 +159,15 @@ def _read_csv_dump(path: str) -> tuple[np.ndarray, np.ndarray]:
         )
     c = rows // n
     return data.reshape(n, c, data.shape[1]), labels
+
+
+def _loadtxt(path: str, **kwargs) -> np.ndarray:
+    """``np.loadtxt(path)``, its parse errors (a ragged row, a value that is
+    not a number) raised as a :class:`DumpError` prefixed by ``path``."""
+    try:
+        return np.loadtxt(path, **kwargs)
+    except ValueError as exc:
+        raise DumpError(f"{path}: {exc}") from None
 
 
 def _labels(path: str, labels, n: int, c: int) -> np.ndarray:

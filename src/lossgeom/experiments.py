@@ -11,11 +11,11 @@ sums move its ill-conditioned bulk eigenvector cosines by about 1e-7. Each
 experiment is a pure function of a :class:`ModelParams` (plus a sweep spec
 where applicable): identical inputs give identical outputs. Sweep tasks draw
 from labeled substreams (``sweep:<point>:<repeat>:<role>``), so points and
-repeats are independent. Every public ``run_*`` function runs under
-:data:`one_blas_thread`, so its outputs do not depend on the BLAS thread
-count. The five Hessian runs load scipy's BLAS and LAPACK before they
-enter it; ``cluster`` and ``freeze`` run on numpy alone and never import
-scipy.
+repeats are independent. Every public ``run_*`` function measures under
+:func:`one_blas_thread`, so its outputs do not depend on the BLAS thread
+count: :func:`_pipeline` loads scipy's BLAS and LAPACK and then enters it
+around its loop, while ``cluster`` and ``freeze`` enter it as decorators,
+run on numpy alone and never import scipy.
 
 Labels are re-drawn per sweep point and repeat at the configured target
 accuracy: each point models a training snapshot at fixed accuracy.
@@ -67,6 +67,12 @@ from .spectra import (
 
 DEFAULT_MEMORY_LIMIT = 2**31  # bytes allowed for one instance's large arrays
 _BLOCKS = 3  # block buffers: the one read and two drawn meanwhile
+# bytes built per grid entry before the first draw (tracemalloc, rounded up):
+# a sweep task (755 B) and its record (425-456 B) per (point, repeat); a freeze
+# point's params and results (443 B), or 8.5-11.8 KB with C = 3 simplex rows
+_SWEEP_TASK_BYTES = 1280
+_FREEZE_POINT_BYTES = 512
+_SIMPLEX_POINT_BYTES = 12288
 SIMPLEX_SAMPLE_LIMIT = 500
 # equilateral-triangle corners for barycentric plotting of C=3 rows
 _SIMPLEX_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
@@ -169,49 +175,30 @@ def _thread_count_functions(path: str) -> tuple:
     return ()
 
 
-class _OneBlasThread(contextlib.ContextDecorator):
+_HOLD = threading.RLock()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
     """Hold every loaded OpenBLAS to one thread, restoring the counts on exit.
 
     Each BLAS or LAPACK call then runs on the calling thread, so results do
     not depend on the BLAS thread count, and no BLAS worker competes with the
     sampling threads (:mod:`lossgeom.rng`) for the cores. Each hold reads the
-    libraries loaded when it is entered: one loaded later is not held, so the
-    Hessian runs load scipy's first (:func:`_lapack_held`). A nested hold
-    re-enters; holds in other threads wait for it.
+    libraries loaded when it is entered: one loaded later is not held, so
+    :func:`_pipeline` loads scipy's first. A nested hold re-enters; holds in
+    other threads wait for it.
     """
-
-    def __init__(self) -> None:
-        self._lock = threading.RLock()
-        self._saved: list[list] = []  # (set, count) per library, one list per hold
-
-    def __enter__(self) -> None:
-        libs = _openblas_threads()
-        self._lock.acquire()
-        self._saved.append([(put, get()) for get, put in libs])
-        for put, _ in self._saved[-1]:
-            put(1)
-
-    def __exit__(self, *exc) -> None:
-        for put, count in self._saved.pop():
-            put(count)
-        self._lock.release()
-
-
-one_blas_thread = _OneBlasThread()
-
-
-def _lapack_held(run):
-    """``run`` under :data:`one_blas_thread`, with scipy's BLAS and LAPACK
-    loaded on the calling thread first (:func:`load_lapack`), so that the
-    hold holds them too."""
-    held = one_blas_thread(run)
-
-    @functools.wraps(run)
-    def call(*args, **kwargs):
-        load_lapack()
-        return held(*args, **kwargs)
-
-    return call
+    libs = _openblas_threads()
+    with _HOLD:
+        saved = [(put, get()) for get, put in libs]
+        try:
+            for put, _ in saved:
+                put(1)
+            yield
+        finally:
+            for put, count in saved:
+                put(count)
 
 
 def point_means(records: list[SweepRecord], name: str) -> np.ndarray:
@@ -222,7 +209,7 @@ def point_means(records: list[SweepRecord], name: str) -> np.ndarray:
 
 
 def _check_memory(params: ModelParams, rows: int | None = None, hessian: bool = True,
-                  sums: bool = False) -> None:
+                  sums: bool = False, grid: dict | None = None) -> None:
     """Fail before any draw if the ensemble, gradients or dense Hessian would not fit.
 
     ``rows`` counts the examples whose gradients are held at once: N (the
@@ -240,6 +227,8 @@ def _check_memory(params: ModelParams, rows: int | None = None, hessian: bool = 
     doubles: one H and a whole solve, or a many-task run's two H and top-k
     solves. ``hessian=False`` skips that term. ``sums=True`` counts the
     N*D per-example unit sums of ``cluster`` (:func:`blocked_clustering_report`).
+    ``grid`` maps what a run builds for its whole grid before its first draw
+    to its bytes (:data:`_SWEEP_TASK_BYTES`, :data:`_FREEZE_POINT_BYTES`).
     """
     n, c, d = params.n_examples, params.n_classes, params.n_weights
     rows = n if rows is None else rows
@@ -251,6 +240,7 @@ def _check_memory(params: ModelParams, rows: int | None = None, hessian: bool = 
         terms[f"dense {d}x{d} Hessian with its eigensolve"] = 4 * 8 * d * d
     if sums:
         terms[f"{n}x{d} per-example unit sums"] = 8 * n * d
+    terms.update(grid or {})
     needed = sum(terms.values())
     if needed > DEFAULT_MEMORY_LIMIT:
         name = max(terms, key=terms.get)
@@ -322,8 +312,9 @@ def _pipeline(tasks: list[_Task], reads, measure, results: list, whole: bool = F
     :func:`block_rows` examples into ``_BLOCKS`` buffers or, ``whole``, in
     one block of all N. The blocks and up to two H are allocated once. This
     thread draws task 0, then hands each next task's draw to one worker
-    thread, into the other H, and measures meanwhile. Errors raise here,
-    under the failing task's ``errors``, the first failing task's first."""
+    thread, into the other H, and measures meanwhile, all under
+    :func:`one_blas_thread`. Errors raise here, under the failing task's
+    ``errors``, the first failing task's first."""
     n, c, d = tasks[0].params.n_examples, tasks[0].params.n_classes, tasks[0].params.n_weights
     count, rows = _block_rows(tasks[0].params, whole)
     blocks, hessians = [], []
@@ -336,7 +327,8 @@ def _pipeline(tasks: list[_Task], reads, measure, results: list, whole: bool = F
         return _draw(tasks[t].params, tasks[t].prefix, reads, blocks, hessians[t % 2])
 
     future = None
-    with ThreadPoolExecutor(1) as worker:  # its thread starts at the first submit
+    load_lapack()  # mapped before the hold reads the libraries, so that it holds them too
+    with one_blas_thread(), ThreadPoolExecutor(1) as worker:  # the thread starts at a submit
         for t, task in enumerate(tasks):
             with task.errors:
                 ensemble, read, hessian = draw(t) if future is None else future.result()
@@ -355,7 +347,6 @@ def _projected(params: ModelParams, prefix: str, hessian: np.ndarray) -> Symmetr
     return eigh(project_hessian(hessian, basis), vectors=False)
 
 
-@_lapack_held
 def run_spectrum_experiment(
     params: ModelParams,
 ) -> tuple[SymmetricSpectrum, OutlierReport]:
@@ -366,7 +357,6 @@ def run_spectrum_experiment(
     return spectrum, detect_outliers(spectrum, max_candidates=3 * params.n_classes)
 
 
-@_lapack_held
 def run_overlap_experiment(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Gradient/eigenvector cosines and cumulative power at params.
 
@@ -380,7 +370,6 @@ def run_overlap_experiment(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     )[0]
 
 
-@_lapack_held
 def run_projection_experiment(
     params: ModelParams,
 ) -> tuple[SymmetricSpectrum, SymmetricSpectrum]:
@@ -391,7 +380,7 @@ def run_projection_experiment(
     )[0]
 
 
-@one_blas_thread
+@one_blas_thread()
 def run_clustering_experiment(params: ModelParams) -> ClusteringReport:
     """Clustering statistics of one model-sampled gradient tensor, scored one
     block of about 1 MB of examples at a time as it is drawn."""
@@ -404,7 +393,7 @@ def run_clustering_experiment(params: ModelParams) -> ClusteringReport:
     return blocked_clustering_report((n, c, d), labels, logit_gradient_blocks(params, "", blocks))
 
 
-@one_blas_thread
+@one_blas_thread()
 def run_dump_clustering(path: str) -> ClusteringReport:
     """Clustering statistics of the gradient dump at ``path``, read and scored
     one block of about 1 MB of examples at a time (:func:`read_dump_blocks`)."""
@@ -412,7 +401,6 @@ def run_dump_clustering(path: str) -> ClusteringReport:
     return blocked_clustering_report(shape, labels, blocks)
 
 
-@_lapack_held
 def run_sigma_z_sweep(params: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
     """Sweep sigma_z over spec's grid, one record per (point, repeat).
 
@@ -421,10 +409,15 @@ def run_sigma_z_sweep(params: ModelParams, spec: SweepSpec) -> list[SweepRecord]
     Records appear in grid order, repeats innermost. A failing task re-raises
     its ValueError as a :class:`SweepError` prefixed with the point, sigma_z
     and repeat of the first failing task in grid order, and carrying the
-    records finished before it. A model sigma_z = 0 is rejected first.
+    records finished before it. A model sigma_z = 0 is rejected first, then
+    a sweep whose tasks, records, blocks and H would not fit in memory.
     """
     if params.sigma_z == 0:
         raise ValueError("a sigma_z sweep scales around the model's sigma_z, which must not be 0")
+    count, rows = _block_rows(params)
+    n_tasks = spec.points * spec.repeats
+    _check_memory(params, count * rows,
+                  grid={f"{n_tasks} sweep tasks with their records": _SWEEP_TASK_BYTES * n_tasks})
     tasks = []
     for i, sigma_z in enumerate(spec.grid()):  # every point is checked before the first draw
         with _sweep_task(i, sigma_z, 0):
@@ -493,7 +486,6 @@ def _sweep_record(
     )
 
 
-@_lapack_held
 def run_snr_sweep(
     params: ModelParams, snr_grid
 ) -> list[tuple[float, int, float]]:
@@ -507,6 +499,8 @@ def run_snr_sweep(
         sigma_e = 0.0 if math.isinf(snr) else params.sigma_c / math.sqrt(snr)
         snrs.append(float(snr))
         tasks.append(_Task(replace(params, sigma_e=sigma_e), f"snr:{i}:"))
+    if not tasks:
+        raise ValueError("an snr sweep needs at least one snr value")
 
     def outliers(task, ensemble, same_logit_q, hessian):
         spectrum = eigh(hessian, top=_top_k(task.params), vectors=False)
@@ -517,7 +511,7 @@ def run_snr_sweep(
     return [(snr, n, q) for snr, (n, q) in zip(snrs, counts)]
 
 
-@one_blas_thread
+@one_blas_thread()
 def run_freezing_experiment(
     params: ModelParams, sigma_z_grid
 ) -> list[tuple[float, float, float, np.ndarray]]:
@@ -527,7 +521,10 @@ def run_freezing_experiment(
     probability rows when C=3 (for plotting the freezing motion on the
     probability simplex) and is empty otherwise.
     """
-    _check_memory(params, rows=0, hessian=False)
+    per_point = _SIMPLEX_POINT_BYTES if params.n_classes == 3 else _FREEZE_POINT_BYTES
+    _check_memory(params, rows=0, hessian=False, grid={
+        f"{len(sigma_z_grid)}-point freezing grid with its results": per_point * len(sigma_z_grid)
+    })
     points = [replace(params, sigma_z=float(s)) for s in sigma_z_grid]  # all checked first
     results = []
     for i, point_params in enumerate(points):

@@ -27,8 +27,7 @@ rows. Each run splits its pairs into chunks, run on a thread pool of one
 thread per usable core (started at the first such draw, not at import); each
 chunk reads its uniforms at its own offset, so the draws and the stream's
 position after them are those of the serial transform whatever the runs,
-chunks or core count. (``gaussians`` and ``gaussian_matrix`` no longer take
-an ``out=`` buffer: a caller that fills its own buffer reserves a draw.)
+chunks or core count.
 
 Streams with distinct labels are derived from cryptographically separated
 keys and are treated as independent. A stream is stateful and must not be

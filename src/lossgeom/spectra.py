@@ -17,8 +17,8 @@ gradient/eigenvector overlaps, the trace-to-spectral-norm ratio, and
 random-hyperplane projection.
 
 This module is the package's one importer of scipy, and it imports scipy
-only when a solve or a BLAS routine first needs it, or a Hessian run asks
-for it (:func:`load_lapack`): importing the package loads numpy alone.
+only when a solve or a BLAS routine first needs it, or the Hessian loop
+asks for it (:func:`load_lapack`): importing the package loads numpy alone.
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ def eigh(
 
 def load_lapack() -> None:
     """Import scipy.linalg, which maps scipy's BLAS and LAPACK into the
-    process. A Hessian run calls it before it holds BLAS to one thread, so
-    that the hold finds scipy's library loaded."""
+    process. The Hessian measurement loop calls it just before it holds
+    BLAS to one thread, so that the hold finds scipy's library loaded."""
     import scipy.linalg  # noqa: F401
 
 

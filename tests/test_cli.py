@@ -361,7 +361,7 @@ def test_blocked_cluster_writes_the_whole_tensor_report(tmp_path, monkeypatch, s
     # and seed, adding each block's row sum at once (not row by row) moves q_dl.
     params = ModelParams(n_examples=53, n_classes=4, n_weights=64, hyperplane_dim=4, seed=3)
     tensor, labels = sample_logit_gradients(params), sample_ensemble(params).labels
-    with experiments.one_blas_thread:
+    with experiments.one_blas_thread():
         expected = clustering_report(tensor, labels)  # one block of the whole tensor
     monkeypatch.setattr(gradients, "_BLOCK_BYTES", rows * 8 * 4 * 64)
     cfg = tmp_path / "run.cfg"
@@ -414,6 +414,16 @@ def test_bad_dump_gives_exit_1(cfg_path, tmp_path):
     code = run(["cluster", "--config", cfg_path, "--out", tmp_path / "o",
                 "--input", dump])
     assert code == 1
+
+
+def test_malformed_csv_dump_gives_exit_1_naming_the_file(cfg_path, tmp_path, capsys):
+    dump = tmp_path / "ragged.csv"
+    dump.write_text("1,2,3\n4,5\n")
+    (tmp_path / "ragged.labels.csv").write_text("0\n")
+    code = run(["cluster", "--config", cfg_path, "--out", tmp_path / "o", "--input", dump])
+    assert code == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {dump}: the number of columns changed"), line
 
 
 @pytest.mark.parametrize("name, value", [("nan.lgrd", np.nan), ("inf.csv", np.inf)])

@@ -278,6 +278,23 @@ def test_csv_row_count_mismatch(tmp_path):
         read_dump(str(path))
 
 
+@pytest.mark.parametrize(
+    "data, labels, failed, message",
+    [
+        ("1,2,3\n4,5\n", "0\n", "bad.csv", "the number of columns changed from 3 to 2"),
+        ("1,2,3\n4,5,abc\n", "0\n", "bad.csv", "could not convert string 'abc'"),
+        ("1,2,3\n4,5,6\n", "zero\n", "bad.labels.csv", "could not convert string 'zero'"),
+    ],
+    ids=["ragged-row", "non-numeric-value", "non-numeric-label"],
+)
+def test_malformed_csv_raises_dump_error_with_its_path(tmp_path, data, labels, failed, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(data)
+    (tmp_path / "bad.labels.csv").write_text(labels)
+    with pytest.raises(DumpError, match=f"^{re.escape(str(tmp_path / failed))}: {message}"):
+        read_dump(str(path))
+
+
 def test_ingested_statistics_match_in_memory(tmp_path):
     params = ModelParams(n_examples=40, n_classes=5, n_weights=80, hyperplane_dim=5)
     grads = sample_logit_gradients(params)

@@ -181,7 +181,7 @@ def test_pipelined_sweep_equals_its_stages_run_serially(monkeypatch):
         return experiments._draw(point, prefix, reads, blocks, np.empty((100, 100)))
 
     serial, serial_snr = [], []
-    with experiments.one_blas_thread:
+    with experiments.one_blas_thread():
         for i, sigma_z in enumerate(spec.grid()):
             point = experiments._sweep_point(params, spec, float(sigma_z))
             for rep in range(spec.repeats):
@@ -324,13 +324,20 @@ def test_snr_sweep_accepts_infinite_snr_and_rejects_nonpositive(monkeypatch):
             run_snr_sweep(params, (1.0, bad))
 
 
+@pytest.mark.parametrize("grid", [[], (), np.array([])], ids=["list", "tuple", "array"])
+def test_snr_sweep_rejects_an_empty_grid(monkeypatch, grid):
+    no_draws(monkeypatch)
+    with pytest.raises(ValueError, match="^an snr sweep needs at least one snr value$"):
+        run_snr_sweep(ModelParams(n_examples=40, n_classes=4, n_weights=60), grid)
+
+
 def test_outputs_read_the_gradients_before_assembly_overwrites_them():
     # a fresh draw at the same prefix holds the gradients each output must read
     for i, (snr, _, q) in enumerate(run_snr_sweep(SMALL, (2.0, 0.5))):
         point = replace(SMALL, sigma_e=SMALL.sigma_c / math.sqrt(snr))
         assert q == q_sl(sample_logit_gradients(point, f"snr:{i}:"))
     cosines, cumulative = run_overlap_experiment(SMALL)
-    with experiments.one_blas_thread:
+    with experiments.one_blas_thread():
         ensemble, tensor = sample_ensemble(SMALL), sample_logit_gradients(SMALL)
         gradient = weight_gradient(tensor, ensemble)
         expected = gradient_overlaps(eigh(model_hessian(tensor, ensemble)), gradient)
@@ -369,7 +376,7 @@ def test_a_blocked_sweep_holds_no_tensor():
 def test_overlap_writes_the_whole_tensor_formula_bit_for_bit():
     # overlap's one block gives the bits of H = X^T X / N over the whole tensor
     cosines, cumulative = run_overlap_experiment(SMALL)
-    with experiments.one_blas_thread:
+    with experiments.one_blas_thread():
         ensemble, tensor = sample_ensemble(SMALL), sample_logit_gradients(SMALL)
         p, n = ensemble.probs, SMALL.n_examples
         coef = np.eye(SMALL.n_classes)[ensemble.labels] - p
@@ -460,6 +467,28 @@ def test_clustering_is_not_held_to_the_hessian_memory_term():
     params = ModelParams(n_examples=8, n_classes=2, n_weights=16385, hyperplane_dim=1)
     report = run_clustering_experiment(params)
     assert report.per_class_q.shape == (2,)
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda params: run_sigma_z_sweep(params, SweepSpec(points=100, repeats=5)),
+         "500 sweep tasks with their records needs 640000 bytes"),
+        (lambda params: run_freezing_experiment(params, np.logspace(-1, 1, 100)),
+         "100-point freezing grid with its results needs 1228800 bytes"),
+        (lambda params: run_freezing_experiment(replace(params, n_classes=10),
+                                                np.logspace(-1, 1, 1000)),
+         "1000-point freezing grid with its results needs 512000 bytes"),
+    ],
+    ids=["sweep", "freeze-simplex", "freeze"],
+)
+def test_memory_guard_counts_what_a_grid_builds_before_its_first_draw(monkeypatch, run, message):
+    # the instance's arrays take under 70 kB; what its grid builds up front
+    # (tasks and records, or results with simplex rows) takes more than the limit
+    no_draws(monkeypatch)
+    monkeypatch.setattr(experiments, "DEFAULT_MEMORY_LIMIT", 500_000)
+    with pytest.raises(ValueError, match=f"^{message} "):
+        run(ModelParams(n_examples=20, n_classes=3, n_weights=30, hyperplane_dim=4))
 
 
 def test_memory_guard_counts_two_tensors():

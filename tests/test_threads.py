@@ -90,6 +90,9 @@ NUMPY_ALONE = {
     "freeze": (["freeze", "--config", "{dir}/tiny.cfg"], 0),
     "usage error": (["spectrum", "--no-such-flag"], 1),
     "config error": (["spectrum", "--config", "{dir}/bad.cfg"], 1),
+    # Hessian commands that fail their own checks before they measure
+    "sweep-sigmaz underflow": (["sweep-sigmaz", "--config", "{dir}/gamma.cfg"], 1),
+    "sweep-snr zero sigma_c": (["sweep-snr", "--config", "{dir}/sigma_c.cfg"], 1),
 }
 
 
@@ -98,6 +101,8 @@ def test_commands_without_a_hessian_never_import_scipy(case, tmp_path):
     argv, expected = NUMPY_ALONE[case]
     (tmp_path / "tiny.cfg").write_text(TINY_CFG)
     (tmp_path / "bad.cfg").write_text(TINY_CFG + "no_such_key = 1\n")
+    (tmp_path / "gamma.cfg").write_text(TINY_CFG + "gamma = 400\n")
+    (tmp_path / "sigma_c.cfg").write_text(TINY_CFG + "sigma_c = 0\n")
     write_dump(str(tmp_path / "g.lgrd"), np.ones((4, 2, 3)) + np.arange(3), [0, 1, 0, 1])
     args = [a.format(dir=tmp_path) for a in argv] + ["--out", str(tmp_path / "out")]
     result = subprocess.run(
@@ -132,12 +137,17 @@ COLD_HESSIAN_RUN = (
 
 @needs_openblas
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
-@pytest.mark.parametrize("commands", [["spectrum"], ["sweep-sigmaz"], ["freeze", "spectrum"]],
-                         ids=["spectrum", "sweep-sigmaz", "freeze-then-spectrum"])
+@pytest.mark.parametrize(
+    "commands",
+    [["spectrum"], ["overlap"], ["project"], ["sweep-snr"], ["sweep-sigmaz"],
+     ["freeze", "spectrum"]],
+    ids=["spectrum", "overlap", "project", "sweep-snr", "sweep-sigmaz", "freeze-then-spectrum"],
+)
 def test_a_cold_hessian_run_holds_scipys_blas_too(commands, tmp_path):
     # scipy's OpenBLAS is mapped by the run itself: it must be loaded before
-    # the hold reads the libraries, or its solves use every thread; after a
-    # hold without it (freeze), the next hold must read the libraries again
+    # the hold reads the libraries, or its solves use every thread; every
+    # fold and solve must run inside the hold; after a hold without scipy
+    # (freeze), the next hold must read the libraries again
     cfg = tmp_path / "run.cfg"
     cfg.write_text(TINY_CFG + "points = 2\nrepeats = 1\n")  # sweep-sigmaz: two tasks
     result = subprocess.run(
