@@ -16,6 +16,7 @@ is the CLI's ``--out``.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
@@ -53,8 +54,13 @@ def _parse_value(key: str, raw: str, where: str) -> object:
 
 def parse_config(path: str) -> RunConfig:
     """Parse and validate a config file; empty file means all defaults."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = io.StringIO(data.decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not UTF-8 text") from None
 
     seen: dict[str, object] = {}
     for lineno, line in enumerate(lines, start=1):

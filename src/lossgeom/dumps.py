@@ -16,9 +16,10 @@ C is inferred from the row count.
 
 Every malformed input raises :class:`DumpError` with a message that says
 which fault it found: the magic or version, the size (with expected vs.
-actual byte counts), a CSV row or value that does not parse (prefixed by the
-data file or the sidecar), a label, a NaN or infinite gradient entry (with
-its place in the tensor), or a dump of no gradient entries (N*C*D = 0).
+actual byte counts), a CSV row or value that does not parse or an empty CSV
+file (prefixed by the data file or the sidecar), a label, a NaN or infinite
+gradient entry (with its place in the tensor), or a dump of no gradient
+entries (N*C*D = 0).
 Reading and writing check labels by the rule and message of scoring
 (:func:`~lossgeom.gradients.class_labels`), prefixed by the path.
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 
 import numpy as np
 
@@ -163,9 +165,14 @@ def _read_csv_dump(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _loadtxt(path: str, **kwargs) -> np.ndarray:
     """``np.loadtxt(path)``, its parse errors (a ragged row, a value that is
-    not a number) raised as a :class:`DumpError` prefixed by ``path``."""
+    not a number) and a file of no data raised as a :class:`DumpError`
+    prefixed by ``path``, without numpy's warning for the empty file."""
     try:
-        return np.loadtxt(path, **kwargs)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "loadtxt: input contained no data")
+            return np.loadtxt(path, **kwargs)
+    except UserWarning:
+        raise DumpError(f"{path}: the file holds no data") from None
     except ValueError as exc:
         raise DumpError(f"{path}: {exc}") from None
 

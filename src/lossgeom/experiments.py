@@ -27,6 +27,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import mmap
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -310,11 +311,13 @@ def _pipeline(tasks: list[_Task], reads, measure, results: list, whole: bool = F
     """Append ``measure(task, ensemble, read, hessian)`` to ``results`` per task,
     in order; returns ``results``. Tasks share one shape, drawn in blocks of
     :func:`block_rows` examples into ``_BLOCKS`` buffers or, ``whole``, in
-    one block of all N. The blocks and up to two H are allocated once. This
-    thread draws task 0, then hands each next task's draw to one worker
-    thread, into the other H, and measures meanwhile, all under
-    :func:`one_blas_thread`. Errors raise here, under the failing task's
-    ``errors``, the first failing task's first."""
+    one block of all N. The blocks and up to two H are mapped once per run
+    (:func:`_mapped`) and unmapped when it drops them. This thread draws task
+    0, then hands each next task's draw to one worker thread, into the other
+    H, and measures meanwhile, all under :func:`one_blas_thread`; then it
+    trims the heap (:func:`_trim_heap`), so a process running many commands
+    keeps the peak of its largest one. Errors raise here, under the failing
+    task's ``errors``, the first failing task's first."""
     n, c, d = tasks[0].params.n_examples, tasks[0].params.n_classes, tasks[0].params.n_weights
     count, rows = _block_rows(tasks[0].params, whole)
     blocks, hessians = [], []
@@ -322,8 +325,8 @@ def _pipeline(tasks: list[_Task], reads, measure, results: list, whole: bool = F
     def draw(t: int):
         if not hessians:  # task 0, under its errors
             _check_memory(tasks[t].params, count * rows)
-            blocks.extend(np.empty((rows, c, d)) for _ in range(count))
-            hessians.extend(np.empty((d, d)) for _ in tasks[:2])
+            blocks.extend(_mapped((rows, c, d)) for _ in range(count))
+            hessians.extend(_mapped((d, d)) for _ in tasks[:2])
         return _draw(tasks[t].params, tasks[t].prefix, reads, blocks, hessians[t % 2])
 
     future = None
@@ -336,7 +339,26 @@ def _pipeline(tasks: list[_Task], reads, measure, results: list, whole: bool = F
                 if future is None:  # all drawn: the blocks go before the last solve
                     blocks.clear()
                 results.append(measure(task, ensemble, read, hessian))
+    _trim_heap()
     return results
+
+
+def _mapped(shape: tuple) -> np.ndarray:
+    """A float64 array in its own mapping, unmapped when dropped, on huge pages where available."""
+    buf = mmap.mmap(-1, 8 * math.prod(shape), access=mmap.ACCESS_COPY)  # MAP_PRIVATE
+    with contextlib.suppress(AttributeError, OSError):  # no transparent huge pages
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, np.float64).reshape(shape)
+
+
+def _trim_heap() -> None:
+    """Return the C heap's free pages to the OS: glibc's ``malloc_trim``, where there is one."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, TypeError):  # no malloc_trim; no CDLL(None) on Windows
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
 
 
 def _projected(params: ModelParams, prefix: str, hessian: np.ndarray) -> SymmetricSpectrum:

@@ -7,9 +7,14 @@ The one exception, :func:`full_solve_sweep`, samples through the package and
 differs from it only in how it solves each Hessian. :func:`model_hessian`,
 :func:`weight_gradient` and :func:`read_dump` are the package's blocked
 paths applied to a whole tensor or file, one block or all blocks at once.
+:func:`fresh_python` runs code in a new interpreter, for what one process
+keeps across calls (its peak memory) or prints to its own stderr.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -216,6 +221,16 @@ def peak_bytes(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def fresh_python(*args):
+    """``python *args`` in a fresh interpreter that imports this package; its
+    completed process, output captured as text."""
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    paths = (src, os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=300)
 
 
 def class_coupling_matrix(probs):

@@ -152,3 +152,17 @@ def test_module_docstring_names_every_key():
     doc = config.__doc__.split("Recognized keys:", 1)[1]
     named = [key.strip() for group in re.findall(r"\(([^)]*)\)", doc) for key in group.split(",")]
     assert sorted(named) == sorted(config._KEY_TYPES)
+
+
+def test_a_file_that_is_not_utf8_names_its_path_and_line(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"seed = 1\n# caf\xff\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: not UTF-8 text$"):
+        parse_config(str(path))
+
+
+def test_every_line_ending_ends_a_line(tmp_path):
+    path = tmp_path / "mixed.cfg"
+    path.write_bytes(b"seed = 3\r\nn_classes = 4\rpoints = 5\n")
+    cfg = parse_config(str(path))
+    assert (cfg.params.seed, cfg.params.n_classes, cfg.sweep.points) == (3, 4, 5)

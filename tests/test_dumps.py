@@ -2,6 +2,7 @@ import json
 import os
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import peak_bytes, read_dump
+from helpers import fresh_python, peak_bytes, read_dump
 from lossgeom import gradients
 from lossgeom import (
     cli,
@@ -293,6 +294,36 @@ def test_malformed_csv_raises_dump_error_with_its_path(tmp_path, data, labels, f
     (tmp_path / "bad.labels.csv").write_text(labels)
     with pytest.raises(DumpError, match=f"^{re.escape(str(tmp_path / failed))}: {message}"):
         read_dump(str(path))
+
+
+@pytest.mark.parametrize(
+    "data, labels, empty",
+    [("", "0\n", "e.csv"), ("1,2,3\n", "", "e.labels.csv")],
+    ids=["empty-data", "empty-sidecar"],
+)
+def test_an_empty_csv_or_sidecar_raises_a_dump_error_without_a_warning(
+    tmp_path, data, labels, empty
+):
+    # numpy's loadtxt warns on an empty file; the empty data file once passed
+    # as an (N=1, C=0, D=1) dump, a D that no row gave
+    path = tmp_path / "e.csv"
+    path.write_text(data)
+    (tmp_path / "e.labels.csv").write_text(labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DumpError, match=f"^{re.escape(str(tmp_path / empty))}: .*no data"):
+            read_dump(str(path))
+
+
+def test_cluster_on_an_empty_csv_prints_one_error_line(tmp_path):
+    path = tmp_path / "e.csv"
+    path.write_text("")
+    (tmp_path / "e.labels.csv").write_text("0\n")
+    result = fresh_python("-m", "lossgeom", "cluster", "--input", str(path),
+                          "--out", str(tmp_path / "out"))
+    assert result.returncode == 1
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"error: {path}: ")
 
 
 def test_ingested_statistics_match_in_memory(tmp_path):

@@ -1,12 +1,16 @@
 import ast
+import ctypes
 import math
+import os
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import full_solve_sweep, model_hessian, no_draws, peak_bytes, weight_gradient
+from helpers import (
+    fresh_python, full_solve_sweep, model_hessian, no_draws, peak_bytes, weight_gradient,
+)
 from lossgeom import (
     ModelParams,
     SweepError,
@@ -345,11 +349,12 @@ def test_outputs_read_the_gradients_before_assembly_overwrites_them():
     assert np.array_equal(cumulative, expected[1])
 
 
-def test_an_instance_holds_one_tensor():
+def test_an_instance_holds_one_tensor(monkeypatch):
     # overlap builds from one block of all N examples and folds it over itself,
     # so it peaks near the tensor plus H: 1.44x the tensor here, against 2.34x
     # with a second copy or with the block kept through the solve. A sweep holds
     # no tensor at all (test_a_blocked_sweep_holds_no_tensor).
+    monkeypatch.setattr(experiments, "_mapped", np.empty)  # tracemalloc sees no mapping
     params = ModelParams()
     tensor_bytes = 8 * params.n_examples * params.n_classes * params.n_weights
     peaks = {
@@ -361,11 +366,12 @@ def test_an_instance_holds_one_tensor():
         assert peak < 1.6 * tensor_bytes, name
 
 
-def test_a_blocked_sweep_holds_no_tensor():
+def test_a_blocked_sweep_holds_no_tensor(monkeypatch):
     # A sweep task draws and folds 1 MB blocks of examples, so a run holds its
     # two H (0.67x the tensor here), three blocks and the sampling chunks:
     # 0.90-0.92x the tensor by tracemalloc, against 1.52x when each task drew
     # the tensor.
+    monkeypatch.setattr(experiments, "_mapped", np.empty)  # tracemalloc sees no mapping
     params = ModelParams()
     tensor_bytes = 8 * params.n_examples * params.n_classes * params.n_weights
     peak = peak_bytes(run_sigma_z_sweep, params, SweepSpec(points=3, repeats=1))
@@ -387,6 +393,42 @@ def test_overlap_writes_the_whole_tensor_formula_bit_for_bit():
         expected = gradient_overlaps(eigh(x.T @ x / n), gradient)
     assert cosines.tobytes() == expected[0].tobytes()
     assert cumulative.tobytes() == expected[1].tobytes()
+
+
+def _has_malloc_trim() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "malloc_trim")
+    except TypeError:  # no CDLL(None)
+        return False
+
+
+# two rounds of the three one-task Hessian commands at the reference config;
+# prints the process's high-water mark after each round
+ROUNDS = """
+from lossgeom import (ModelParams, run_overlap_experiment, run_projection_experiment,
+                      run_spectrum_experiment)
+params = ModelParams(seed=3)
+for _ in range(2):
+    for run in (run_spectrum_experiment, run_overlap_experiment, run_projection_experiment):
+        run(params)
+    with open("/proc/self/status") as fh:
+        print(next(int(ln.split()[1]) * 1024 for ln in fh if ln.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status") or not _has_malloc_trim(),
+                    reason="needs /proc/self/status and malloc_trim")
+def test_a_run_returns_its_memory():
+    # Each run maps its blocks and H and trims the heap when it ends, so the
+    # second round reuses the first round's peak. When they came from the C
+    # heap, freed arrays of 8-24 MB stayed resident and the second round rose
+    # 15.1-15.4 MiB (about two H) above the first; it rises 2.2-2.6 MiB now.
+    result = fresh_python("-c", ROUNDS)
+    assert result.returncode == 0, result.stderr
+    first, second = map(int, result.stdout.split())
+    d = ModelParams().n_weights
+    print(f"high-water mark {first / 2**20:.1f} -> {second / 2**20:.1f} MiB")
+    assert second - first < 8 * d * d
 
 
 def test_freezing_experiment_curve_and_simplex():
