@@ -44,7 +44,6 @@ from .clustering import (
 from .dumps import read_dump_blocks
 from .gradients import (
     block_rows,
-    finish_hessian,
     fold_hessian,
     gradient_sum,
     logit_gradient_blocks,
@@ -222,8 +221,8 @@ def _check_memory(params: ModelParams, rows: int | None = None, hessian: bool = 
     N=1000, C=10, D=200); a blocked sweep holds 5.0-5.9 MB besides its two H:
     its three 1 MB blocks and about two blocks' worth of temporaries (the
     sampling chunks, q_sl's unit rows). So the bound counts two per example
-    held. Besides H, the solve allocates 1.1x H for eigenvalues, almost
-    nothing for the top k (solved in H's buffer) and 3.0x H for a whole
+    held. Besides H, in whose buffer every solve works, the solve allocates
+    under 0.2x H for eigenvalues or the top k and 2.0x H for a whole
     eigensystem (tracemalloc, D=600 and D=1000), so the bound counts four D*D
     doubles: one H and a whole solve, or a many-task run's two H and top-k
     solves. ``hessian=False`` skips that term. ``sums=True`` counts the
@@ -264,13 +263,14 @@ def _draw(params: ModelParams, prefix: str, reads, blocks: list, hessian: np.nda
     """Draw one task: sample its ensemble and its gradients block by block
     into ``blocks`` (see :func:`logit_gradient_blocks`); each block is read,
     with ``reads(params, ensemble)``'s (add, value) pair, then folded into
-    ``hessian``. Returns (ensemble, value(), H)."""
+    ``hessian``'s upper triangle. Returns (ensemble, value(), H / N)."""
     ensemble = sample_ensemble(params, prefix)
     add, value = reads(params, ensemble)
     for start, block in logit_gradient_blocks(params, prefix, blocks):
         add(start, block)
         fold_hessian(hessian, block, ensemble.probs[start : start + len(block)], start == 0)
-    return ensemble, value(), finish_hessian(hessian, params.n_examples)
+    hessian /= params.n_examples
+    return ensemble, value(), hessian
 
 
 def _no_read(params: ModelParams, ensemble: LogitEnsemble):
@@ -395,11 +395,13 @@ def run_overlap_experiment(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
 def run_projection_experiment(
     params: ModelParams,
 ) -> tuple[SymmetricSpectrum, SymmetricSpectrum]:
-    """Hessian eigenvalues and those of its compression onto a random hyperplane."""
-    return _pipeline(
-        [_Task(params)], _no_read,
-        lambda task, ensemble, read, h: (eigh(h, vectors=False), _projected(params, "", h)), [],
-    )[0]
+    """Hessian eigenvalues and those of its compression onto a random
+    hyperplane, projected first: the solve consumes H."""
+    def measure(task, ensemble, read, h):
+        projected = _projected(params, "", h)
+        return eigh(h, vectors=False), projected
+
+    return _pipeline([_Task(params)], _no_read, measure, [])[0]
 
 
 @one_blas_thread()

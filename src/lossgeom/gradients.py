@@ -13,8 +13,8 @@ weight-space objects are sums over examples, so both are built by block:
 H is assembled through the exact variance identity
 J^T A J = sum_k p_k (J_k - w)(J_k - w)^T with w = sum_l p_l J_l, which keeps
 it PSD by construction: :func:`fold_hessian` writes the rows
-X = sqrt(p_k) (J_k - w) over a block and adds X^T X to H's upper triangle;
-:func:`finish_hessian` mirrors it and divides by N. Every blocked reader
+X = sqrt(p_k) (J_k - w) over a block and adds X^T X to H's upper triangle,
+the one triangle that :mod:`lossgeom.spectra` reads. Every blocked reader
 (assembly, clustering, the dump reader) takes :func:`block_rows` examples.
 
 Sign convention: g uses y - p, so g is minus the gradient of the
@@ -135,7 +135,7 @@ def fold_hessian(hessian: np.ndarray, block: np.ndarray, probs: np.ndarray, firs
     J of examples with probabilities ``probs``; X overwrites the block. The
     product is one BLAS dsyrk, called without the GIL; on a whole tensor it
     gives the bits of numpy's X^T X. ``hessian`` must be a writable
-    C-contiguous float64 D x D array, which BLAS writes in place.
+    C-contiguous float64 D x D array; BLAS writes its upper triangle in place.
     """
     rows, c, d = block.shape
     if not (hessian.shape == (d, d) and hessian.dtype == np.float64
@@ -150,15 +150,3 @@ def fold_hessian(hessian: np.ndarray, block: np.ndarray, probs: np.ndarray, firs
         b"L", b"N", ctypes.byref(ints(d)), ctypes.byref(ints(rows * c)), ctypes.byref(alpha),
         x.ctypes.data, ctypes.byref(ints(d)), ctypes.byref(beta), hessian.ctypes.data,
         ctypes.byref(ints(d)))
-
-
-def finish_hessian(hessian: np.ndarray, n: int) -> np.ndarray:
-    """Mirror the upper triangle onto the lower one in place, about 1 MB of
-    rows at a time, then divide by N; returns ``hessian``."""
-    d = hessian.shape[0]
-    step = 1 + (1 << 17) // d
-    for i in range(0, d, step):
-        j = min(i + step, d)  # rows i..j-1 take column r of H below the diagonal
-        np.copyto(hessian[i:j, :j], hessian[:j, i:j].T, where=np.tri(j - i, j, i - 1, dtype=bool))
-    hessian /= n
-    return hessian

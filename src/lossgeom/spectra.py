@@ -9,12 +9,12 @@ and inverse iteration for the vectors, only the k wanted). dsyevr is called
 through the function pointer scipy exports in ``scipy.linalg.cython_lapack``,
 the routine and LAPACK build behind scipy's driver='evr', so its results are
 scipy's to the bit. The call goes through ctypes, which releases the GIL, so
-other threads run Python while it solves. It works in the matrix's own
-buffer: a top-k solve consumes its matrix. Results are reordered descending
-with a deterministic eigenvector sign convention. On top of that sit the
-diagnostics used by the experiments: largest-relative-gap outlier detection,
-gradient/eigenvector overlaps, the trace-to-spectral-norm ratio, and
-random-hyperplane projection.
+other threads run Python while it solves. Both drivers read the matrix's
+upper triangle, in its own buffer: a solve consumes its matrix. Results are
+reordered descending with a deterministic eigenvector sign convention. On
+top of that sit the diagnostics used by the experiments: largest-relative-gap
+outlier detection, gradient/eigenvector overlaps, the trace-to-spectral-norm
+ratio, and random-hyperplane projection, which reads the upper triangle too.
 
 This module is the package's one importer of scipy, and it imports scipy
 only when a solve or a BLAS routine first needs it, or the Hessian loop
@@ -68,13 +68,13 @@ def eigh(
     ``top=None`` solves for the whole spectrum (driver 'evd'); ``top=k`` for
     the k largest eigenpairs only (dsyevr, see the module docstring), with
     k >= D clamped to the whole spectrum. ``vectors=False`` skips the
-    eigenvectors. Requires finite entries (else scipy's message) and symmetry
-    within 1e-8 (scaled by the largest entry). LAPACK reads the lower
-    triangle; a top-k solve reads H's row-major buffer as column-major, that
-    is the upper triangle, which is the same matrix for an exactly symmetric
-    H such as an assembled Hessian. The trace is read before the solve.
+    eigenvectors. The matrix is read from its upper triangle, as
+    :func:`lossgeom.gradients.fold_hessian` writes it: LAPACK reads the lower
+    triangle of the row-major buffer taken as column-major. The other
+    triangle is not read, but every entry of the buffer must be finite (else
+    scipy's message). The trace is read before the solve.
 
-    A top-k solve consumes ``matrix``: LAPACK overwrites it, so afterwards its
+    A solve consumes ``matrix``: LAPACK works in its buffer, so afterwards its
     contents are unspecified. It raises ValueError, rather than work on a
     copy, unless ``matrix`` is a writable C-contiguous float64 array.
     Eigenvector signs are fixed by making each column's largest-magnitude
@@ -86,10 +86,9 @@ def eigh(
         raise ValueError(f"matrix must be square, got shape {h.shape}")
     if top is not None and top < 1:
         raise ValueError(f"top must be at least 1, got {top}")
-    if top is not None and (h is not matrix or not h.flags.writeable
-                            or not h.flags.c_contiguous):
+    if h is not matrix or not h.flags.writeable or not h.flags.c_contiguous:
         raise ValueError(
-            "a top-k eigh overwrites its matrix: need a writable C-contiguous float64 "
+            "eigh overwrites its matrix: need a writable C-contiguous float64 "
             f"array, got {np.asarray(matrix).dtype} (writeable={h.flags.writeable}, "
             f"c_contiguous={h.flags.c_contiguous})"
         )
@@ -97,22 +96,14 @@ def eigh(
     high, low = (float(h.max()), float(h.min())) if h.size else (0.0, 0.0)
     if not (math.isfinite(high) and math.isfinite(low)):  # max and min propagate NaN
         raise ValueError("array must not contain infs or NaNs")
-    scale = max(1.0, high, -low)
-    # max |H - H^T| over blocks of about 1 MB of rows: one such temporary at a time
-    rows, asym = 1 + (1 << 17) // max(d, 1), 0.0
-    for i in range(0, d, rows):
-        gap = h[i : i + rows] - h[:, i : i + rows].T
-        asym = max(asym, float(gap.max()), -float(gap.min()))
-        del gap
-    if asym > 1e-8 * scale:
-        raise ValueError(f"matrix is not symmetric (max |H - H^T| = {asym:.3e})")
     trace = float(np.trace(h))
     k = d if top is None else min(int(top), d)
     if k == d:
         import scipy.linalg
 
-        solved = scipy.linalg.eigh(h, eigvals_only=not vectors, driver="evd",
-                                   check_finite=False)
+        # h.T is the column-major view whose lower triangle is H's upper one
+        solved = scipy.linalg.eigh(h.T, lower=True, eigvals_only=not vectors, driver="evd",
+                                   overwrite_a=True, check_finite=False)
         values, vecs = solved if vectors else (solved, None)
     else:
         values, vecs = _top_eigenpairs(h, k, vectors)
@@ -261,13 +252,28 @@ def random_orthonormal_basis(params: ModelParams, stream: RngStream) -> np.ndarr
 def project_hessian(matrix: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Compression B^T H B onto an orthonormal basis (columns of B).
 
-    Its eigenvalues interlace H's: the top cannot rise, the bottom cannot
-    fall. Requires B^T B = I within 1e-8.
+    H is read from its upper triangle, as :func:`eigh` reads it: one BLAS
+    dsymm forms B^T H, which gives the bits of numpy's ``b.T @ h`` on a
+    symmetric H. Its eigenvalues interlace H's: the top cannot rise, the
+    bottom cannot fall. Requires a D x D H for a D-row B, and B^T B = I
+    within 1e-8.
     """
-    h = np.asarray(matrix, dtype=float)
+    h = np.ascontiguousarray(matrix, dtype=np.float64)
     b = np.asarray(basis, dtype=float)
+    if b.ndim != 2 or h.shape != (b.shape[0],) * 2:
+        raise ValueError(f"need a DxD matrix and a D-row basis, got {h.shape} and {b.shape}")
     gram_err = float(np.abs(b.T @ b - np.eye(b.shape[1])).max())
     if gram_err > 1e-8:
         raise ValueError(f"basis columns not orthonormal (max deviation {gram_err:.3e})")
-    proj = b.T @ h @ b
+    d, small = b.shape
+    bt = np.ascontiguousarray(b.T)
+    bth = np.empty((small, d))
+    # column-major, bt's buffer is B and H's buffer is H with its lower triangle
+    # ("L") the upper one: C = H B, whose buffer read row-major is B^T H
+    one, zero, ints = ctypes.c_double(1.0), ctypes.c_double(0.0), ctypes.c_int
+    _fortran("cython_blas", "dsymm", 2, 10)(
+        b"L", b"L", ctypes.byref(ints(d)), ctypes.byref(ints(small)), ctypes.byref(one),
+        h.ctypes.data, ctypes.byref(ints(d)), bt.ctypes.data, ctypes.byref(ints(d)),
+        ctypes.byref(zero), bth.ctypes.data, ctypes.byref(ints(d)))
+    proj = bth @ b
     return (proj + proj.T) / 2.0

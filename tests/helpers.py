@@ -32,17 +32,26 @@ from lossgeom import (
     substream,
 )
 from lossgeom.dumps import read_dump_blocks
-from lossgeom.gradients import finish_hessian, fold_hessian, gradient_sum
+from lossgeom.gradients import fold_hessian, gradient_sum
 from lossgeom import experiments
 
 
 def model_hessian(tensor, ensemble):
     """H = (1/N) sum_mu J[mu]^T A[mu] J[mu] folded from the whole tensor as one
-    block, which it overwrites with the rows X."""
+    block, which it overwrites with the rows X. The fold writes the upper
+    triangle, which is copied onto the lower one: H is returned whole."""
     n, _, d = tensor.shape
     hessian = np.empty((d, d))
     fold_hessian(hessian, tensor, ensemble.probs, first=True)
-    return finish_hessian(hessian, n)
+    hessian /= n
+    return mirrored(hessian)
+
+
+def mirrored(hessian):
+    """``hessian`` with its upper triangle copied onto its lower one, in place."""
+    upper = np.triu_indices(len(hessian), 1)
+    hessian.T[upper] = hessian[upper]
+    return hessian
 
 
 def weight_gradient(tensor, ensemble):

@@ -210,7 +210,7 @@ def test_criterion_8_spectral_correctness():
         dim = int(rng.integers(2, 201))
         raw = rng.standard_normal((dim, dim))
         h = (raw + raw.T) / 2.0
-        spectrum = eigh(h)
+        spectrum = eigh(h.copy())  # a solve consumes its matrix
         lam, vec = spectrum.eigenvalues, spectrum.eigenvectors
         recon = np.linalg.norm(vec @ np.diag(lam) @ vec.T - h) / max(
             np.linalg.norm(h), 1e-300
@@ -233,7 +233,7 @@ def test_criterion_8_spectral_correctness():
             n_examples=5, n_weights=dim, hyperplane_dim=d_small
         )
         basis = random_orthonormal_basis(params, substream(trial, "acceptance"))
-        full = eigh(h).eigenvalues
+        full = eigh(h.copy()).eigenvalues
         proj = eigh(project_hessian(h, basis)).eigenvalues
         tol = 1e-9 * max(1.0, abs(full[0]), abs(full[-1]))
         for i in range(d_small):

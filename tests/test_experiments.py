@@ -30,7 +30,7 @@ from lossgeom import (
     sample_ensemble,
     sample_logit_gradients,
 )
-from lossgeom import experiments, gradients
+from lossgeom import experiments, gradients, spectra
 
 SMALL = ModelParams(n_examples=60, n_classes=5, n_weights=120, hyperplane_dim=6)
 
@@ -182,9 +182,11 @@ def test_pipelined_sweep_equals_its_stages_run_serially(monkeypatch):
 
     def draw(point, prefix, reads):
         blocks = [np.empty((16, 5, 100)) for _ in range(experiments._BLOCKS)]
-        return experiments._draw(point, prefix, reads, blocks, np.empty((100, 100)))
+        # zeroed as the loop's mapped H: eigh checks the lower triangle it does not read
+        return experiments._draw(point, prefix, reads, blocks, np.zeros((100, 100)))
 
     serial, serial_snr = [], []
+    spectra.load_lapack()  # as the loop does, so that the hold holds scipy's BLAS
     with experiments.one_blas_thread():
         for i, sigma_z in enumerate(spec.grid()):
             point = experiments._sweep_point(params, spec, float(sigma_z))
