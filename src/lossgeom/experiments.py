@@ -27,7 +27,6 @@ import contextlib
 import ctypes
 import functools
 import math
-import mmap
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -145,9 +144,9 @@ class SweepError(ValueError):
     order (empty when it failed before any record).
     """
 
-    def __init__(self, message: str) -> None:
+    def __init__(self, message: str, records: list[SweepRecord] | None = None) -> None:
         super().__init__(message)
-        self.records: list[SweepRecord] = []
+        self.records: list[SweepRecord] = records or []
 
 
 def _openblas_threads() -> list:
@@ -299,56 +298,43 @@ def _top_k(params: ModelParams) -> int:
 
 @dataclass(frozen=True)
 class _Task:
-    """One Hessian measurement, and the context its errors raise under."""
+    """One Hessian measurement."""
 
     params: ModelParams
     prefix: str = ""
     repeat: int = 0
-    errors: contextlib.AbstractContextManager = contextlib.nullcontext()
 
 
-def _pipeline(tasks: list[_Task], reads, measure, results: list, whole: bool = False) -> list:
-    """Append ``measure(task, ensemble, read, hessian)`` to ``results`` per task,
-    in order; returns ``results``. Tasks share one shape, drawn in blocks of
-    :func:`block_rows` examples into ``_BLOCKS`` buffers or, ``whole``, in
-    one block of all N. The blocks and up to two H are mapped once per run
-    (:func:`_mapped`) and unmapped when it drops them. This thread draws task
-    0, then hands each next task's draw to one worker thread, into the other
-    H, and measures meanwhile, all under :func:`one_blas_thread`; then it
-    trims the heap (:func:`_trim_heap`), so a process running many commands
-    keeps the peak of its largest one. Errors raise here, under the failing
-    task's ``errors``, the first failing task's first."""
-    n, c, d = tasks[0].params.n_examples, tasks[0].params.n_classes, tasks[0].params.n_weights
+def _pipeline(tasks: list[_Task], reads, measure, whole: bool = False):
+    """Yield ``measure(task, ensemble, read, hessian)`` per task, in order; the
+    caller must exhaust it. Tasks share one shape, drawn in blocks of
+    :func:`block_rows` examples into ``_BLOCKS`` buffers or, ``whole``, in one
+    block of all N. The memory check and the buffers (the blocks and up to two
+    zeroed H) come before scipy is loaded, so a run the guard rejects runs on
+    numpy alone. This thread draws task 0, then hands each next task's draw to
+    one worker thread, into the other H, and measures meanwhile, all under
+    :func:`one_blas_thread`; then it trims the heap (:func:`_trim_heap`), so a
+    process running many commands keeps the peak of its largest one. Task t's
+    error raises in place of its item, after item t-1."""
+    c, d = tasks[0].params.n_classes, tasks[0].params.n_weights
     count, rows = _block_rows(tasks[0].params, whole)
-    blocks, hessians = [], []
+    _check_memory(tasks[0].params, count * rows)
+    blocks = [np.empty((rows, c, d)) for _ in range(count)]
+    hessians = [np.zeros((d, d)) for _ in tasks[:2]]  # eigh checks the unread triangle
 
     def draw(t: int):
-        if not hessians:  # task 0, under its errors
-            _check_memory(tasks[t].params, count * rows)
-            blocks.extend(_mapped((rows, c, d)) for _ in range(count))
-            hessians.extend(_mapped((d, d)) for _ in tasks[:2])
         return _draw(tasks[t].params, tasks[t].prefix, reads, blocks, hessians[t % 2])
 
     future = None
     load_lapack()  # mapped before the hold reads the libraries, so that it holds them too
     with one_blas_thread(), ThreadPoolExecutor(1) as worker:  # the thread starts at a submit
         for t, task in enumerate(tasks):
-            with task.errors:
-                ensemble, read, hessian = draw(t) if future is None else future.result()
-                future = worker.submit(draw, t + 1) if t + 1 < len(tasks) else None
-                if future is None:  # all drawn: the blocks go before the last solve
-                    blocks.clear()
-                results.append(measure(task, ensemble, read, hessian))
+            ensemble, read, hessian = draw(t) if future is None else future.result()
+            future = worker.submit(draw, t + 1) if t + 1 < len(tasks) else None
+            if future is None:  # all drawn: the blocks go before the last solve
+                blocks.clear()
+            yield measure(task, ensemble, read, hessian)
     _trim_heap()
-    return results
-
-
-def _mapped(shape: tuple) -> np.ndarray:
-    """A float64 array in its own mapping, unmapped when dropped, on huge pages where available."""
-    buf = mmap.mmap(-1, 8 * math.prod(shape), access=mmap.ACCESS_COPY)  # MAP_PRIVATE
-    with contextlib.suppress(AttributeError, OSError):  # no transparent huge pages
-        buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf, np.float64).reshape(shape)
 
 
 def _trim_heap() -> None:
@@ -373,9 +359,8 @@ def run_spectrum_experiment(
     params: ModelParams,
 ) -> tuple[SymmetricSpectrum, OutlierReport]:
     """One full ensemble at params: Hessian eigenvalues plus outlier report."""
-    [spectrum] = _pipeline(
-        [_Task(params)], _no_read, lambda task, ensemble, read, h: eigh(h, vectors=False), []
-    )
+    [spectrum] = _pipeline([_Task(params)], _no_read,
+                           lambda task, ensemble, read, h: eigh(h, vectors=False))
     return spectrum, detect_outliers(spectrum, max_candidates=3 * params.n_classes)
 
 
@@ -385,11 +370,11 @@ def run_overlap_experiment(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     Raises the zero-gradient error if every probability row is frozen
     exactly onto its label. H is folded from one block, the whole tensor.
     """
-    return _pipeline(
+    [overlaps] = _pipeline(
         [_Task(params)], _gradient,
-        lambda task, ensemble, gradient, h: gradient_overlaps(eigh(h), gradient), [],
-        whole=True,
-    )[0]
+        lambda task, ensemble, gradient, h: gradient_overlaps(eigh(h), gradient), whole=True,
+    )
+    return overlaps
 
 
 def run_projection_experiment(
@@ -401,7 +386,8 @@ def run_projection_experiment(
         projected = _projected(params, "", h)
         return eigh(h, vectors=False), projected
 
-    return _pipeline([_Task(params)], _no_read, measure, [])[0]
+    [spectra] = _pipeline([_Task(params)], _no_read, measure)
+    return spectra
 
 
 @one_blas_thread()
@@ -442,31 +428,26 @@ def run_sigma_z_sweep(params: ModelParams, spec: SweepSpec) -> list[SweepRecord]
     n_tasks = spec.points * spec.repeats
     _check_memory(params, count * rows,
                   grid={f"{n_tasks} sweep tasks with their records": _SWEEP_TASK_BYTES * n_tasks})
+    records: list[SweepRecord] = []
+
+    def failed(i: int, sigma_z: float, rep: int, exc: ValueError) -> SweepError:
+        return SweepError(f"sweep point {i} (sigma_z={sigma_z:g}) repeat {rep}: {exc}", records)
+
     tasks = []
     for i, sigma_z in enumerate(spec.grid()):  # every point is checked before the first draw
-        with _sweep_task(i, sigma_z, 0):
+        try:
             point = _sweep_point(params, spec, float(sigma_z))
-        tasks += [_Task(point, f"sweep:{i}:{rep}:", rep, _sweep_task(i, point.sigma_z, rep))
-                  for rep in range(spec.repeats)]
-    records: list[SweepRecord] = []
+        except ValueError as exc:
+            raise failed(i, sigma_z, 0, exc) from exc
+        tasks += [_Task(point, f"sweep:{i}:{rep}:", rep) for rep in range(spec.repeats)]
     try:
-        _pipeline(tasks, _gradient, lambda task, *stages: _sweep_record(
-            task.params, task.prefix, task.repeat, *stages
-        ), records)
-    except SweepError as exc:
-        exc.records = records
-        raise
+        for record in _pipeline(tasks, _gradient, lambda task, *stages: _sweep_record(
+                task.params, task.prefix, task.repeat, *stages)):
+            records.append(record)
+    except ValueError as exc:  # the first failing task is the next unfinished one
+        task = tasks[len(records)]
+        raise failed(len(records) // spec.repeats, task.params.sigma_z, task.repeat, exc) from exc
     return records
-
-
-@contextlib.contextmanager
-def _sweep_task(i: int, sigma_z: float, rep: int):
-    try:
-        yield
-    except ValueError as exc:
-        raise SweepError(
-            f"sweep point {i} (sigma_z={sigma_z:g}) repeat {rep}: {exc}"
-        ) from exc
 
 
 def _sweep_point(params: ModelParams, spec: SweepSpec, sigma_z: float) -> ModelParams:
@@ -531,7 +512,7 @@ def run_snr_sweep(
         report = detect_outliers(spectrum, max_candidates=3 * params.n_classes)
         return report.n_outliers, same_logit_q
 
-    counts = _pipeline(tasks, _same_logit_q, outliers, [])
+    counts = list(_pipeline(tasks, _same_logit_q, outliers))  # zip alone would not exhaust it
     return [(snr, n, q) for snr, (n, q) in zip(snrs, counts)]
 
 

@@ -62,7 +62,9 @@ class RngStream:
     """A labeled, deterministic random stream (see module docstring)."""
 
     def __init__(self, seed: int, label: str):
-        if not 0 <= int(seed) < 2**64:
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        if not 0 <= seed < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
         if not label:
             raise ValueError("stream label must be a nonempty string")

@@ -2,6 +2,7 @@ import ast
 import ctypes
 import math
 import os
+import threading
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
@@ -182,7 +183,7 @@ def test_pipelined_sweep_equals_its_stages_run_serially(monkeypatch):
 
     def draw(point, prefix, reads):
         blocks = [np.empty((16, 5, 100)) for _ in range(experiments._BLOCKS)]
-        # zeroed as the loop's mapped H: eigh checks the lower triangle it does not read
+        # zeroed as the loop's H: eigh checks the lower triangle it does not read
         return experiments._draw(point, prefix, reads, blocks, np.zeros((100, 100)))
 
     serial, serial_snr = [], []
@@ -351,12 +352,11 @@ def test_outputs_read_the_gradients_before_assembly_overwrites_them():
     assert np.array_equal(cumulative, expected[1])
 
 
-def test_an_instance_holds_one_tensor(monkeypatch):
+def test_an_instance_holds_one_tensor():
     # overlap builds from one block of all N examples and folds it over itself,
     # so it peaks near the tensor plus H: 1.44x the tensor here, against 2.34x
     # with a second copy or with the block kept through the solve. A sweep holds
     # no tensor at all (test_a_blocked_sweep_holds_no_tensor).
-    monkeypatch.setattr(experiments, "_mapped", np.empty)  # tracemalloc sees no mapping
     params = ModelParams()
     tensor_bytes = 8 * params.n_examples * params.n_classes * params.n_weights
     peaks = {
@@ -368,12 +368,11 @@ def test_an_instance_holds_one_tensor(monkeypatch):
         assert peak < 1.6 * tensor_bytes, name
 
 
-def test_a_blocked_sweep_holds_no_tensor(monkeypatch):
+def test_a_blocked_sweep_holds_no_tensor():
     # A sweep task draws and folds 1 MB blocks of examples, so a run holds its
     # two H (0.67x the tensor here), three blocks and the sampling chunks:
     # 0.90-0.92x the tensor by tracemalloc, against 1.52x when each task drew
     # the tensor.
-    monkeypatch.setattr(experiments, "_mapped", np.empty)  # tracemalloc sees no mapping
     params = ModelParams()
     tensor_bytes = 8 * params.n_examples * params.n_classes * params.n_weights
     peak = peak_bytes(run_sigma_z_sweep, params, SweepSpec(points=3, repeats=1))
@@ -421,16 +420,41 @@ for _ in range(2):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status") or not _has_malloc_trim(),
                     reason="needs /proc/self/status and malloc_trim")
 def test_a_run_returns_its_memory():
-    # Each run maps its blocks and H and trims the heap when it ends, so the
-    # second round reuses the first round's peak. When they came from the C
-    # heap, freed arrays of 8-24 MB stayed resident and the second round rose
-    # 15.1-15.4 MiB (about two H) above the first; it rises 2.2-2.6 MiB now.
+    # Each run trims the heap when it ends, so the second round reuses the
+    # first round's peak. Without the trim, freed arrays of 8-24 MB stayed
+    # resident and the second round rose 15.1-15.4 MiB (about two H) above
+    # the first; it rises 2.2-2.6 MiB now.
     result = fresh_python("-c", ROUNDS)
     assert result.returncode == 0, result.stderr
     first, second = map(int, result.stdout.split())
     d = ModelParams().n_weights
     print(f"high-water mark {first / 2**20:.1f} -> {second / 2**20:.1f} MiB")
     assert second - first < 8 * d * d
+
+
+@pytest.mark.parametrize("run", [
+    run_spectrum_experiment, run_overlap_experiment, run_projection_experiment,
+    lambda params: run_sigma_z_sweep(params, SweepSpec(points=2, repeats=2)),
+    lambda params: run_snr_sweep(params, (10.0, 0.1)),
+], ids=["spectrum", "overlap", "project", "sweep-sigmaz", "sweep-snr"])
+def test_a_hessian_run_finishes_its_loop(monkeypatch, run):
+    # a caller that stops iterating the loop early leaves its heap untrimmed
+    # and, until the loop is collected, the BLAS hold taken
+    trims = []
+    monkeypatch.setattr(experiments, "_trim_heap", lambda: trims.append(1))
+    run(SMALL)
+    held = []
+
+    def take():  # from another thread: the hold re-enters in this one
+        held.append(experiments._HOLD.acquire(blocking=False))
+        if held[0]:
+            experiments._HOLD.release()
+
+    other = threading.Thread(target=take)
+    other.start()
+    other.join()
+    assert trims == [1]
+    assert held == [True]
 
 
 def test_freezing_experiment_curve_and_simplex():

@@ -42,6 +42,19 @@ def test_substream_matches_direct_construction():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, np.bool_(True), np.float64(1.0), "1"])
+def test_a_seed_that_is_not_an_integer_is_rejected(seed):
+    # int(seed) would truncate 1.5 and True to seed 1's stream
+    with pytest.raises(ValueError, match="^seed must be an integer, got "):
+        substream(seed, "alpha")
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.int32(7), np.uint8(7)])
+def test_a_numpy_integer_seed_gives_the_int_seeds_stream(seed):
+    assert np.array_equal(substream(seed, "alpha").uniforms(64),
+                          substream(7, "alpha").uniforms(64))
+
+
 def test_uniforms_live_in_half_open_unit_interval():
     u = RngStream(0, "u").uniforms(10_000)
     assert u.min() >= 0.0
