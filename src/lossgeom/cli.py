@@ -78,12 +78,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _cmd_spectrum(cfg: RunConfig, outdir: str, args) -> dict:
     spectrum, report = run_spectrum_experiment(cfg.params)
-    _write_csv(
-        os.path.join(outdir, "spectrum.csv"),
-        "index,eigenvalue",
-        enumerate(spectrum.eigenvalues),
-    )
-    payload = {
+    payload = {  # before any file: a zero H has no trace ratio
         "n_outliers": report.n_outliers,
         "bulk_edge": report.bulk_edge,
         "outlier_values": [float(v) for v in report.outlier_values],
@@ -91,6 +86,11 @@ def _cmd_spectrum(cfg: RunConfig, outdir: str, args) -> dict:
         "trace": spectrum.trace,
         "trace_ratio": trace_norm_ratio(spectrum),
     }
+    _write_csv(
+        os.path.join(outdir, "spectrum.csv"),
+        "index,eigenvalue",
+        enumerate(spectrum.eigenvalues),
+    )
     _write_json(os.path.join(outdir, "outliers.json"), payload)
     return payload
 
@@ -178,13 +178,8 @@ def _cmd_cluster(cfg: RunConfig, outdir: str, args) -> dict:
 
 def _cmd_project(cfg: RunConfig, outdir: str, args) -> dict:
     spectrum, projected = run_projection_experiment(cfg.params)
-    _write_csv(
-        os.path.join(outdir, "projected_spectrum.csv"),
-        "index,eigenvalue",
-        enumerate(projected.eigenvalues),
-    )
     tol = 1e-9 * max(spectral_norm(spectrum), 1e-300)
-    payload = {
+    payload = {  # before any file: a zero H has no trace ratio
         "hyperplane_dim": cfg.params.hyperplane_dim,
         "top_full": float(spectrum.eigenvalues[0]),
         "top_projected": float(projected.eigenvalues[0]),
@@ -195,6 +190,11 @@ def _cmd_project(cfg: RunConfig, outdir: str, args) -> dict:
             and projected.eigenvalues[-1] >= spectrum.eigenvalues[-1] - tol
         ),
     }
+    _write_csv(
+        os.path.join(outdir, "projected_spectrum.csv"),
+        "index,eigenvalue",
+        enumerate(projected.eigenvalues),
+    )
     _write_json(os.path.join(outdir, "projection.json"), payload)
     return payload
 

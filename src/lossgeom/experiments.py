@@ -6,12 +6,11 @@ of about 1 MB of examples at a time; each block is read for what the output
 needs, then folded into H (:func:`fold_hessian`). The task is then measured
 (a solve for only what the output reads). The calling thread measures while
 one worker thread draws the next task into a second H; a one-task run starts
-no thread. Only ``overlap`` holds the (N, C, D) tensor, as one block: blocked
-sums move its ill-conditioned bulk eigenvector cosines by about 1e-7. Each
-experiment is a pure function of a :class:`ModelParams` (plus a sweep spec
-where applicable): identical inputs give identical outputs. Sweep tasks draw
-from labeled substreams (``sweep:<point>:<repeat>:<role>``), so points and
-repeats are independent. Every public ``run_*`` function measures under
+no thread. No output holds the (N, C, D) tensor. Each experiment is a pure
+function of a :class:`ModelParams` (plus a sweep spec where applicable):
+identical inputs give identical outputs. Sweep tasks draw from labeled
+substreams (``sweep:<point>:<repeat>:<role>``), so points and repeats are
+independent. Every public ``run_*`` function measures under
 :func:`one_blas_thread`, so its outputs do not depend on the BLAS thread
 count: :func:`_pipeline` loads scipy's BLAS and LAPACK and then enters it
 around its loop, while ``cluster`` and ``freeze`` enter it as decorators,
@@ -207,34 +206,30 @@ def point_means(records: list[SweepRecord], name: str) -> np.ndarray:
     return values.reshape(-1, repeats).mean(axis=1)
 
 
-def _check_memory(params: ModelParams, rows: int | None = None, hessian: bool = True,
+def _check_memory(params: ModelParams, rows: int, hessian: bool = True,
                   sums: bool = False, grid: dict | None = None) -> None:
     """Fail before any draw if the ensemble, gradients or dense Hessian would not fit.
 
-    ``rows`` counts the examples whose gradients are held at once: N (the
-    default) for a whole tensor, the three blocks of a blocked output, 0 for
-    none. tracemalloc reads 6.1-7.0 N*C doubles for the ensemble and its
-    freezing statistics (C = 2 to 30), so the bound counts eight. It reads
-    1.07 N*C*D doubles for sampling a whole tensor and 1.44 for ``overlap``,
-    whose assembly overwrites it, at the reference config (1.10 and 1.14 at
-    N=1000, C=10, D=200); a blocked sweep holds 5.0-5.9 MB besides its two H:
-    its three 1 MB blocks and about two blocks' worth of temporaries (the
-    sampling chunks, q_sl's unit rows). So the bound counts two per example
-    held. Besides H, in whose buffer every solve works, the solve allocates
-    under 0.2x H for eigenvalues or the top k and 2.0x H for a whole
-    eigensystem (tracemalloc, D=600 and D=1000), so the bound counts four D*D
-    doubles: one H and a whole solve, or a many-task run's two H and top-k
-    solves. ``hessian=False`` skips that term. ``sums=True`` counts the
-    N*D per-example unit sums of ``cluster`` (:func:`blocked_clustering_report`).
+    ``rows`` counts the examples whose gradients are held at once: the three
+    blocks of a Hessian output or of ``cluster``, 0 for none. tracemalloc
+    reads 6.1-7.0 N*C doubles for the ensemble and its freezing statistics
+    (C = 2 to 30), so the bound counts eight. A blocked sweep holds 5.0-5.9 MB
+    besides its two H: its three 1 MB blocks and about two blocks' worth of
+    temporaries (the sampling chunks, q_sl's unit rows). So the bound counts
+    two doubles per gradient entry held. Besides H, in whose buffer every
+    solve works, the solve allocates under 0.2x H for eigenvalues or the top
+    k and 2.0x H for a whole eigensystem (tracemalloc, D=600 and D=1000), so
+    the bound counts four D*D doubles: one H and a whole solve, or a
+    many-task run's two H and top-k solves. ``hessian=False`` skips that
+    term. ``sums=True`` counts the N*D per-example unit sums of ``cluster``
+    (:func:`blocked_clustering_report`).
     ``grid`` maps what a run builds for its whole grid before its first draw
     to its bytes (:data:`_SWEEP_TASK_BYTES`, :data:`_FREEZE_POINT_BYTES`).
     """
     n, c, d = params.n_examples, params.n_classes, params.n_weights
-    rows = n if rows is None else rows
     terms = {f"{n}x{c} logit ensemble with its temporaries": 8 * 8 * n * c}
     if rows:
-        held = "residual tensor" if rows == n else "gradient blocks"
-        terms[f"{rows}x{c}x{d} {held} with its temporaries"] = 2 * 8 * rows * c * d
+        terms[f"{rows}x{c}x{d} gradient blocks with its temporaries"] = 2 * 8 * rows * c * d
     if hessian:
         terms[f"dense {d}x{d} Hessian with its eigensolve"] = 4 * 8 * d * d
     if sums:
@@ -247,15 +242,6 @@ def _check_memory(params: ModelParams, rows: int | None = None, hessian: bool = 
             f"{name} needs {terms[name]} bytes ({needed} in all), over the "
             f"{DEFAULT_MEMORY_LIMIT}-byte memory limit"
         )
-
-
-def _block_rows(params: ModelParams, whole: bool = False) -> tuple[int, int]:
-    """(buffers, rows) of the gradient blocks of ``params``: one block of all
-    N examples when ``whole`` or when one :func:`block_rows` block holds them
-    all, else ``_BLOCKS`` blocks of :func:`block_rows` examples."""
-    n, c, d = params.n_examples, params.n_classes, params.n_weights
-    rows = n if whole else block_rows(n, c, d)
-    return (1 if rows == n else _BLOCKS), rows
 
 
 def _draw(params: ModelParams, prefix: str, reads, blocks: list, hessian: np.ndarray):
@@ -305,21 +291,25 @@ class _Task:
     repeat: int = 0
 
 
-def _pipeline(tasks: list[_Task], reads, measure, whole: bool = False):
+def _pipeline(tasks: list[_Task], reads, measure):
     """Yield ``measure(task, ensemble, read, hessian)`` per task, in order; the
     caller must exhaust it. Tasks share one shape, drawn in blocks of
-    :func:`block_rows` examples into ``_BLOCKS`` buffers or, ``whole``, in one
-    block of all N. The memory check and the buffers (the blocks and up to two
-    zeroed H) come before scipy is loaded, so a run the guard rejects runs on
-    numpy alone. This thread draws task 0, then hands each next task's draw to
-    one worker thread, into the other H, and measures meanwhile, all under
-    :func:`one_blas_thread`; then it trims the heap (:func:`_trim_heap`), so a
-    process running many commands keeps the peak of its largest one. Task t's
-    error raises in place of its item, after item t-1."""
-    c, d = tasks[0].params.n_classes, tasks[0].params.n_weights
-    count, rows = _block_rows(tasks[0].params, whole)
-    _check_memory(tasks[0].params, count * rows)
-    blocks = [np.empty((rows, c, d)) for _ in range(count)]
+    :func:`block_rows` examples into ``_BLOCKS`` buffers. A model with
+    sigma_c = sigma_e = 0, whose gradients and H are all zero, is rejected
+    first; then the memory check and the buffers (the blocks and up to two
+    zeroed H) come before scipy is loaded, so a run rejected by either runs
+    on numpy alone. This thread draws task 0, then hands each next task's
+    draw to one worker thread, into the other H, and measures meanwhile, all
+    under :func:`one_blas_thread`; then it trims the heap (:func:`_trim_heap`),
+    so a process running many commands keeps the peak of its largest one.
+    Task t's error raises in place of its item, after item t-1."""
+    params = tasks[0].params
+    if params.sigma_c == params.sigma_e == 0:
+        raise ValueError("sigma_c = sigma_e = 0 makes every gradient and the Hessian zero")
+    n, c, d = params.n_examples, params.n_classes, params.n_weights
+    rows = block_rows(n, c, d)
+    _check_memory(params, _BLOCKS * rows)
+    blocks = [np.empty((rows, c, d)) for _ in range(_BLOCKS)]
     hessians = [np.zeros((d, d)) for _ in tasks[:2]]  # eigh checks the unread triangle
 
     def draw(t: int):
@@ -368,12 +358,10 @@ def run_overlap_experiment(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     """Gradient/eigenvector cosines and cumulative power at params.
 
     Raises the zero-gradient error if every probability row is frozen
-    exactly onto its label. H is folded from one block, the whole tensor.
+    exactly onto its label.
     """
-    [overlaps] = _pipeline(
-        [_Task(params)], _gradient,
-        lambda task, ensemble, gradient, h: gradient_overlaps(eigh(h), gradient), whole=True,
-    )
+    [overlaps] = _pipeline([_Task(params)], _gradient,
+                           lambda task, ensemble, gradient, h: gradient_overlaps(eigh(h), gradient))
     return overlaps
 
 
@@ -395,11 +383,11 @@ def run_clustering_experiment(params: ModelParams) -> ClusteringReport:
     """Clustering statistics of one model-sampled gradient tensor, scored one
     block of about 1 MB of examples at a time as it is drawn."""
     n, c, d = params.n_examples, params.n_classes, params.n_weights
-    count, rows = _block_rows(params)
-    _check_memory(params, count * rows, hessian=False, sums=True)
+    rows = block_rows(n, c, d)
+    _check_memory(params, _BLOCKS * rows, hessian=False, sums=True)
     labels = sample_ensemble(params).labels
     class_counts(labels, c)  # before the blocks are allocated and drawn
-    blocks = [np.empty((rows, c, d)) for _ in range(count)]
+    blocks = [np.empty((rows, c, d)) for _ in range(_BLOCKS)]
     return blocked_clustering_report((n, c, d), labels, logit_gradient_blocks(params, "", blocks))
 
 
@@ -424,9 +412,9 @@ def run_sigma_z_sweep(params: ModelParams, spec: SweepSpec) -> list[SweepRecord]
     """
     if params.sigma_z == 0:
         raise ValueError("a sigma_z sweep scales around the model's sigma_z, which must not be 0")
-    count, rows = _block_rows(params)
+    rows = block_rows(params.n_examples, params.n_classes, params.n_weights)
     n_tasks = spec.points * spec.repeats
-    _check_memory(params, count * rows,
+    _check_memory(params, _BLOCKS * rows,
                   grid={f"{n_tasks} sweep tasks with their records": _SWEEP_TASK_BYTES * n_tasks})
     records: list[SweepRecord] = []
 

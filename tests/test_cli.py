@@ -170,6 +170,7 @@ def test_sweep_whose_scaling_cannot_run_fails_before_any_draw(
 SIGMA_Z_BOUND = "sigma_z must be at most 1.04858e+307"
 SIGMA_C_SQUARE = "sigma_c must be 0 or have a square in [2.22507e-308, inf), got "
 SIGMA_E_SQUARE = SIGMA_C_SQUARE.replace("sigma_c", "sigma_e")
+ZERO_SIGMAS = "sigma_c = sigma_e = 0 makes every gradient and the Hessian zero"
 
 
 @pytest.mark.parametrize(
@@ -204,12 +205,16 @@ SIGMA_E_SQUARE = SIGMA_C_SQUARE.replace("sigma_c", "sigma_e")
         ("sweep-sigmaz", SMALL_CFG + "scale = linear", "unknown key 'scale'"),
         ("sweep-sigmaz", SMALL_CFG + "sigma_z_ref = 5", "unknown key 'sigma_z_ref'"),
         ("spectrum", SMALL_CFG + "output_dir = results", "unknown key 'output_dir'"),
+        # every gradient and H would be zero: no trace ratio, no overlaps
+        *((command, SMALL_CFG + "sigma_c = 0\nsigma_e = 0", ZERO_SIGMAS)
+          for command in ("spectrum", "project", "overlap", "sweep-sigmaz")),
     ],
     ids=["spectrum-sigma_z", "freeze-sigma_z", "freeze-sigma_z-2e307",
          "sweep-sigma_z", "freeze-memory", "freeze-points", "sweep-points",
          "sweep-sigma_z-0", "cluster-sigma_e-overflow", "spectrum-sigma_e-overflow",
          "cluster-underflow", "spectrum-underflow", "cluster-sums-overflow", "snr-sigma_c-0",
-         "key-scale", "key-sigma_z_ref", "key-output_dir"],
+         "key-scale", "key-sigma_z_ref", "key-output_dir", "spectrum-sigmas-0",
+         "project-sigmas-0", "overlap-sigmas-0", "sweep-sigmas-0"],
 )
 def test_config_that_cannot_run_fails_before_any_draw(
     tmp_path, capsys, monkeypatch, command, config, message
@@ -221,6 +226,17 @@ def test_config_that_cannot_run_fails_before_any_draw(
     assert run([command, "--config", cfg, "--out", out]) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and message in line, line
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("command", ["spectrum", "project"])
+def test_a_zero_hessian_fails_without_writing_a_file(tmp_path, capsys, command):
+    # every row freezes onto its label, so H = 0 and its trace ratio is undefined
+    cfg = tmp_path / "frozen.cfg"
+    cfg.write_text("n_examples = 50\nn_weights = 100\nsigma_z = 1e6\n")
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 1
+    assert "spectral norm is zero" in capsys.readouterr().err
     assert list(out.glob("*")) == []
 
 

@@ -93,6 +93,7 @@ NUMPY_ALONE = {
     # Hessian commands that fail their own checks before they measure
     "sweep-sigmaz underflow": (["sweep-sigmaz", "--config", "{dir}/gamma.cfg"], 1),
     "sweep-snr zero sigma_c": (["sweep-snr", "--config", "{dir}/sigma_c.cfg"], 1),
+    "overlap zero sigmas": (["overlap", "--config", "{dir}/sigmas.cfg"], 1),
     # a Hessian command that the memory guard rejects
     "spectrum over the memory limit": (["spectrum", "--config", "{dir}/wide.cfg"], 1),
 }
@@ -105,6 +106,7 @@ def test_commands_without_a_hessian_never_import_scipy(case, tmp_path):
     (tmp_path / "bad.cfg").write_text(TINY_CFG + "no_such_key = 1\n")
     (tmp_path / "gamma.cfg").write_text(TINY_CFG + "gamma = 400\n")
     (tmp_path / "sigma_c.cfg").write_text(TINY_CFG + "sigma_c = 0\n")
+    (tmp_path / "sigmas.cfg").write_text(TINY_CFG + "sigma_c = 0\nsigma_e = 0\n")
     (tmp_path / "wide.cfg").write_text(TINY_CFG.replace("n_weights = 30", "n_weights = 20000"))
     write_dump(str(tmp_path / "g.lgrd"), np.ones((4, 2, 3)) + np.arange(3), [0, 1, 0, 1])
     args = [a.format(dir=tmp_path) for a in argv] + ["--out", str(tmp_path / "out")]
