@@ -13,8 +13,8 @@ adds, from one normalization of the tensor:
 All pair averages are computed exactly at any N through closed forms over
 unit vectors (sums of all pairwise cosines reduce to norms of vector sums),
 so no pair subsampling is ever needed; brute-force all-pairs equivalence is
-covered by the tests at small N. The vector sums come from one pass over
-blocks of examples (:func:`_unit_sums`) that never copies the whole tensor.
+covered by the tests at small N. One pass over blocks of examples
+(:func:`_unit_sums`) keeps only C x D vector sums and N squared norms.
 
 :func:`q_sl` and :func:`clustering_report` take the (N, C, D) gradient tensor
 as an array; :func:`blocked_clustering_report` takes its blocks, so a tensor
@@ -45,24 +45,24 @@ def _unit_sums(shape: tuple, blocks, labels: np.ndarray | None = None):
     """Sums of the unit rows u[mu, k] = J[mu, k] / |J[mu, k]| of the (N, C, D)
     tensor J that ``blocks`` yields as (start, J[start : start + rows]): per
     logit over examples (C, D) and, given ``labels``, per class of
-    u[mu, labels[mu]] (C, D) and per example over logits (N, D), else None.
-    One pass normalizes one block at a time (:func:`_add_unit_sums`)."""
+    u[mu, labels[mu]] (C, D) and per example |sum_k u[mu, k]|^2 (N,), else
+    None. One pass normalizes one block at a time (:func:`_add_unit_sums`)."""
     n, c, d = shape
     per_logit = np.zeros((c, d))
     per_class = None if labels is None else np.zeros((c, d))
-    per_example = None if labels is None else np.empty((n, d))
+    squares = None if labels is None else np.empty(n)
     for start, block in blocks:
-        _add_unit_sums(block, start, per_logit, labels, per_class, per_example)
-    return per_logit, per_class, per_example
+        _add_unit_sums(block, start, per_logit, labels, per_class, squares)
+    return per_logit, per_class, squares
 
 
-def _add_unit_sums(block, start, per_logit, labels=None, per_class=None, per_example=None):
+def _add_unit_sums(block, start, per_logit, labels=None, per_class=None, squares=None):
     """Add the unit rows of a block of examples start, start + 1, ... to the
-    sums of :func:`_unit_sums`, in example order, as numpy's axis-0 reduction
-    adds them: whatever the blocks, every sum keeps the whole-tensor bits. A
-    row whose squares overflow or may underflow (norm inf or under 1e-140,
-    where an entry's square can be subnormal) is divided by its largest
-    magnitude first; other rows keep their bits, a zero row raises."""
+    sums of :func:`_unit_sums` in example order, as numpy's axis-0 reduction
+    adds them, and write the block's squared norms: whatever the blocks, each
+    keeps its whole-tensor bits. A row whose squares overflow or may underflow
+    (norm inf or under 1e-140, where an entry's square can be subnormal) is
+    divided by its largest magnitude first; other rows keep their bits, a zero row raises."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(block, axis=-1)
     odd = (norms < 1e-140) | (norms == np.inf)
@@ -79,7 +79,8 @@ def _add_unit_sums(block, start, per_logit, labels=None, per_class=None, per_exa
         if labels is not None:
             per_class[labels[mu]] += rows[labels[mu]]
     if labels is not None:
-        units.sum(axis=1, out=per_example[start : start + len(units)])
+        sums = units.sum(axis=1)
+        np.square(sums, out=sums).sum(axis=1, out=squares[start : start + len(units)])
 
 
 def _pair_mean(unit_sum: np.ndarray, count: int) -> float:
@@ -141,14 +142,12 @@ def blocked_clustering_report(shape: tuple, labels, blocks) -> ClusteringReport:
     counts = class_counts(labels, c)
     if n < 2 or c < 2:
         raise ValueError(f"need N >= 2 and C >= 2, got N={n}, C={c}")
-    per_logit, per_class, per_example = _unit_sums(shape, blocks, labels)
+    per_logit, per_class, squares = _unit_sums(shape, blocks, labels)
     # per class k: mean pairwise cosine of {dz[mu,k]/dW : label(mu) = k}
     per_class_q = np.array([_pair_mean(sums, m) for sums, m in zip(per_class, counts)])
     # different logits (k != l, mu != nu) by inclusion-exclusion over both
     total = per_logit.sum(axis=0)
-    pair_sum = float(total @ total) - float((per_logit * per_logit).sum())
-    per_example *= per_example  # in place: its square is the last read of it
-    pair_sum = pair_sum - float(per_example.sum()) + n * c
+    pair_sum = float(total @ total - (per_logit * per_logit).sum() - squares.sum() + n * c)
     return ClusteringReport(
         q_slsc=float(per_class_q.mean()),
         q_sl=_same_logit(per_logit, n),

@@ -207,7 +207,7 @@ def point_means(records: list[SweepRecord], name: str) -> np.ndarray:
 
 
 def _check_memory(params: ModelParams, rows: int, hessian: bool = True,
-                  sums: bool = False, grid: dict | None = None) -> None:
+                  grid: dict | None = None) -> None:
     """Fail before any draw if the ensemble, gradients or dense Hessian would not fit.
 
     ``rows`` counts the examples whose gradients are held at once: the three
@@ -220,9 +220,7 @@ def _check_memory(params: ModelParams, rows: int, hessian: bool = True,
     solve works, the solve allocates under 0.2x H for eigenvalues or the top
     k and 2.0x H for a whole eigensystem (tracemalloc, D=600 and D=1000), so
     the bound counts four D*D doubles: one H and a whole solve, or a
-    many-task run's two H and top-k solves. ``hessian=False`` skips that
-    term. ``sums=True`` counts the N*D per-example unit sums of ``cluster``
-    (:func:`blocked_clustering_report`).
+    many-task run's two H and top-k solves; ``hessian=False`` skips it.
     ``grid`` maps what a run builds for its whole grid before its first draw
     to its bytes (:data:`_SWEEP_TASK_BYTES`, :data:`_FREEZE_POINT_BYTES`).
     """
@@ -232,8 +230,6 @@ def _check_memory(params: ModelParams, rows: int, hessian: bool = True,
         terms[f"{rows}x{c}x{d} gradient blocks with its temporaries"] = 2 * 8 * rows * c * d
     if hessian:
         terms[f"dense {d}x{d} Hessian with its eigensolve"] = 4 * 8 * d * d
-    if sums:
-        terms[f"{n}x{d} per-example unit sums"] = 8 * n * d
     terms.update(grid or {})
     needed = sum(terms.values())
     if needed > DEFAULT_MEMORY_LIMIT:
@@ -242,6 +238,11 @@ def _check_memory(params: ModelParams, rows: int, hessian: bool = True,
             f"{name} needs {terms[name]} bytes ({needed} in all), over the "
             f"{DEFAULT_MEMORY_LIMIT}-byte memory limit"
         )
+
+
+def _check_gradients(params: ModelParams) -> None:
+    if params.sigma_c == params.sigma_e == 0:  # every gradient, and H, would be zero
+        raise ValueError("sigma_c = sigma_e = 0 makes every gradient and the Hessian zero")
 
 
 def _draw(params: ModelParams, prefix: str, reads, blocks: list, hessian: np.ndarray):
@@ -304,8 +305,7 @@ def _pipeline(tasks: list[_Task], reads, measure):
     so a process running many commands keeps the peak of its largest one.
     Task t's error raises in place of its item, after item t-1."""
     params = tasks[0].params
-    if params.sigma_c == params.sigma_e == 0:
-        raise ValueError("sigma_c = sigma_e = 0 makes every gradient and the Hessian zero")
+    _check_gradients(params)
     n, c, d = params.n_examples, params.n_classes, params.n_weights
     rows = block_rows(n, c, d)
     _check_memory(params, _BLOCKS * rows)
@@ -384,7 +384,8 @@ def run_clustering_experiment(params: ModelParams) -> ClusteringReport:
     block of about 1 MB of examples at a time as it is drawn."""
     n, c, d = params.n_examples, params.n_classes, params.n_weights
     rows = block_rows(n, c, d)
-    _check_memory(params, _BLOCKS * rows, hessian=False, sums=True)
+    _check_gradients(params)
+    _check_memory(params, _BLOCKS * rows, hessian=False)
     labels = sample_ensemble(params).labels
     class_counts(labels, c)  # before the blocks are allocated and drawn
     blocks = [np.empty((rows, c, d)) for _ in range(_BLOCKS)]

@@ -215,7 +215,7 @@ def whole_tensor_clustering(tensor, labels):
     pair_sum = (
         float(total @ total)
         - float((per_logit * per_logit).sum())
-        - float((per_example * per_example).sum())
+        - float((per_example * per_example).sum(axis=1).sum())  # per example, then over examples
         + n * c
     )
     q_dl = pair_sum / (n * (n - 1) * c * (c - 1))

@@ -207,14 +207,14 @@ ZERO_SIGMAS = "sigma_c = sigma_e = 0 makes every gradient and the Hessian zero"
         ("spectrum", SMALL_CFG + "output_dir = results", "unknown key 'output_dir'"),
         # every gradient and H would be zero: no trace ratio, no overlaps
         *((command, SMALL_CFG + "sigma_c = 0\nsigma_e = 0", ZERO_SIGMAS)
-          for command in ("spectrum", "project", "overlap", "sweep-sigmaz")),
+          for command in ("spectrum", "project", "overlap", "sweep-sigmaz", "cluster")),
     ],
     ids=["spectrum-sigma_z", "freeze-sigma_z", "freeze-sigma_z-2e307",
          "sweep-sigma_z", "freeze-memory", "freeze-points", "sweep-points",
          "sweep-sigma_z-0", "cluster-sigma_e-overflow", "spectrum-sigma_e-overflow",
          "cluster-underflow", "spectrum-underflow", "cluster-sums-overflow", "snr-sigma_c-0",
          "key-scale", "key-sigma_z_ref", "key-output_dir", "spectrum-sigmas-0",
-         "project-sigmas-0", "overlap-sigmas-0", "sweep-sigmas-0"],
+         "project-sigmas-0", "overlap-sigmas-0", "sweep-sigmas-0", "cluster-sigmas-0"],
 )
 def test_config_that_cannot_run_fails_before_any_draw(
     tmp_path, capsys, monkeypatch, command, config, message

@@ -87,19 +87,21 @@ def test_binary_write_holds_no_copy_of_the_tensor(tmp_path):
 
 
 def test_scoring_a_binary_dump_holds_no_copy_of_the_tensor(tmp_path):
-    # cluster --input reads and scores 1 MB blocks of examples, so it holds the
-    # N x D per-example unit sums (1/C of the dump), one block and its unit
-    # rows: 0.20x the dump by tracemalloc here, against 1.21x when the whole
-    # dump was read and then scored.
-    n, c, d = 300, 10, 1000
+    # cluster --input reads and scores 1 MB blocks of examples and keeps C x D
+    # unit sums and N squared norms, so its peak does not grow with N. While it
+    # kept the N x D per-example unit sums, N=3000 peaked 2.3 MB above N=300.
+    c, d = 4, 100
     gen = np.random.default_rng(8)
-    path, out = tmp_path / "big.lgrd", tmp_path / "out"
-    write_dump(str(path), gen.standard_normal((n, c, d)) + gen.standard_normal((c, d)),
-               np.arange(n) % c)
-    peak = peak_bytes(cli.run_command, ["cluster", "--input", str(path), "--out", str(out)])
-    print(f"cluster --input peak: {peak / (8 * n * c * d):.3f}x the dump")
-    assert (out / "clustering.json").exists()
-    assert peak < 8 * n * d + 4 * 2**20
+    peaks = []
+    for n in (300, 3000):
+        path, out = tmp_path / f"{n}.lgrd", tmp_path / f"out{n}"
+        write_dump(str(path), gen.standard_normal((n, c, d)) + gen.standard_normal((c, d)),
+                   np.arange(n) % c)
+        peaks.append(peak_bytes(cli.run_command,
+                                ["cluster", "--input", str(path), "--out", str(out)]))
+        assert (out / "clustering.json").exists()
+    print(f"cluster --input peaks at N=300 and N=3000: {peaks[0]} and {peaks[1]} bytes")
+    assert abs(peaks[1] - peaks[0]) < 2**20
 
 
 def test_bad_magic_raises_magic_error(tmp_path):

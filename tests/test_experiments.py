@@ -537,14 +537,8 @@ def test_freezing_experiment_simplex_coordinates_for_three_classes():
             ModelParams(n_examples=2, n_classes=2, n_weights=12000, hyperplane_dim=1),
             "dense 12000x12000 Hessian with its eigensolve needs 4608000000 bytes",
         ),
-        # cluster holds three blocks, but also N x D per-example unit sums
-        (
-            run_clustering_experiment,
-            ModelParams(n_examples=300_000, n_classes=2, n_weights=1000),
-            "300000x1000 per-example unit sums needs 2400000000 bytes",
-        ),
     ],
-    ids=["hessian", "hessian-solve", "cluster"],
+    ids=["hessian", "hessian-solve"],
 )
 def test_memory_guard_rejects_before_sampling(monkeypatch, run, params, message):
     no_draws(monkeypatch)
@@ -558,11 +552,19 @@ def test_memory_guard_rejects_before_sampling(monkeypatch, run, params, message)
                                  run_clustering_experiment])
 def test_blocked_outputs_are_not_held_to_the_tensor_memory_term(monkeypatch, run):
     # 2 * 8 * N*C*D = 3.2e9 bytes for this tensor, but a blocked output holds
-    # three blocks of 13 examples (cluster also its 1.6e8 bytes of N x D
-    # per-example sums): the guard passes, and the first draw follows
+    # three blocks of 13 examples (cluster also C x D unit sums and N squared
+    # norms): the guard passes, and the first draw follows
     no_draws(monkeypatch)
     with pytest.raises(AssertionError, match="sampled before the check"):
         run(ModelParams(n_examples=20_000, n_classes=10, n_weights=1000))
+
+
+def test_cluster_is_not_held_to_an_n_by_d_memory_term(monkeypatch):
+    # N x D per-example unit sums would take 2.4e9 bytes here; cluster keeps
+    # their N squared norms, so the guard passes and the first draw follows
+    no_draws(monkeypatch)
+    with pytest.raises(AssertionError, match="sampled before the check"):
+        run_clustering_experiment(ModelParams(n_examples=300_000, n_classes=2, n_weights=1000))
 
 
 def test_clustering_is_not_held_to_the_hessian_memory_term():
