@@ -4,13 +4,15 @@ Part 1 sweeps the signal-to-noise ratio sigma_c^2/sigma_e^2 and compares the
 measured same-logit clustering statistic q_sl against its closed-form
 prediction SNR/(SNR+1): per-logit gradients are a shared class mean plus
 i.i.d. residuals, and the mean pairwise cosine concentrates on the fraction
-of variance the mean carries.
+of variance the mean carries. Each point is scored as ``cluster`` scores a
+model sample, one block of examples at a time as it is drawn (the same draw
+at every SNR, its residuals scaled).
 
 Part 2 exercises the ingestion path: a sampled gradient tensor is written to a
 binary .lgrd dump and a .csv dump, then each is scored as ``cluster --input``
 scores it, one block of examples at a time as it is read; both reproduce the
-in-memory statistics exactly, which is how externally measured gradients
-would be scored.
+statistics of the model sample exactly, which is how externally measured
+gradients would be scored.
 """
 
 import argparse
@@ -20,9 +22,8 @@ import numpy as np
 
 from lossgeom import (
     ModelParams,
-    clustering_report,
     predicted_q_sl,
-    q_sl,
+    run_clustering_experiment,
     run_dump_clustering,
     sample_ensemble,
     sample_logit_gradients,
@@ -42,9 +43,8 @@ def main():
     for snr in (0.1, 0.5, 1.0, 2.04, 5.0, 10.0):
         sigma_e = base.sigma_c / np.sqrt(snr)
         params = ModelParams(sigma_e=float(sigma_e), seed=0)
-        grads = sample_logit_gradients(params, label_prefix=f"snr:{snr}:")
         predicted = predicted_q_sl(params.sigma_c, params.sigma_e)
-        measured = q_sl(grads)
+        measured = run_clustering_experiment(params).q_sl
         rows.append((snr, predicted, measured))
         print(f"{snr:5.2f}      {predicted:.4f}         {measured:.4f}")
 
@@ -53,12 +53,13 @@ def main():
         for snr, predicted, measured in rows:
             fh.write(f"{snr:.17g},{predicted:.17g},{measured:.17g}\n")
 
-    # round trip: write, then read and score; statistics must match bit for bit
+    # round trip: write the model sample, then read and score it; the
+    # statistics must match those of the sample scored as it is drawn, bit for bit
     params = ModelParams(n_examples=60, n_classes=5, n_weights=120,
                          hyperplane_dim=6, seed=1)
+    in_memory = run_clustering_experiment(params)
     grads = sample_logit_gradients(params)
     labels = sample_ensemble(params).labels
-    in_memory = clustering_report(grads, labels)
 
     for name in ("dump.lgrd", "dump.csv"):
         path = os.path.join(args.out, name)

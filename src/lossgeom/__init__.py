@@ -10,12 +10,7 @@ of the top eigenvalue, and the decay of the trace-to-norm curvature ratio.
 
 import types
 
-from .clustering import (
-    ClusteringReport,
-    clustering_report,
-    predicted_q_sl,
-    q_sl,
-)
+from .clustering import ClusteringReport, predicted_q_sl
 from .config import ConfigError, RunConfig, parse_config
 from .dumps import DumpError, write_dump
 from .experiments import (

@@ -10,8 +10,9 @@ exits 1 after writing the records finished before it to sweep.csv (no file
 when none finished, and no summary).
 
 All CSVs are written with 17 significant digits so they re-parse to the
-exact values computed. The same config, seed and numpy/scipy/BLAS build give
-byte-identical files. Every measurement holds to one thread each OpenBLAS
+exact values computed. The same config, seed and numpy/scipy/BLAS build at
+one numpy CPU-dispatch level give byte-identical files (across levels, values
+agree to roundoff). Every measurement holds to one thread each OpenBLAS
 loaded when it starts, so where the BLAS is OpenBLAS the bytes do not depend
 on its thread count (``OPENBLAS_NUM_THREADS``). The five Hessian commands
 import scipy, and so load its BLAS and LAPACK, when their measurement
@@ -34,6 +35,7 @@ from .config import RunConfig, parse_config
 from .experiments import (
     SweepError,
     SweepRecord,
+    check_freezing_memory,
     point_means,
     run_clustering_experiment,
     run_dump_clustering,
@@ -137,6 +139,7 @@ def _cmd_sweep_snr(cfg: RunConfig, outdir: str, args) -> dict:
 
 
 def _cmd_freeze(cfg: RunConfig, outdir: str, args) -> dict:
+    check_freezing_memory(cfg.params, cfg.sweep.points)  # before the grid's own 8 bytes a point
     results = run_freezing_experiment(cfg.params, cfg.sweep.grid())
     _write_csv(
         os.path.join(outdir, "freezing.csv"),

@@ -1,11 +1,12 @@
 """Clustering statistics of logit-gradient vector sets.
 
-:func:`q_sl` is the same-logit mean pairwise cosine over the (N, C, D)
-gradient tensor: pairs of examples sharing logit index k. Under the
-mean+residual model it concentrates on SNR/(SNR+1) with
-SNR = sigma_c^2/sigma_e^2 (:func:`predicted_q_sl`). :func:`clustering_report`
-adds, from one normalization of the tensor:
+:func:`blocked_clustering_report` scores an (N, C, D) gradient tensor from
+its blocks of examples, so a tensor drawn or read block by block (a model
+draw, a dump file) is scored without ever being held whole. It reports:
 
+* same-logit (q_sl): mean pairwise cosine over pairs of examples sharing
+  logit index k; under the mean+residual model it concentrates on
+  SNR/(SNR+1) with SNR = sigma_c^2/sigma_e^2 (:func:`predicted_q_sl`);
 * same-logit-same-class: pairs sharing logit index k, restricted to
   examples labeled k, averaged per class then across classes;
 * different-logits: pairs with k != l, all example pairs.
@@ -14,12 +15,8 @@ All pair averages are computed exactly at any N through closed forms over
 unit vectors (sums of all pairwise cosines reduce to norms of vector sums),
 so no pair subsampling is ever needed; brute-force all-pairs equivalence is
 covered by the tests at small N. One pass over blocks of examples
-(:func:`_unit_sums`) keeps only C x D vector sums and N squared norms.
-
-:func:`q_sl` and :func:`clustering_report` take the (N, C, D) gradient tensor
-as an array; :func:`blocked_clustering_report` takes its blocks, so a tensor
-drawn or read block by block (a model draw, a dump file) is scored without
-ever being held whole.
+(:func:`_unit_sums`) keeps only C x D vector sums and N squared norms;
+``sweep-snr`` reads q_sl alone from the same per-block sums.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import class_labels, gradient_tensor, tensor_blocks
+from .gradients import class_labels
 
 
 @dataclass(frozen=True)
@@ -94,12 +91,6 @@ def _same_logit(per_logit: np.ndarray, n: int) -> float:
     return float(np.mean([_pair_mean(unit_sum, n) for unit_sum in per_logit]))
 
 
-def q_sl(grads) -> float:
-    """Same-logit statistic: mean cosine over all example pairs, per logit."""
-    tensor = gradient_tensor(grads)
-    return _same_logit(_unit_sums(tensor.shape, tensor_blocks(tensor))[0], tensor.shape[0])
-
-
 def predicted_q_sl(sigma_c: float, sigma_e: float) -> float:
     """Model prediction SNR/(SNR+1), SNR = sigma_c^2/sigma_e^2 (1 if sigma_e=0)."""
     if sigma_c == 0.0 and sigma_e == 0.0:
@@ -120,17 +111,11 @@ def class_counts(labels: np.ndarray, n_classes: int) -> list[int]:
     return counts
 
 
-def clustering_report(grads, labels: np.ndarray) -> ClusteringReport:
-    """All three statistics plus the per-class same-logit-same-class vector
-    of an (N, C, D) tensor: :func:`blocked_clustering_report` of its blocks."""
-    tensor = gradient_tensor(grads)
-    return blocked_clustering_report(tensor.shape, labels, tensor_blocks(tensor))
-
-
 def blocked_clustering_report(shape: tuple, labels, blocks) -> ClusteringReport:
-    """:func:`clustering_report` of the (N, C, D) tensor J that ``blocks``
-    yields one block of examples at a time, as (start, J[start : start + rows])
-    in example order; the bits do not depend on the blocks.
+    """All three statistics plus the per-class same-logit-same-class vector of
+    the (N, C, D) tensor J that ``blocks`` yields one block of examples at a
+    time, as (start, J[start : start + rows]) in example order; the bits do
+    not depend on the blocks (a tensor in memory is one block, [(0, J)]).
 
     Errors, before the first block is read, unless ``labels`` holds one
     integer label in [0, C) per example, if any class has fewer than two

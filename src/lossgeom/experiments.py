@@ -271,7 +271,7 @@ def _gradient(params: ModelParams, ensemble: LogitEnsemble):
 
 
 def _same_logit_q(params: ModelParams, ensemble: LogitEnsemble):
-    """Read q_sl (:func:`q_sl`), its unit sums added block by block."""
+    """Read q_sl, the same-logit statistic, its unit sums added block by block."""
     per_logit = np.zeros((params.n_classes, params.n_weights))
     return ((lambda start, block: _add_unit_sums(block, start, per_logit)),
             lambda: _same_logit(per_logit, params.n_examples))
@@ -444,10 +444,11 @@ def _sweep_point(params: ModelParams, spec: SweepSpec, sigma_z: float) -> ModelP
     must not underflow to zero together (``replace`` checks each one's square)."""
     try:
         factor = (sigma_z / params.sigma_z) ** spec.gamma
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # 0.0 ** gamma < 0 raises: it is inf too
         factor = math.inf
-    sigma_c = params.sigma_c * factor
-    sigma_e = params.sigma_e if spec.fixed_sigma_e else params.sigma_e * factor
+    # a zero scale stays zero under an infinite factor, where 0 * inf is nan
+    sigma_c = params.sigma_c * factor if params.sigma_c else 0.0
+    sigma_e = params.sigma_e * factor if params.sigma_e and not spec.fixed_sigma_e else params.sigma_e
     if sigma_c == sigma_e == 0 < params.sigma_c + params.sigma_e:
         raise ValueError(f"(sigma_z/{params.sigma_z:g})^gamma underflows to sigma_c = sigma_e = 0")
     return replace(params, sigma_z=sigma_z, sigma_c=sigma_c, sigma_e=sigma_e)
@@ -491,8 +492,11 @@ def run_snr_sweep(
         if not snr > 0:
             raise ValueError(f"snr values must be positive, got {snr!r}")
         sigma_e = 0.0 if math.isinf(snr) else params.sigma_c / math.sqrt(snr)
+        try:
+            tasks.append(_Task(replace(params, sigma_e=sigma_e), f"snr:{i}:"))
+        except ValueError as exc:
+            raise ValueError(f"snr point {i} (snr={snr:g}): {exc}") from exc
         snrs.append(float(snr))
-        tasks.append(_Task(replace(params, sigma_e=sigma_e), f"snr:{i}:"))
     if not tasks:
         raise ValueError("an snr sweep needs at least one snr value")
 
@@ -505,6 +509,13 @@ def run_snr_sweep(
     return [(snr, n, q) for snr, (n, q) in zip(snrs, counts)]
 
 
+def check_freezing_memory(params: ModelParams, points: int) -> None:
+    """Fail unless the ensemble and ``points`` freezing grid points with their results fit."""
+    per_point = _SIMPLEX_POINT_BYTES if params.n_classes == 3 else _FREEZE_POINT_BYTES
+    _check_memory(params, rows=0, hessian=False, grid={
+        f"{points}-point freezing grid with its results": per_point * points})
+
+
 @one_blas_thread()
 def run_freezing_experiment(
     params: ModelParams, sigma_z_grid
@@ -515,10 +526,7 @@ def run_freezing_experiment(
     probability rows when C=3 (for plotting the freezing motion on the
     probability simplex) and is empty otherwise.
     """
-    per_point = _SIMPLEX_POINT_BYTES if params.n_classes == 3 else _FREEZE_POINT_BYTES
-    _check_memory(params, rows=0, hessian=False, grid={
-        f"{len(sigma_z_grid)}-point freezing grid with its results": per_point * len(sigma_z_grid)
-    })
+    check_freezing_memory(params, len(sigma_z_grid))
     points = [replace(params, sigma_z=float(s)) for s in sigma_z_grid]  # all checked first
     results = []
     for i, point_params in enumerate(points):

@@ -3,9 +3,9 @@
 Logit gradients decompose into class means plus residuals,
 J[mu,k] = dz[mu,k]/dW = c[k] + E[mu,k], with c ~ N(0, sigma_c^2) (optionally
 length-varied per class) and E ~ N(0, sigma_e^2). J is an (N, C, D) array,
-sampled whole by :func:`sample_logit_gradients` or read from a dump, or
-sampled a block of examples at a time by :func:`logit_gradient_blocks`. The
-weight-space objects are sums over examples, so both are built by block:
+sampled whole by :func:`sample_logit_gradients`, or a block of examples at a
+time by :func:`logit_gradient_blocks` or from a dump. The weight-space
+objects are sums over examples, so both are built by block:
 
     g  = (1/N) sum_mu sum_k (y - p)[mu,k] J[mu,k]
     H  = (1/N) sum_mu J[mu]^T A[mu] J[mu],   A[mu] = diag(p) - p p^T
@@ -35,14 +35,6 @@ from .spectra import _fortran
 _BLOCK_BYTES = 1 << 20  # gradient bytes per block of examples
 
 
-def gradient_tensor(grads) -> np.ndarray:
-    """``grads`` as a float (N, C, D) array; errors on any other shape."""
-    tensor = np.asarray(grads, dtype=float)
-    if tensor.ndim != 3:
-        raise ValueError(f"expected an (N, C, D) tensor, got shape {tensor.shape}")
-    return tensor
-
-
 def class_labels(labels, n: int, c: int) -> np.ndarray:
     """``labels`` as (N,) int32; errors unless each is an integer in [0, C)."""
     given = np.asarray(labels)
@@ -59,12 +51,6 @@ def block_rows(n: int, c: int, d: int) -> int:
     """Examples per block of an (N, C, D) tensor: about ``_BLOCK_BYTES`` of
     gradients, at least one and at most N (when N > 0)."""
     return max(1, min(n, _BLOCK_BYTES // max(1, 8 * c * d)))
-
-
-def tensor_blocks(tensor: np.ndarray):
-    """(start, tensor[start : start + rows]) per block, rows = :func:`block_rows`."""
-    step = block_rows(*tensor.shape)
-    return ((start, tensor[start : start + step]) for start in range(0, len(tensor), step))
 
 
 def sample_mean_logit_gradients(params: ModelParams, stream: RngStream) -> np.ndarray:

@@ -4,7 +4,8 @@ Reproducibility contract
 ------------------------
 Every random quantity in this package is drawn from an :class:`RngStream`
 obtained via :func:`substream`. The construction is fixed and documented so
-that results are bit-reproducible across platforms:
+that the uniforms are the same on every platform, and results are
+bit-reproducible for the same numpy build at the same CPU-dispatch level:
 
 * Generator: numpy's Philox 4x64 (10 rounds), a counter-based generator,
   keyed (not seeded) directly. The 128-bit key is the first 16 bytes of
@@ -14,8 +15,9 @@ that results are bit-reproducible across platforms:
   stable across numpy versions), one 64-bit word each, in stream order.
 * Gaussians are produced by an explicit Box-Muller transform on those
   uniforms (see :meth:`RngStream.gaussians`) rather than numpy's ziggurat,
-  so the uniform->normal mapping is pinned by this module, not by numpy
-  internals.
+  so the uniform->normal mapping is pinned by this module, not by numpy's
+  sampler; its ``log1p`` is numpy's kernel for the CPU, so normals agree
+  across CPU-dispatch levels to roundoff, not bit for bit.
 * Permutations sort one uniform per element (argsort, stable ties).
 * Bounded integers use the floor method ``floor(u * n)``; the modulo bias is
   below n/2^53, negligible for every n used here.

@@ -5,8 +5,10 @@ are recomputed from first principles and derivatives come from central finite
 differences, so agreement with the library is evidence rather than tautology.
 The one exception, :func:`full_solve_sweep`, samples through the package and
 differs from it only in how it solves each Hessian. :func:`model_hessian`,
-:func:`weight_gradient` and :func:`read_dump` are the package's blocked
-paths applied to a whole tensor or file, one block or all blocks at once.
+:func:`weight_gradient`, :func:`read_dump`, :func:`clustering_report` and
+:func:`q_sl` are the package's blocked paths applied to a whole tensor or
+file: one block, all blocks at once, or the tensor's blocks of
+:func:`~lossgeom.gradients.block_rows` examples (:func:`tensor_blocks`).
 :func:`fresh_python` runs code in a new interpreter, for what one process
 keeps across calls (its peak memory) or prints to its own stderr.
 """
@@ -31,8 +33,9 @@ from lossgeom import (
     sample_logit_gradients,
     substream,
 )
+from lossgeom.clustering import _add_unit_sums, _same_logit, blocked_clustering_report
 from lossgeom.dumps import read_dump_blocks
-from lossgeom.gradients import fold_hessian, gradient_sum
+from lossgeom.gradients import block_rows, fold_hessian, gradient_sum
 from lossgeom import experiments
 
 
@@ -67,6 +70,28 @@ def read_dump(path):
     for start, block in blocks:
         data[start : start + len(block)] = block
     return data, labels
+
+
+def tensor_blocks(tensor):
+    """(start, tensor[start : start + rows]) per block, rows = block_rows of its shape."""
+    step = block_rows(*tensor.shape)
+    return ((start, tensor[start : start + step]) for start in range(0, len(tensor), step))
+
+
+def clustering_report(tensor, labels):
+    """The clustering statistics of an (N, C, D) tensor, scored block by block."""
+    return blocked_clustering_report(tensor.shape, labels, tensor_blocks(np.asarray(tensor)))
+
+
+def q_sl(tensor):
+    """The same-logit statistic of an (N, C, D) tensor as ``sweep-snr`` reads it:
+    its per-logit unit sums added block by block. Unlike :func:`clustering_report`
+    it needs no labels, and takes C = 1."""
+    n, c, d = np.shape(tensor)
+    per_logit = np.zeros((c, d))
+    for start, block in tensor_blocks(np.asarray(tensor, dtype=float)):
+        _add_unit_sums(block, start, per_logit)
+    return _same_logit(per_logit, n)
 
 
 def philox_generator(seed, label):

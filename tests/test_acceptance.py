@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from helpers import fd_gradient, fd_hessian, model_hessian, weight_gradient
+from helpers import fd_gradient, fd_hessian, model_hessian, q_sl, weight_gradient
 from lossgeom import (
     LogitEnsemble,
     ModelParams,
@@ -33,7 +33,6 @@ from lossgeom import (
     point_means,
     predicted_q_sl,
     project_hessian,
-    q_sl,
     random_orthonormal_basis,
     run_overlap_experiment,
     run_sigma_z_sweep,

@@ -5,12 +5,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from helpers import no_draws
+from helpers import clustering_report, no_draws, peak_bytes
 from lossgeom import (
     ModelParams,
     SweepRecord,
     SweepSpec,
-    clustering_report,
     run_sigma_z_sweep,
     sample_ensemble,
     sample_logit_gradients,
@@ -167,6 +166,19 @@ def test_sweep_whose_scaling_cannot_run_fails_before_any_draw(
     assert not (out / "sweep.csv").exists()
 
 
+def test_a_zero_scale_stays_zero_where_the_sweep_factor_is_infinite(tmp_path, capsys):
+    # (1e-200 / 1e200) ** -1 is inf; sigma_c = 0 must stay 0, not become 0 * inf = nan,
+    # and the fixed sigma_e keeps its value
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("sigma_z = 1e200\nsigma_z_min = 1e-200\nsigma_z_max = 1e-190\ngamma = -1\n"
+                   "n_examples = 10\nn_classes = 3\nn_weights = 5\nhyperplane_dim = 2\n"
+                   "points = 2\nrepeats = 1\nsigma_c = 0\nfixed_sigma_e = true\n")
+    out = tmp_path / "out"
+    assert run(["sweep-sigmaz", "--config", cfg, "--out", out]) == 0, capsys.readouterr().err
+    rows = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows[:, 1].tolist() == [0.0, 0.0]
+
+
 SIGMA_Z_BOUND = "sigma_z must be at most 1.04858e+307"
 SIGMA_C_SQUARE = "sigma_c must be 0 or have a square in [2.22507e-308, inf), got "
 SIGMA_E_SQUARE = SIGMA_C_SQUARE.replace("sigma_c", "sigma_e")
@@ -201,6 +213,14 @@ ZERO_SIGMAS = "sigma_c = sigma_e = 0 makes every gradient and the Hessian zero"
          "2.25764e+151, past which sums of squares of the gradients overflow, got 1e+153"),
         # every point would have sigma_e = sigma_c/sqrt(snr) = 0
         ("sweep-snr", SMALL_CFG + "sigma_c = 0", "an snr sweep needs sigma_c > 0"),
+        # sigma_e = sigma_c / sqrt(0.01) passes the sums bound at the last point only
+        ("sweep-snr", "sigma_c = 1e150", "error: snr point 4 (snr=0.01): "
+         "sigma_e must be at most 7.13929e+150"),
+        # (1e-200 / 1e200) ** -1: the ratio underflows to 0, whose negative power is inf
+        ("sweep-sigmaz", "sigma_z = 1e200\nsigma_z_min = 1e-200\nsigma_z_max = 1e-190\n"
+         "gamma = -1\nn_examples = 10\nn_classes = 3\nn_weights = 5\nhyperplane_dim = 2\n"
+         "points = 2\nrepeats = 1", "error: sweep point 0 (sigma_z=1e-200) repeat 0: "
+         "sigma_c must be a finite nonnegative real, got inf"),
         # removed keys: the log grid and --out replace them, sigma_z replaces sigma_z_ref
         ("sweep-sigmaz", SMALL_CFG + "scale = linear", "unknown key 'scale'"),
         ("sweep-sigmaz", SMALL_CFG + "sigma_z_ref = 5", "unknown key 'sigma_z_ref'"),
@@ -213,6 +233,7 @@ ZERO_SIGMAS = "sigma_c = sigma_e = 0 makes every gradient and the Hessian zero"
          "sweep-sigma_z", "freeze-memory", "freeze-points", "sweep-points",
          "sweep-sigma_z-0", "cluster-sigma_e-overflow", "spectrum-sigma_e-overflow",
          "cluster-underflow", "spectrum-underflow", "cluster-sums-overflow", "snr-sigma_c-0",
+         "snr-sigma_e-overflow", "sweep-gamma-underflow",
          "key-scale", "key-sigma_z_ref", "key-output_dir", "spectrum-sigmas-0",
          "project-sigmas-0", "overlap-sigmas-0", "sweep-sigmas-0", "cluster-sigmas-0"],
 )
@@ -226,6 +247,20 @@ def test_config_that_cannot_run_fails_before_any_draw(
     assert run([command, "--config", cfg, "--out", out]) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and message in line, line
+    assert list(out.glob("*")) == []
+
+
+def test_freeze_rejects_an_oversized_grid_before_building_it(tmp_path, capsys):
+    # 20M points pass SweepSpec's 8-byte-a-point cap, but not the results' 12 KB
+    # a point at C = 3; the grid itself would take 160 MB and numpy twice that
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("n_classes = 3\npoints = 20000000\n")
+    out = tmp_path / "out"
+    peak = peak_bytes(run, ["freeze", "--config", cfg, "--out", out])
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: 20000000-point freezing grid with its results needs "
+                           "245760000000 bytes"), line
+    assert peak < 2**20, peak
     assert list(out.glob("*")) == []
 
 
@@ -434,8 +469,9 @@ def test_bad_dump_gives_exit_1(cfg_path, tmp_path):
 
 def test_malformed_csv_dump_gives_exit_1_naming_the_file(cfg_path, tmp_path, capsys):
     dump = tmp_path / "ragged.csv"
-    dump.write_text("1,2,3\n4,5\n")
-    (tmp_path / "ragged.labels.csv").write_text("0\n")
+    dump.write_text("1,2,3\n4,5\n" + "1,2,3\n" * 6)
+    # two examples a class, so the class counts pass and the ragged row is reached
+    (tmp_path / "ragged.labels.csv").write_text("0\n0\n1\n1\n")
     code = run(["cluster", "--config", cfg_path, "--out", tmp_path / "o", "--input", dump])
     assert code == 1
     [line] = capsys.readouterr().err.splitlines()

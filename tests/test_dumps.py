@@ -10,13 +10,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import fresh_python, peak_bytes, read_dump
+from helpers import fresh_python, peak_bytes, q_sl, read_dump
 from lossgeom import gradients
 from lossgeom import (
     cli,
     DumpError,
     ModelParams,
-    q_sl,
     sample_ensemble,
     sample_logit_gradients,
     write_dump,
@@ -259,6 +258,13 @@ def test_scoring_does_not_depend_on_a_scale_whose_squares_overflow_or_underflow(
     assert np.allclose(scaled["per_class_q"], plain["per_class_q"], rtol=0, atol=1e-12)
 
 
+def test_write_rejects_a_tensor_of_another_rank(tmp_path):
+    path = tmp_path / "flat.lgrd"
+    with pytest.raises(ValueError, match=r"expected an \(N, C, D\) tensor, got shape \(3, 4\)"):
+        write_dump(str(path), np.ones((3, 4)), [0, 1, 0])
+    assert not path.exists()
+
+
 def test_write_rejects_mismatched_label_count(tmp_path):
     tensor = np.ones((3, 2, 4))
     with pytest.raises(DumpError, match=r"labels of shape \(2,\) for 3 examples"):
@@ -364,6 +370,96 @@ def test_a_dump_that_shrinks_while_it_is_read_raises_truncated_error(tmp_path, m
         assert start == mu and np.array_equal(block, tensor[mu : mu + 1])
     with pytest.raises(DumpError, match=r"expected \d+ bytes for N=5 C=2 D=4, found 216"):
         next(blocks)
+
+
+def write_csv_text(path, text, labels):
+    path.write_text(text)
+    path.with_name(path.stem + ".labels.csv").write_text("".join(f"{k}\n" for k in labels))
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 3, 7, 100])
+def test_csv_blocks_are_the_whole_parse_bit_for_bit(tmp_path, monkeypatch, rows_per_block):
+    # 7 examples of 3 logits; np.loadtxt skips the blank and comment-only lines,
+    # and so does the row count that gives C
+    n, c, d = 7, 3, 4
+    tensor = np.random.default_rng(10).standard_normal((n, c, d))
+    lines = [",".join(f"{v:.17g}" for v in row) for row in tensor.reshape(n * c, d)]
+    lines[4] += "  # a trailing comment"
+    for at, extra in [(9, ""), (3, "# a comment line"), (0, "#"), (17, ""), (21, "")]:
+        lines.insert(at, extra)
+    path = tmp_path / "gaps.csv"
+    write_csv_text(path, "\n".join(lines) + "\n\n", np.arange(n) % c)
+    whole = np.loadtxt(path, delimiter=",").reshape(n, c, d)
+    assert whole.tobytes() == tensor.tobytes()
+    monkeypatch.setattr(gradients, "_BLOCK_BYTES", rows_per_block * 8 * c * d)
+    shape, labels, blocks = read_dump_blocks(str(path))
+    assert shape == (n, c, d) and np.array_equal(labels, np.arange(n) % c)
+    starts = []
+    for start, block in blocks:
+        starts.append(start)
+        assert block.tobytes() == whole[start : start + len(block)].tobytes()
+    assert starts == list(range(0, n, min(rows_per_block, n)))
+
+
+@pytest.mark.parametrize(
+    "last, message",
+    [
+        ("1,2,3\n4,5\n1,2,3\n4,5,6\n", r"the number of columns changed from 3 to 2 at row 2;"
+                                       r" .* \(in examples 4 to 5\)"),
+        ("1,2\n4,5\n1,2\n4,5\n", r"read 4 x 2 values, need 4 x 3 \(in examples 4 to 5\)"),
+        ("1,2,3\n4,5,x\n1,2,3\n4,5,6\n", r"could not convert string 'x' .* \(in examples 4 to 5\)"),
+    ],
+    ids=["ragged-row", "ragged-block", "bad-value"],
+)
+def test_a_bad_csv_row_in_a_later_block_is_named_at_its_block(
+    tmp_path, capsys, monkeypatch, last, message
+):
+    # blocks of two examples of two rows; the earlier blocks are read and
+    # scored first, and a NaN in an earlier block is reported before the row
+    monkeypatch.setattr(gradients, "_BLOCK_BYTES", 2 * 8 * 2 * 3)
+    path = tmp_path / "late.csv"
+    write_csv_text(path, "1,2,3\n4,5,6\n" * 4 + last, [0, 1, 0, 1, 0, 1])
+    with pytest.raises(DumpError, match=f"^{re.escape(str(path))}: {message}$"):
+        read_dump(str(path))
+    assert re.fullmatch(f"error: {re.escape(str(path))}: {message}", scored_error(path, capsys))
+    write_csv_text(path, "1,2,3\n4,5,6\n1,nan,3\n" + "4,5,6\n1,2,3\n" * 2 + "4,5,6\n" + last,
+                   [0, 1, 0, 1, 0, 1])
+    assert "non-finite value nan at example 1, logit 0, weight 1" in scored_error(path, capsys)
+
+
+def test_a_csv_that_shrinks_after_its_rows_are_counted_raises_a_dump_error(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(gradients, "_BLOCK_BYTES", 2 * 8 * 2 * 4)  # two examples per block
+    tensor = np.random.default_rng(11).standard_normal((5, 2, 4))
+    path = tmp_path / "shrinks.csv"
+    write_dump(str(path), tensor, [0, 1, 0, 1, 0])
+    text = path.read_text()
+    shape, labels, blocks = read_dump_blocks(str(path))  # the rows count: (5, 2, 4)
+    assert shape == (5, 2, 4)
+    path.write_text("".join(text.splitlines(keepends=True)[:7]))  # ends inside example 3
+    start, block = next(blocks)
+    assert start == 0 and block.tobytes() == tensor[:2].tobytes()
+    with pytest.raises(DumpError, match=r"read 3 x 4 values, need 4 x 4 \(in examples 2 to 3\)"):
+        next(blocks)
+
+
+def test_scoring_a_csv_dump_holds_no_copy_of_the_tensor(tmp_path):
+    # cluster --input parses one block of examples at a time, so its peak does
+    # not grow with N; parsing the whole file peaked at 11.8 and 108.9 MB here
+    c, d = 4, 100
+    digits = np.random.default_rng(12).integers(1, 10, (300 * c, d))  # no zero rows
+    lines = "".join(",".join(map(str, row)) + "\n" for row in digits)
+    peaks = []
+    for n in (3000, 30000):
+        path, out = tmp_path / f"{n}.csv", tmp_path / f"out{n}"
+        write_csv_text(path, lines * (n // 300), np.arange(n) % c)
+        peaks.append(peak_bytes(cli.run_command,
+                                ["cluster", "--input", str(path), "--out", str(out)]))
+        assert (out / "clustering.json").exists()
+        path.unlink()
+    print(f"cluster --input peaks at N=3000 and N=30000: {peaks[0]} and {peaks[1]} bytes")
+    assert abs(peaks[1] - peaks[0]) < 2**20
 
 
 def test_missing_file_raises_os_error(tmp_path):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (
-    fresh_python, full_solve_sweep, model_hessian, no_draws, peak_bytes, weight_gradient,
+    fresh_python, full_solve_sweep, model_hessian, no_draws, peak_bytes, q_sl, weight_gradient,
 )
 from lossgeom import (
     ModelParams,
@@ -20,7 +20,6 @@ from lossgeom import (
     detect_outliers,
     eigh,
     gradient_overlaps,
-    q_sl,
     run_clustering_experiment,
     run_freezing_experiment,
     run_overlap_experiment,
