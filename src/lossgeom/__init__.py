@@ -33,12 +33,11 @@ from .logits import (
     assign_labels,
     freezing_stats,
     sample_ensemble,
-    sample_logits,
     shannon_entropy,
     softmax_probs,
 )
 from .params import ModelParams
-from .rng import RngStream, gaussian_matrix, substream
+from .rng import RngStream
 from .spectra import (
     OutlierReport,
     SymmetricSpectrum,

@@ -15,8 +15,8 @@ All pair averages are computed exactly at any N through closed forms over
 unit vectors (sums of all pairwise cosines reduce to norms of vector sums),
 so no pair subsampling is ever needed; brute-force all-pairs equivalence is
 covered by the tests at small N. One pass over blocks of examples
-(:func:`_unit_sums`) keeps only C x D vector sums and N squared norms;
-``sweep-snr`` reads q_sl alone from the same per-block sums.
+(:class:`UnitSums`) keeps only C x D vector sums and N squared norms;
+``sweep-snr`` reads q_sl alone from the same sums.
 """
 
 from __future__ import annotations
@@ -38,57 +38,57 @@ class ClusteringReport:
     per_class_q: np.ndarray  # (C,) per-class same-logit-same-class averages
 
 
-def _unit_sums(shape: tuple, blocks, labels: np.ndarray | None = None):
-    """Sums of the unit rows u[mu, k] = J[mu, k] / |J[mu, k]| of the (N, C, D)
-    tensor J that ``blocks`` yields as (start, J[start : start + rows]): per
-    logit over examples (C, D) and, given ``labels``, per class of
-    u[mu, labels[mu]] (C, D) and per example |sum_k u[mu, k]|^2 (N,), else
-    None. One pass normalizes one block at a time (:func:`_add_unit_sums`)."""
-    n, c, d = shape
-    per_logit = np.zeros((c, d))
-    per_class = None if labels is None else np.zeros((c, d))
-    squares = None if labels is None else np.empty(n)
-    for start, block in blocks:
-        _add_unit_sums(block, start, per_logit, labels, per_class, squares)
-    return per_logit, per_class, squares
-
-
-def _add_unit_sums(block, start, per_logit, labels=None, per_class=None, squares=None):
-    """Add the unit rows of a block of examples start, start + 1, ... to the
-    sums of :func:`_unit_sums` in example order, as numpy's axis-0 reduction
-    adds them, and write the block's squared norms: whatever the blocks, each
-    keeps its whole-tensor bits. A row whose squares overflow or may underflow
-    (norm inf or under 1e-140, where an entry's square can be subnormal) is
-    divided by its largest magnitude first; other rows keep their bits, a zero row raises."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(block, axis=-1)
-    odd = (norms < 1e-140) | (norms == np.inf)
-    if odd.any():
-        peaks = np.abs(block).max(axis=-1)
-        if np.any(peaks == 0.0):
-            mu, k = np.argwhere(peaks == 0.0)[0]
-            raise ValueError(f"zero gradient vector at example {start + mu}, logit {k}")
-        block = np.where(odd[..., np.newaxis], block / peaks[..., np.newaxis], block)
-        norms = np.linalg.norm(block, axis=-1)
-    units = block / norms[..., np.newaxis]
-    for mu, rows in enumerate(units, start):
-        per_logit += rows
-        if labels is not None:
-            per_class[labels[mu]] += rows[labels[mu]]
-    if labels is not None:
-        sums = units.sum(axis=1)
-        np.square(sums, out=sums).sum(axis=1, out=squares[start : start + len(units)])
-
-
 def _pair_mean(unit_sum: np.ndarray, count: int) -> float:
     # sum over ordered pairs of distinct unit vectors = ||sum||^2 - count
     return (float(unit_sum @ unit_sum) - count) / (count * (count - 1))
 
 
-def _same_logit(per_logit: np.ndarray, n: int) -> float:
-    if n < 2:
-        raise ValueError(f"need at least 2 examples, got {n}")
-    return float(np.mean([_pair_mean(unit_sum, n) for unit_sum in per_logit]))
+class UnitSums:
+    """Sums of the unit rows u[mu, k] = J[mu, k] / |J[mu, k]| of an (N, C, D) tensor
+    J, added a block of examples at a time in example order, as numpy's axis-0
+    reduction adds them, so whatever the blocks each keeps its whole-tensor bits:
+    ``per_logit`` (C, D) over examples and, given ``labels``, ``per_class`` (C, D)
+    over the examples of each class and ``squares`` (N,), |sum_k u[mu, k]|^2."""
+
+    def __init__(self, shape: tuple, labels: np.ndarray | None = None):
+        n, c, d = shape
+        self.n, self.labels, self.per_logit = self.check(n), labels, np.zeros((c, d))
+        if labels is not None:
+            self.per_class, self.squares = np.zeros((c, d)), np.empty(n)
+
+    @staticmethod
+    def check(n: int) -> int:
+        if n < 2:  # no pair of examples to average over
+            raise ValueError(f"need at least 2 examples, got {n}")
+        return n
+
+    def add(self, start: int, block: np.ndarray) -> None:
+        """Add J[start : start + len(block)]. A row whose squares overflow or may
+        underflow (norm inf or under 1e-140, where a square can be subnormal) is
+        divided by its largest magnitude first, other rows keep their bits, and a
+        zero row raises."""
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(block, axis=-1)
+        odd = (norms < 1e-140) | (norms == np.inf)
+        if odd.any():
+            peaks = np.abs(block).max(axis=-1)
+            if np.any(peaks == 0.0):
+                mu, k = np.argwhere(peaks == 0.0)[0]
+                raise ValueError(f"zero gradient vector at example {start + mu}, logit {k}")
+            block = np.where(odd[..., np.newaxis], block / peaks[..., np.newaxis], block)
+            norms = np.linalg.norm(block, axis=-1)
+        units = block / norms[..., np.newaxis]
+        for mu, rows in enumerate(units, start):
+            self.per_logit += rows
+            if self.labels is not None:
+                self.per_class[self.labels[mu]] += rows[self.labels[mu]]
+        if self.labels is not None:
+            sums = units.sum(axis=1)
+            np.square(sums, out=sums).sum(axis=1, out=self.squares[start : start + len(units)])
+
+    def q_sl(self) -> float:
+        """The same-logit statistic: the mean over logits of its example pairs' cosine."""
+        return float(np.mean([_pair_mean(unit_sum, self.n) for unit_sum in self.per_logit]))
 
 
 def predicted_q_sl(sigma_c: float, sigma_e: float) -> float:
@@ -127,15 +127,17 @@ def blocked_clustering_report(shape: tuple, labels, blocks) -> ClusteringReport:
     counts = class_counts(labels, c)
     if n < 2 or c < 2:
         raise ValueError(f"need N >= 2 and C >= 2, got N={n}, C={c}")
-    per_logit, per_class, squares = _unit_sums(shape, blocks, labels)
+    sums = UnitSums(shape, labels)
+    for start, block in blocks:
+        sums.add(start, block)
     # per class k: mean pairwise cosine of {dz[mu,k]/dW : label(mu) = k}
-    per_class_q = np.array([_pair_mean(sums, m) for sums, m in zip(per_class, counts)])
+    per_class_q = np.array([_pair_mean(s, m) for s, m in zip(sums.per_class, counts)])
     # different logits (k != l, mu != nu) by inclusion-exclusion over both
-    total = per_logit.sum(axis=0)
-    pair_sum = float(total @ total - (per_logit * per_logit).sum() - squares.sum() + n * c)
+    total = sums.per_logit.sum(axis=0)
+    pair_sum = float(total @ total - np.square(sums.per_logit).sum() - sums.squares.sum() + n * c)
     return ClusteringReport(
         q_slsc=float(per_class_q.mean()),
-        q_sl=_same_logit(per_logit, n),
+        q_sl=sums.q_sl(),
         q_dl=pair_sum / (n * (n - 1) * c * (c - 1)),
         per_class_q=per_class_q,
     )

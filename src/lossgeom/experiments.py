@@ -9,7 +9,7 @@ one worker thread draws the next task into a second H; a one-task run starts
 no thread. No output holds the (N, C, D) tensor. Each experiment is a pure
 function of a :class:`ModelParams` (plus a sweep spec where applicable):
 identical inputs give identical outputs. Sweep tasks draw from labeled
-substreams (``sweep:<point>:<repeat>:<role>``), so points and repeats are
+streams (``sweep:<point>:<repeat>:<role>``), so points and repeats are
 independent. Every public ``run_*`` function measures under
 :func:`one_blas_thread`, so its outputs do not depend on the BLAS thread
 count: :func:`_pipeline` loads scipy's BLAS and LAPACK and then enters it
@@ -34,8 +34,7 @@ import numpy as np
 
 from .clustering import (
     ClusteringReport,
-    _add_unit_sums,
-    _same_logit,
+    UnitSums,
     blocked_clustering_report,
     class_counts,
 )
@@ -48,7 +47,7 @@ from .gradients import (
 )
 from .logits import LogitEnsemble, freezing_stats, sample_ensemble
 from .params import ModelParams
-from .rng import substream
+from .rng import RngStream
 from .spectra import (
     OutlierReport,
     SymmetricSpectrum,
@@ -272,9 +271,8 @@ def _gradient(params: ModelParams, ensemble: LogitEnsemble):
 
 def _same_logit_q(params: ModelParams, ensemble: LogitEnsemble):
     """Read q_sl, the same-logit statistic, its unit sums added block by block."""
-    per_logit = np.zeros((params.n_classes, params.n_weights))
-    return ((lambda start, block: _add_unit_sums(block, start, per_logit)),
-            lambda: _same_logit(per_logit, params.n_examples))
+    sums = UnitSums((params.n_examples, params.n_classes, params.n_weights))
+    return sums.add, sums.q_sl
 
 
 def _top_k(params: ModelParams) -> int:
@@ -339,9 +337,7 @@ def _trim_heap() -> None:
 
 def _projected(params: ModelParams, prefix: str, hessian: np.ndarray) -> SymmetricSpectrum:
     """Eigenvalues of H compressed onto the random ``<prefix>hyperplane`` basis."""
-    basis = random_orthonormal_basis(
-        params, substream(params.seed, prefix + "hyperplane")
-    )
+    basis = random_orthonormal_basis(params, RngStream(params.seed, prefix + "hyperplane"))
     return eigh(project_hessian(hessian, basis), vectors=False)
 
 
@@ -487,6 +483,7 @@ def run_snr_sweep(
     """(snr, n_outliers, q_sl) per grid point, sigma_c fixed, sigma_e = sigma_c/sqrt(snr)."""
     if params.sigma_c == 0:
         raise ValueError("an snr sweep needs sigma_c > 0, else every gradient is zero")
+    UnitSums.check(params.n_examples)  # q_sl pairs examples
     snrs, tasks = [], []
     for i, snr in enumerate(snr_grid):  # every point is checked before the first draw
         if not snr > 0:
@@ -527,15 +524,15 @@ def run_freezing_experiment(
     probability simplex) and is empty otherwise.
     """
     check_freezing_memory(params, len(sigma_z_grid))
-    points = [replace(params, sigma_z=float(s)) for s in sigma_z_grid]  # all checked first
+    points = []
+    for i, sigma_z in enumerate(sigma_z_grid):  # every point is checked before the first draw
+        try:
+            points.append(replace(params, sigma_z=float(sigma_z)))
+        except ValueError as exc:
+            raise ValueError(f"freeze point {i} (sigma_z={sigma_z:g}): {exc}") from exc
     results = []
-    for i, point_params in enumerate(points):
-        ensemble = sample_ensemble(point_params, f"freeze:{i}:")
-        mean_entropy, mean_max_prob = freezing_stats(ensemble)
-        if params.n_classes == 3:
-            rows = ensemble.probs[:SIMPLEX_SAMPLE_LIMIT]
-            simplex = rows @ _SIMPLEX_CORNERS
-        else:
-            simplex = np.empty((0, 2))
-        results.append((point_params.sigma_z, mean_entropy, mean_max_prob, simplex))
+    for i, point in enumerate(points):
+        ensemble = sample_ensemble(point, f"freeze:{i}:")
+        rows = ensemble.probs[:SIMPLEX_SAMPLE_LIMIT] if params.n_classes == 3 else np.empty((0, 3))
+        results.append((point.sigma_z, *freezing_stats(ensemble), rows @ _SIMPLEX_CORNERS))
     return results

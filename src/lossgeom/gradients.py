@@ -29,7 +29,7 @@ import numpy as np
 
 from .logits import LogitEnsemble
 from .params import ModelParams
-from .rng import GaussianDraw, RngStream, gaussian_matrix, substream
+from .rng import GaussianDraw, RngStream
 from .spectra import _fortran
 
 _BLOCK_BYTES = 1 << 20  # gradient bytes per block of examples
@@ -55,10 +55,9 @@ def block_rows(n: int, c: int, d: int) -> int:
 
 def sample_mean_logit_gradients(params: ModelParams, stream: RngStream) -> np.ndarray:
     """C x D class-mean gradients, row k scaled by 1 + length_beta*k/(C-1)."""
-    base = gaussian_matrix(stream, params.n_classes, params.n_weights, params.sigma_c)
-    k = np.arange(params.n_classes)
-    lengths = 1.0 + params.length_beta * k / (params.n_classes - 1)
-    return base * lengths[:, np.newaxis]
+    c, d = params.n_classes, params.n_weights
+    lengths = 1.0 + params.length_beta * np.arange(c) / (c - 1)
+    return stream.gaussians(c * d, params.sigma_c).reshape(c, d) * lengths[:, np.newaxis]
 
 
 def sample_logit_gradients(params: ModelParams, label_prefix: str = "") -> np.ndarray:
@@ -81,10 +80,9 @@ def logit_gradient_blocks(params: ModelParams, label_prefix: str, buffers):
     which it must be done with when it asks for the next.
     """
     n, c, d = params.n_examples, params.n_classes, params.n_weights
-    seed = params.seed
-    residuals = GaussianDraw(substream(seed, label_prefix + "residuals"), n * c * d,
+    residuals = GaussianDraw(RngStream(params.seed, label_prefix + "residuals"), n * c * d,
                              params.sigma_e)
-    means = sample_mean_logit_gradients(params, substream(seed, label_prefix + "means"))
+    means = sample_mean_logit_gradients(params, RngStream(params.seed, label_prefix + "means"))
     starts = range(0, n, len(buffers[0]))
 
     def begin(b: int, background: bool = True):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ModelParams
-from .rng import RngStream, gaussian_matrix, substream
+from .rng import RngStream
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,6 @@ class LogitEnsemble:
     @property
     def n_classes(self) -> int:
         return self.logits.shape[1]
-
-
-def sample_logits(params: ModelParams, stream: RngStream) -> np.ndarray:
-    """N x C i.i.d. Normal(0, sigma_z^2) logit matrix."""
-    return gaussian_matrix(stream, params.n_examples, params.n_classes, params.sigma_z)
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
@@ -93,15 +88,15 @@ def freezing_stats(ensemble: LogitEnsemble) -> tuple[float, float]:
 
 
 def sample_ensemble(params: ModelParams, label_prefix: str = "") -> LogitEnsemble:
-    """Draw a full ensemble from the labeled substreams of params.seed.
+    """Draw N x C i.i.d. Normal(0, sigma_z^2) logits and their labels at params.seed.
 
-    Substream labels are ``<prefix>logits`` and ``<prefix>labels``; sweep
+    Stream labels are ``<prefix>logits`` and ``<prefix>labels``; sweep
     code passes per-task prefixes like ``"sweep:3:1:"`` so each (point,
     repeat) task owns independent streams.
     """
-    logits = sample_logits(params, substream(params.seed, label_prefix + "logits"))
+    n, c, seed = params.n_examples, params.n_classes, params.seed
+    stream = RngStream(seed, label_prefix + "logits")
+    logits = stream.gaussians(n * c, params.sigma_z).reshape(n, c)
     probs = softmax_probs(logits)
-    labels = assign_labels(
-        probs, params.target_accuracy, substream(params.seed, label_prefix + "labels")
-    )
+    labels = assign_labels(probs, params.target_accuracy, RngStream(seed, label_prefix + "labels"))
     return LogitEnsemble(logits=logits, probs=probs, labels=labels)

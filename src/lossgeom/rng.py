@@ -2,8 +2,8 @@
 
 Reproducibility contract
 ------------------------
-Every random quantity in this package is drawn from an :class:`RngStream`
-obtained via :func:`substream`. The construction is fixed and documented so
+Every random quantity in this package is drawn from an :class:`RngStream`,
+made from a seed and a label. The construction is fixed and documented so
 that the uniforms are the same on every platform, and results are
 bit-reproducible for the same numpy build at the same CPU-dispatch level:
 
@@ -33,7 +33,7 @@ chunks or core count.
 
 Streams with distinct labels are derived from cryptographically separated
 keys and are treated as independent. A stream is stateful and must not be
-shared by two concurrent consumers; derive one substream per task instead.
+shared by two concurrent consumers; make one stream per task instead.
 """
 
 from __future__ import annotations
@@ -187,19 +187,3 @@ class GaussianDraw:
                 np.multiply(u1[lo - a : hi - a], trig[: hi - lo], out=dest)
                 dest *= self.sigma
 
-
-def substream(seed: int, label: str) -> RngStream:
-    """Derive the deterministic stream identified by (seed, label)."""
-    return RngStream(seed, label)
-
-
-def gaussian_matrix(stream: RngStream, rows: int, cols: int, sigma: float) -> np.ndarray:
-    """rows x cols matrix of i.i.d. Normal(0, sigma^2) entries.
-
-    Entries are drawn row-major from ``stream`` (so the same stream state and
-    shape always yield the same matrix). ``sigma=0`` returns exact zeros.
-    """
-    rows, cols = int(rows), int(cols)
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix shape must be positive, got {rows}x{cols}")
-    return stream.gaussians(rows * cols, sigma).reshape(rows, cols)

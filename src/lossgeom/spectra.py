@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ModelParams
-from .rng import RngStream, gaussian_matrix
+from .rng import RngStream
 
 DEFAULT_GAP_THRESHOLD = 2.0
 
@@ -244,8 +244,8 @@ def random_orthonormal_basis(params: ModelParams, stream: RngStream) -> np.ndarr
     The sign fix makes it the Gram-Schmidt basis of the draw, which has full
     rank with probability 1 for d <= D.
     """
-    raw = gaussian_matrix(stream, params.n_weights, params.hyperplane_dim, 1.0)
-    q, r = np.linalg.qr(raw)
+    d, k = params.n_weights, params.hyperplane_dim
+    q, r = np.linalg.qr(stream.gaussians(d * k).reshape(d, k))
     return q * np.sign(np.diag(r))
 
 

@@ -24,16 +24,15 @@ from types import SimpleNamespace
 import numpy as np
 
 from lossgeom import (
+    RngStream,
     detect_outliers,
     freezing_stats,
-    gaussian_matrix,
     project_hessian,
     random_orthonormal_basis,
     sample_ensemble,
     sample_logit_gradients,
-    substream,
 )
-from lossgeom.clustering import _add_unit_sums, _same_logit, blocked_clustering_report
+from lossgeom.clustering import UnitSums, blocked_clustering_report
 from lossgeom.dumps import read_dump_blocks
 from lossgeom.gradients import block_rows, fold_hessian, gradient_sum
 from lossgeom import experiments
@@ -87,11 +86,10 @@ def q_sl(tensor):
     """The same-logit statistic of an (N, C, D) tensor as ``sweep-snr`` reads it:
     its per-logit unit sums added block by block. Unlike :func:`clustering_report`
     it needs no labels, and takes C = 1."""
-    n, c, d = np.shape(tensor)
-    per_logit = np.zeros((c, d))
+    sums = UnitSums(np.shape(tensor))
     for start, block in tensor_blocks(np.asarray(tensor, dtype=float)):
-        _add_unit_sums(block, start, per_logit)
-    return _same_logit(per_logit, n)
+        sums.add(start, block)
+    return sums.q_sl()
 
 
 def philox_generator(seed, label):
@@ -106,7 +104,7 @@ def sample_residuals(params, stream):
     """The whole (N, C, D) residual draw in one call: i.i.d. Normal(0, sigma_e^2),
     example-major, logit-next, weight-last."""
     n, c, d = params.n_examples, params.n_classes, params.n_weights
-    return gaussian_matrix(stream, n * c, d, params.sigma_e).reshape(n, c, d)
+    return stream.gaussians(n * c * d, params.sigma_e).reshape(n, c, d)
 
 
 def serial_gaussians(gen, n):
@@ -331,7 +329,7 @@ def full_solve_sweep(params, spec):
             hessian = model_hessian(tensor.copy(), ensemble)
             lam, vec = np.linalg.eigh(hessian)
             lam, vec = lam[::-1], vec[:, ::-1]
-            stream = substream(point.seed, prefix + "hyperplane")
+            stream = RngStream(point.seed, prefix + "hyperplane")
             basis = random_orthonormal_basis(point, stream)
             mu = np.linalg.eigvalsh(project_hessian(hessian, basis))
             g = weight_gradient(tensor, ensemble)

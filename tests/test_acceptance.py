@@ -42,7 +42,7 @@ from lossgeom import (
     sample_logit_gradients,
 )
 from lossgeom.logits import freezing_stats, softmax_probs
-from lossgeom.rng import substream
+from lossgeom.rng import RngStream
 
 
 SEEDS = range(10)
@@ -231,7 +231,7 @@ def test_criterion_8_spectral_correctness():
         params = ModelParams(
             n_examples=5, n_weights=dim, hyperplane_dim=d_small
         )
-        basis = random_orthonormal_basis(params, substream(trial, "acceptance"))
+        basis = random_orthonormal_basis(params, RngStream(trial, "acceptance"))
         full = eigh(h.copy()).eigenvalues
         proj = eigh(project_hessian(h, basis)).eigenvalues
         tol = 1e-9 * max(1.0, abs(full[0]), abs(full[-1]))

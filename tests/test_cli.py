@@ -190,8 +190,10 @@ ZERO_SIGMAS = "sigma_c = sigma_e = 0 makes every gradient and the Hessian zero"
     [
         # a logit gap of 2 * 8.572 * sigma_z overflows
         ("spectrum", SMALL_CFG + "sigma_z = 1e308", SIGMA_Z_BOUND),
-        ("freeze", SMALL_CFG + "sigma_z_max = 1e308", SIGMA_Z_BOUND),
-        ("freeze", SMALL_CFG + "sigma_z_max = 2e307", SIGMA_Z_BOUND),
+        ("freeze", SMALL_CFG + "sigma_z_max = 1e308",
+         "error: freeze point 3 (sigma_z=1e+308): " + SIGMA_Z_BOUND),
+        ("freeze", SMALL_CFG + "sigma_z_max = 2e307",
+         "error: freeze point 3 (sigma_z=2e+307): " + SIGMA_Z_BOUND),
         ("sweep-sigmaz", SMALL_CFG + "sigma_z_max = 1e308",
          "sweep point 3 (sigma_z=1e+308) repeat 0: " + SIGMA_Z_BOUND),
         # 80 TiB of logits, and a grid of 8 TB
@@ -216,6 +218,9 @@ ZERO_SIGMAS = "sigma_c = sigma_e = 0 makes every gradient and the Hessian zero"
         # sigma_e = sigma_c / sqrt(0.01) passes the sums bound at the last point only
         ("sweep-snr", "sigma_c = 1e150", "error: snr point 4 (snr=0.01): "
          "sigma_e must be at most 7.13929e+150"),
+        # q_sl averages pairs of examples: one example has none
+        ("sweep-snr", "n_examples = 1\nn_classes = 3\nn_weights = 5\nhyperplane_dim = 2",
+         "error: need at least 2 examples, got 1"),
         # (1e-200 / 1e200) ** -1: the ratio underflows to 0, whose negative power is inf
         ("sweep-sigmaz", "sigma_z = 1e200\nsigma_z_min = 1e-200\nsigma_z_max = 1e-190\n"
          "gamma = -1\nn_examples = 10\nn_classes = 3\nn_weights = 5\nhyperplane_dim = 2\n"
@@ -233,7 +238,7 @@ ZERO_SIGMAS = "sigma_c = sigma_e = 0 makes every gradient and the Hessian zero"
          "sweep-sigma_z", "freeze-memory", "freeze-points", "sweep-points",
          "sweep-sigma_z-0", "cluster-sigma_e-overflow", "spectrum-sigma_e-overflow",
          "cluster-underflow", "spectrum-underflow", "cluster-sums-overflow", "snr-sigma_c-0",
-         "snr-sigma_e-overflow", "sweep-gamma-underflow",
+         "snr-sigma_e-overflow", "snr-one-example", "sweep-gamma-underflow",
          "key-scale", "key-sigma_z_ref", "key-output_dir", "spectrum-sigmas-0",
          "project-sigmas-0", "overlap-sigmas-0", "sweep-sigmas-0", "cluster-sigmas-0"],
 )

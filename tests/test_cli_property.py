@@ -1,7 +1,10 @@
 """Every config that validation accepts either completes or fails cleanly.
 
 Generated tiny configs (N <= 40, C <= 6, D <= 30, scales log-uniform over
-1e-300 .. 1e300 with zeros, gamma in [-5, 5]) run through every subcommand.
+1e-300 .. 1e300 or over 1e-3 .. 1e3, with zeros, gamma in [-5, 5]) run
+through every subcommand, with blocks of 256 gradient bytes, so that most
+tensors span several blocks and the next blocks are drawn on the sampling
+pool while one is read.
 Exit 0 leaves files and a ``--json`` line that parse and hold only finite
 values; exit 1 prints one ``error:`` line and leaves no file, but for the
 partial ``sweep.csv`` that a failing ``sweep-sigmaz`` task documents. Any
@@ -16,10 +19,12 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from lossgeom import gradients
 from lossgeom.cli import run_command
 
 COMMANDS = ("spectrum", "overlap", "sweep-sigmaz", "sweep-snr", "freeze", "cluster", "project")
-EXPONENTS = st.floats(-300, 300)
+# most configs drawn over 600 decades fail a bound; over 6 they reach the measurements
+EXPONENTS = st.floats(-300, 300) | st.floats(-3, 3)
 SCALES = st.just(0.0) | EXPONENTS.map(lambda e: 10.0 ** e)
 
 
@@ -74,7 +79,9 @@ def file_numbers(path):
 @example({"sigma_z": 1e200, "sigma_z_min": 1e-200, "sigma_z_max": 1e-190, "gamma": -1.0,
           "n_examples": 10, "n_classes": 3, "n_weights": 5, "hyperplane_dim": 2,
           "points": 2, "repeats": 1})
-def test_every_command_completes_or_fails_with_one_error_line(tmp_path, capsys, keys):
+def test_every_command_completes_or_fails_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                             keys):
+    monkeypatch.setattr(gradients, "_BLOCK_BYTES", 256)  # 1 to 16 examples a block
     with tempfile.TemporaryDirectory(dir=tmp_path) as scratch:
         cfg = Path(scratch) / "run.cfg"
         cfg.write_text("".join(f"{key} = {str(value).lower()}\n" for key, value in keys.items()))

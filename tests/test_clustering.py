@@ -17,7 +17,7 @@ from lossgeom import (
 )
 from lossgeom import gradients
 from lossgeom.gradients import sample_mean_logit_gradients
-from lossgeom.rng import substream
+from lossgeom.rng import RngStream
 
 
 def report(grads):
@@ -181,7 +181,7 @@ def test_empirical_class_means_recover_planted_means():
     ensemble = sample_ensemble(params)
     grads = sample_logit_gradients(params)
     means = empirical_class_means(grads, ensemble.labels)
-    planted_means = sample_mean_logit_gradients(params, substream(params.seed, "means"))
+    planted_means = sample_mean_logit_gradients(params, RngStream(params.seed, "means"))
     for k in range(params.n_classes):
         planted = planted_means[k]
         cos = means[k] @ planted / (np.linalg.norm(means[k]) * np.linalg.norm(planted))

@@ -29,7 +29,7 @@ from lossgeom.gradients import (
     sample_mean_logit_gradients,
 )
 from lossgeom.logits import softmax_probs
-from lossgeom.rng import substream
+from lossgeom.rng import RngStream
 
 
 def small_instance(seed=0, n=8, c=3, d=12, **overrides):
@@ -45,14 +45,14 @@ def small_instance(seed=0, n=8, c=3, d=12, **overrides):
 def planted_split(params, prefix=""):
     """The class means and residuals that sample_logit_gradients adds up."""
     seed = params.seed
-    means = sample_mean_logit_gradients(params, substream(seed, prefix + "means"))
-    residuals = sample_residuals(params, substream(seed, prefix + "residuals"))
+    means = sample_mean_logit_gradients(params, RngStream(seed, prefix + "means"))
+    residuals = sample_residuals(params, RngStream(seed, prefix + "residuals"))
     return means, residuals
 
 
 def test_mean_gradient_shapes_and_row_scales():
     params = ModelParams()
-    means = sample_mean_logit_gradients(params, substream(0, "means"))
+    means = sample_mean_logit_gradients(params, RngStream(0, "means"))
     assert means.shape == (10, 1000)
     # sigma_c = 1/sqrt(D) makes each row roughly unit length.
     norms = np.linalg.norm(means, axis=1)
@@ -61,16 +61,16 @@ def test_mean_gradient_shapes_and_row_scales():
 
 def test_mean_gradient_rows_nearly_orthogonal_in_high_dimension():
     params = ModelParams()
-    means = sample_mean_logit_gradients(params, substream(0, "means"))
+    means = sample_mean_logit_gradients(params, RngStream(0, "means"))
     units = means / np.linalg.norm(means, axis=1, keepdims=True)
     overlap = units @ units.T - np.eye(10)
     assert np.abs(overlap).max() < 0.1
 
 
 def test_length_beta_scales_rows_exactly():
-    base = sample_mean_logit_gradients(ModelParams(), substream(4, "m"))
+    base = sample_mean_logit_gradients(ModelParams(), RngStream(4, "m"))
     varied = sample_mean_logit_gradients(
-        ModelParams(length_beta=2.0), substream(4, "m")
+        ModelParams(length_beta=2.0), RngStream(4, "m")
     )
     lengths = 1.0 + 2.0 * np.arange(10) / 9.0
     assert np.array_equal(varied, base * lengths[:, np.newaxis])
@@ -79,7 +79,7 @@ def test_length_beta_scales_rows_exactly():
 
 def test_residual_tensor_shape_and_variance():
     params = ModelParams()
-    residuals = sample_residuals(params, substream(0, "resid"))
+    residuals = sample_residuals(params, RngStream(0, "resid"))
     assert residuals.shape == (300, 10, 1000)
     # 3e6 entries: sample variance concentrates well within 2 percent.
     assert abs(residuals.var() / params.sigma_e**2 - 1.0) < 0.02

@@ -11,7 +11,7 @@ from lossgeom import (
     shannon_entropy,
     softmax_probs,
 )
-from lossgeom.rng import substream
+from lossgeom.rng import RngStream
 
 
 def in_logit_space(logits, label=0):
@@ -131,25 +131,25 @@ def test_assign_labels_exact_accuracy_and_wrong_labels_differ_from_argmax():
 def test_assign_labels_extremes():
     probs = softmax_probs(np.random.default_rng(3).standard_normal((40, 5)))
     argmax = probs.argmax(axis=1)
-    all_right = assign_labels(probs, 1.0, substream(0, "a"))
+    all_right = assign_labels(probs, 1.0, RngStream(0, "a"))
     assert np.array_equal(all_right, argmax)
-    all_wrong = assign_labels(probs, 0.0, substream(0, "a"))
+    all_wrong = assign_labels(probs, 0.0, RngStream(0, "a"))
     assert (all_wrong != argmax).all()
 
 
 def test_assign_labels_rejects_bad_accuracy():
     probs = np.full((4, 3), 1.0 / 3.0)
     with pytest.raises(ValueError):
-        assign_labels(probs, 1.5, substream(0, "a"))
+        assign_labels(probs, 1.5, RngStream(0, "a"))
     with pytest.raises(ValueError):
-        assign_labels(probs, -0.1, substream(0, "a"))
+        assign_labels(probs, -0.1, RngStream(0, "a"))
 
 
 def test_assign_labels_deterministic_per_stream():
     probs = softmax_probs(np.random.default_rng(4).standard_normal((100, 10)))
-    a = assign_labels(probs, 0.5, substream(9, "labels"))
-    b = assign_labels(probs, 0.5, substream(9, "labels"))
-    c = assign_labels(probs, 0.5, substream(10, "labels"))
+    a = assign_labels(probs, 0.5, RngStream(9, "labels"))
+    b = assign_labels(probs, 0.5, RngStream(9, "labels"))
+    c = assign_labels(probs, 0.5, RngStream(10, "labels"))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import philox_generator, serial_gaussians
 from lossgeom import rng
-from lossgeom.rng import CHUNK_PAIRS, RngStream, gaussian_matrix, substream
+from lossgeom.rng import CHUNK_PAIRS, RngStream
 
 # draw counts around the chunk edges, in normals (two per pair)
 CHUNK_EDGE_COUNTS = [
@@ -36,23 +36,17 @@ def test_distinct_seeds_give_distinct_streams():
     assert not np.array_equal(a, b)
 
 
-def test_substream_matches_direct_construction():
-    a = substream(3, "weights").uniforms(64)
-    b = RngStream(3, "weights").uniforms(64)
-    assert np.array_equal(a, b)
-
-
 @pytest.mark.parametrize("seed", [1.5, 1.0, True, np.bool_(True), np.float64(1.0), "1"])
 def test_a_seed_that_is_not_an_integer_is_rejected(seed):
     # int(seed) would truncate 1.5 and True to seed 1's stream
     with pytest.raises(ValueError, match="^seed must be an integer, got "):
-        substream(seed, "alpha")
+        RngStream(seed, "alpha")
 
 
 @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.int32(7), np.uint8(7)])
 def test_a_numpy_integer_seed_gives_the_int_seeds_stream(seed):
-    assert np.array_equal(substream(seed, "alpha").uniforms(64),
-                          substream(7, "alpha").uniforms(64))
+    assert np.array_equal(RngStream(seed, "alpha").uniforms(64),
+                          RngStream(7, "alpha").uniforms(64))
 
 
 def test_uniforms_live_in_half_open_unit_interval():
@@ -107,29 +101,28 @@ def test_integers_reject_nonpositive_bound():
         RngStream(0, "ints").integers(0, 4)
 
 
-def test_gaussian_matrix_shape_and_scale():
-    stream = RngStream(5, "matrix")
-    m = gaussian_matrix(stream, 200, 300, 2.0)
-    assert m.shape == (200, 300)
-    assert abs(m.std() - 2.0) < 0.05
+def test_gaussians_have_scale_sigma():
+    z = RngStream(5, "matrix").gaussians(200 * 300, 2.0)
+    assert z.shape == (200 * 300,)
+    assert abs(z.std() - 2.0) < 0.05
 
 
-def test_gaussian_matrix_zero_sigma_is_zero_but_advances_stream():
+def test_zero_sigma_gaussians_are_zero_but_advance_the_stream():
     stream_a = RngStream(6, "zero")
-    zeros = gaussian_matrix(stream_a, 10, 10, 0.0)
+    zeros = stream_a.gaussians(100, 0.0)
     after_zero = stream_a.gaussians(16)
 
     stream_b = RngStream(6, "zero")
-    gaussian_matrix(stream_b, 10, 10, 1.0)
+    stream_b.gaussians(100, 1.0)
     after_draw = stream_b.gaussians(16)
 
     assert not zeros.any()
     assert np.array_equal(after_zero, after_draw)
 
 
-def test_gaussian_matrix_rejects_negative_sigma():
+def test_gaussians_reject_negative_sigma():
     with pytest.raises(ValueError):
-        gaussian_matrix(RngStream(0, "neg"), 2, 2, -1.0)
+        RngStream(0, "neg").gaussians(4, -1.0)
 
 
 def test_stream_rejects_bad_arguments():
@@ -157,7 +150,7 @@ def test_chunked_gaussians_match_the_serial_transform_bit_for_bit(n, before):
 
 def test_scaled_gaussians_are_sigma_times_the_serial_transform():
     n = 3 * CHUNK_PAIRS + 5
-    z = gaussian_matrix(RngStream(4, "scaled"), 1, n, 0.3).ravel()
+    z = RngStream(4, "scaled").gaussians(n, 0.3)
     assert z.tobytes() == (0.3 * serial_gaussians(philox_generator(4, "scaled"), n)).tobytes()
 
 

@@ -17,7 +17,7 @@ from lossgeom import (
 )
 from lossgeom import spectra
 from lossgeom.gradients import fold_hessian
-from lossgeom.rng import gaussian_matrix, substream
+from lossgeom.rng import RngStream
 
 
 def model_hessian_at(n, c, d):
@@ -158,7 +158,7 @@ def test_the_upper_triangle_gives_the_bytes_of_the_mirrored_hessian(shape):
     whole = mirrored(upper.copy())
     junk = upper.copy()
     junk[np.tril_indices(d, -1)] = -7.5
-    basis = random_orthonormal_basis(params, substream(params.seed, "hyperplane"))
+    basis = random_orthonormal_basis(params, RngStream(params.seed, "hyperplane"))
     evr = scipy.linalg.eigh(whole, subset_by_index=[d - 31, d - 1], driver="evr")
     evd = scipy.linalg.eigh(whole, driver="evd")
     values = scipy.linalg.eigvalsh(whole, driver="evd")
@@ -329,29 +329,29 @@ def test_gradient_overlaps_rejects_zero_gradient():
 
 def test_random_orthonormal_basis_properties():
     params = ModelParams(n_weights=200, hyperplane_dim=10)
-    basis = random_orthonormal_basis(params, substream(0, "basis"))
+    basis = random_orthonormal_basis(params, RngStream(0, "basis"))
     assert basis.shape == (200, 10)
     assert np.abs(basis.T @ basis - np.eye(10)).max() < 1e-10
-    again = random_orthonormal_basis(params, substream(0, "basis"))
+    again = random_orthonormal_basis(params, RngStream(0, "basis"))
     assert np.array_equal(basis, again)
-    other = random_orthonormal_basis(params, substream(1, "basis"))
+    other = random_orthonormal_basis(params, RngStream(1, "basis"))
     assert not np.array_equal(basis, other)
 
 
 def test_random_orthonormal_basis_full_and_single_column():
     square = ModelParams(n_weights=12, hyperplane_dim=12)
-    b = random_orthonormal_basis(square, substream(2, "b"))
+    b = random_orthonormal_basis(square, RngStream(2, "b"))
     assert np.abs(b.T @ b - np.eye(12)).max() < 1e-10
     line = ModelParams(n_weights=12, hyperplane_dim=1)
-    v = random_orthonormal_basis(line, substream(2, "b"))
+    v = random_orthonormal_basis(line, RngStream(2, "b"))
     assert np.isclose(np.linalg.norm(v[:, 0]), 1.0, atol=1e-12)
 
 
 def test_random_orthonormal_basis_is_gram_schmidt_of_the_draw():
     for d_big, d_small in ((200, 10), (12, 12), (30, 1)):
         params = ModelParams(n_weights=d_big, hyperplane_dim=d_small)
-        basis = random_orthonormal_basis(params, substream(5, "gs"))
-        raw = gaussian_matrix(substream(5, "gs"), d_big, d_small, 1.0)
+        basis = random_orthonormal_basis(params, RngStream(5, "gs"))
+        raw = RngStream(5, "gs").gaussians(d_big * d_small).reshape(d_big, d_small)
         assert np.abs(basis - gram_schmidt(raw)).max() < 1e-13
 
 
@@ -359,7 +359,7 @@ def test_project_hessian_identity_and_similarity():
     rng = np.random.default_rng(7)
     h = random_symmetric(rng, 15)
     params = ModelParams(n_examples=5, n_weights=15, hyperplane_dim=15)
-    q = random_orthonormal_basis(params, substream(3, "q"))
+    q = random_orthonormal_basis(params, RngStream(3, "q"))
     rotated = project_hessian(h, q)
     # Full-rank orthonormal basis: eigenvalues are preserved (similarity).
     assert np.allclose(
@@ -372,7 +372,7 @@ def test_project_hessian_trace_invariance_under_rotation():
     rng = np.random.default_rng(8)
     h = random_symmetric(rng, 60)
     params = ModelParams(n_examples=5, n_weights=60, hyperplane_dim=60)
-    q = random_orthonormal_basis(params, substream(4, "q"))
+    q = random_orthonormal_basis(params, RngStream(4, "q"))
     scale = max(1.0, float(np.abs(h).max()) * 60)
     assert abs(np.trace(project_hessian(h, q)) - np.trace(h)) <= 1e-9 * scale
 
@@ -382,7 +382,7 @@ def test_project_hessian_interlacing():
     params = ModelParams(n_examples=5, n_weights=60, hyperplane_dim=10)
     for trial in range(20):
         h = random_symmetric(rng, 60)
-        basis = random_orthonormal_basis(params, substream(trial, "interlace"))
+        basis = random_orthonormal_basis(params, RngStream(trial, "interlace"))
         full = eigh(h.copy()).eigenvalues  # a solve consumes its matrix
         proj = eigh(project_hessian(h, basis)).eigenvalues
         tol = 1e-9 * max(1.0, abs(full[0]))
