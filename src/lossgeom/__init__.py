@@ -11,7 +11,7 @@ of the top eigenvalue, and the decay of the trace-to-norm curvature ratio.
 import types
 
 from .clustering import ClusteringReport, predicted_q_sl
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, parse_config
 from .dumps import DumpError, write_dump
 from .experiments import (
     SweepError,

@@ -5,9 +5,10 @@ project. Common flags: --config PATH (flat key=value file, see
 :mod:`lossgeom.config`), --out DIR (output directory, default ``out``),
 --seed INT (overrides the config's seed), --json (print a summary to
 stdout). Exit codes: 0 success, 1 validation error (bad arguments, config,
-parameters or dump contents), 2 I/O error. A sweep-sigmaz task that fails
-exits 1 after writing the records finished before it to sweep.csv (no file
-when none finished, and no summary).
+parameters or dump contents), 2 I/O error. A command computes its files, and
+one writer (:func:`_write_files`) writes them, so a command that fails
+writes no file; but a failing sweep-sigmaz task exits 1 after writing the
+records finished before it to sweep.csv (and no summary).
 
 All CSVs are written with 17 significant digits so they re-parse to the
 exact values computed. The same config, seed and numpy/scipy/BLAS build at
@@ -31,10 +32,11 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 
 from .clustering import predicted_q_sl
-from .config import RunConfig, parse_config
+from .config import parse_config
 from .experiments import (
     SweepError,
     SweepRecord,
+    SweepSpec,
     check_freezing_memory,
     point_means,
     run_clustering_experiment,
@@ -46,6 +48,7 @@ from .experiments import (
     run_snr_sweep,
     run_spectrum_experiment,
 )
+from .params import ModelParams
 from .spectra import spectral_norm, top10_power, trace_norm_ratio
 
 DEFAULT_SNR_GRID = (10.0, 2.04, 0.5, 0.1, 0.01)
@@ -63,24 +66,33 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _write_csv(path: str, header: str, rows) -> None:
+def _csv_lines(header: str, rows):
     # 17 significant digits also print every integer below 2**53 exactly
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
+    for i, row in enumerate(rows):
+        if i == 0:
+            yield header + "\n"
+        yield ",".join(format(float(v), ".17g") for v in row) + "\n"
 
 
-def _write_json(path: str, payload: dict) -> None:
-    # serialize first: a payload with NaN/inf raises before the file exists
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+def _write_files(outdir: str, files: dict) -> None:
+    """Write ``files`` into ``outdir`` in order: a dict as JSON, a ``(header,
+    rows)`` pair as CSV. Every JSON payload is serialized before the first
+    file opens, so one with NaN or inf leaves no file; CSV rows stream, and a
+    CSV is created at its first row (no rows, no file)."""
+    texts = {name: json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n"
+             for name, body in files.items() if isinstance(body, dict)}
+    for name, body in files.items():
+        lines = iter([texts[name]] if name in texts else _csv_lines(*body))
+        first = next(lines, None)
+        if first is not None:
+            with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(first)
+                fh.writelines(lines)
 
 
-def _cmd_spectrum(cfg: RunConfig, outdir: str, args) -> dict:
-    spectrum, report = run_spectrum_experiment(cfg.params)
-    payload = {  # before any file: a zero H has no trace ratio
+def _cmd_spectrum(params: ModelParams, sweep: SweepSpec, args) -> tuple[dict, dict]:
+    spectrum, report = run_spectrum_experiment(params)
+    payload = {
         "n_outliers": report.n_outliers,
         "bulk_edge": report.bulk_edge,
         "outlier_values": [float(v) for v in report.outlier_values],
@@ -88,86 +100,62 @@ def _cmd_spectrum(cfg: RunConfig, outdir: str, args) -> dict:
         "trace": spectrum.trace,
         "trace_ratio": trace_norm_ratio(spectrum),
     }
-    _write_csv(
-        os.path.join(outdir, "spectrum.csv"),
-        "index,eigenvalue",
-        enumerate(spectrum.eigenvalues),
-    )
-    _write_json(os.path.join(outdir, "outliers.json"), payload)
-    return payload
+    return {"spectrum.csv": ("index,eigenvalue", enumerate(spectrum.eigenvalues)),
+            "outliers.json": payload}, payload
 
 
-def _cmd_overlap(cfg: RunConfig, outdir: str, args) -> dict:
-    cosines, cumulative = run_overlap_experiment(cfg.params)
-    _write_csv(
-        os.path.join(outdir, "overlaps.csv"),
-        "index,cosine,cumulative_power",
-        ((i, c, p) for i, (c, p) in enumerate(zip(cosines, cumulative))),
-    )
+def _cmd_overlap(params: ModelParams, sweep: SweepSpec, args) -> tuple[dict, dict]:
+    cosines, cumulative = run_overlap_experiment(params)
     payload = {"grad_power_top10": top10_power(cumulative)}
-    _write_json(os.path.join(outdir, "overlap.json"), payload)
-    return payload
+    rows = ((i, c, p) for i, (c, p) in enumerate(zip(cosines, cumulative)))
+    return {"overlaps.csv": ("index,cosine,cumulative_power", rows),
+            "overlap.json": payload}, payload
 
 
-def _cmd_sweep_sigmaz(cfg: RunConfig, outdir: str, args) -> dict:
-    csv_path = os.path.join(outdir, "sweep.csv")
-    try:
-        records = run_sigma_z_sweep(cfg.params, cfg.sweep)
-    except SweepError as exc:
-        # keep the rows finished before the failure; a partial grid has no summary
-        if exc.records:
-            _write_csv(csv_path, SWEEP_CSV_HEADER, map(astuple, exc.records))
-        raise
-    _write_csv(csv_path, SWEEP_CSV_HEADER, map(astuple, records))
-    grid = cfg.sweep.grid()
+def _cmd_sweep_sigmaz(params: ModelParams, sweep: SweepSpec, args) -> tuple[dict, dict]:
+    records = run_sigma_z_sweep(params, sweep)
     tops = point_means(records, "top_eigenvalue")
     ratios = point_means(records, "trace_ratio")
-    return {
-        "points": cfg.sweep.points,
-        "repeats": cfg.sweep.repeats,
-        "fixed_sigma_e": cfg.sweep.fixed_sigma_e,
-        "peak_sigma_z": float(grid[int(np.argmax(tops))]),
+    return {"sweep.csv": (SWEEP_CSV_HEADER, map(astuple, records))}, {
+        "points": sweep.points,
+        "repeats": sweep.repeats,
+        "fixed_sigma_e": sweep.fixed_sigma_e,
+        "peak_sigma_z": float(sweep.grid()[int(np.argmax(tops))]),
         "trace_ratio_first": float(ratios[0]),
         "trace_ratio_last": float(ratios[-1]),
     }
 
 
-def _cmd_sweep_snr(cfg: RunConfig, outdir: str, args) -> dict:
-    results = run_snr_sweep(cfg.params, DEFAULT_SNR_GRID)
-    _write_csv(os.path.join(outdir, "snr_sweep.csv"), ",".join(SNR_FIELDS), results)
-    return {"rows": [dict(zip(SNR_FIELDS, row)) for row in results]}
+def _cmd_sweep_snr(params: ModelParams, sweep: SweepSpec, args) -> tuple[dict, dict]:
+    results = run_snr_sweep(params, DEFAULT_SNR_GRID)
+    summary = {"rows": [dict(zip(SNR_FIELDS, row)) for row in results]}
+    return {"snr_sweep.csv": (",".join(SNR_FIELDS), results)}, summary
 
 
-def _cmd_freeze(cfg: RunConfig, outdir: str, args) -> dict:
-    check_freezing_memory(cfg.params, cfg.sweep.points)  # before the grid's own 8 bytes a point
-    results = run_freezing_experiment(cfg.params, cfg.sweep.grid())
-    _write_csv(
-        os.path.join(outdir, "freezing.csv"),
-        "sigma_z,mean_entropy,mean_max_prob",
-        ((sz, ent, mx) for sz, ent, mx, _ in results),
-    )
-    simplex_rows = [
-        (sz, x, y) for sz, _, _, pts in results for x, y in pts
-    ]
-    if simplex_rows:
-        _write_csv(os.path.join(outdir, "simplex.csv"), "sigma_z,x,y", simplex_rows)
-    return {
+def _cmd_freeze(params: ModelParams, sweep: SweepSpec, args) -> tuple[dict, dict]:
+    check_freezing_memory(params, sweep.points)  # before the grid's own 8 bytes a point
+    results = run_freezing_experiment(params, sweep.grid())
+    freezing = ((sz, ent, mx) for sz, ent, mx, _ in results)
+    simplex = ((sz, x, y) for sz, _, _, pts in results for x, y in pts)
+    files = {"freezing.csv": ("sigma_z,mean_entropy,mean_max_prob", freezing),
+             "simplex.csv": ("sigma_z,x,y", simplex)}
+    return files, {
         "points": len(results),
         "final_mean_entropy": results[-1][1],
         "final_mean_max_prob": results[-1][2],
-        "simplex_rows": len(simplex_rows),
+        "simplex_rows": sum(len(pts) for *_, pts in results),
     }
 
 
-def _cmd_cluster(cfg: RunConfig, outdir: str, args) -> dict:
+def _cmd_cluster(params: ModelParams, sweep: SweepSpec, args) -> tuple[dict, dict]:
     if args.input is not None:
         report = run_dump_clustering(args.input)
         payload = {"source": args.input}
     else:
-        report = run_clustering_experiment(cfg.params)
+        report = run_clustering_experiment(params)
         payload = {
             "source": "model",
-            "predicted_q_sl": predicted_q_sl(cfg.params.sigma_c, cfg.params.sigma_e),
+            "predicted_q_sl": predicted_q_sl(params.sigma_c, params.sigma_e),
         }
     payload.update(
         q_slsc=report.q_slsc,
@@ -175,15 +163,14 @@ def _cmd_cluster(cfg: RunConfig, outdir: str, args) -> dict:
         q_dl=report.q_dl,
         per_class_q=[float(v) for v in report.per_class_q],
     )
-    _write_json(os.path.join(outdir, "clustering.json"), payload)
-    return payload
+    return {"clustering.json": payload}, payload
 
 
-def _cmd_project(cfg: RunConfig, outdir: str, args) -> dict:
-    spectrum, projected = run_projection_experiment(cfg.params)
+def _cmd_project(params: ModelParams, sweep: SweepSpec, args) -> tuple[dict, dict]:
+    spectrum, projected = run_projection_experiment(params)
     tol = 1e-9 * max(spectral_norm(spectrum), 1e-300)
-    payload = {  # before any file: a zero H has no trace ratio
-        "hyperplane_dim": cfg.params.hyperplane_dim,
+    payload = {
+        "hyperplane_dim": params.hyperplane_dim,
         "top_full": float(spectrum.eigenvalues[0]),
         "top_projected": float(projected.eigenvalues[0]),
         "full_trace_ratio": trace_norm_ratio(spectrum),
@@ -193,13 +180,8 @@ def _cmd_project(cfg: RunConfig, outdir: str, args) -> dict:
             and projected.eigenvalues[-1] >= spectrum.eigenvalues[-1] - tol
         ),
     }
-    _write_csv(
-        os.path.join(outdir, "projected_spectrum.csv"),
-        "index,eigenvalue",
-        enumerate(projected.eigenvalues),
-    )
-    _write_json(os.path.join(outdir, "projection.json"), payload)
-    return payload
+    return {"projected_spectrum.csv": ("index,eigenvalue", enumerate(projected.eigenvalues)),
+            "projection.json": payload}, payload
 
 
 _COMMANDS = {
@@ -236,13 +218,19 @@ def run_command(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = RunConfig() if args.config is None else parse_config(args.config)
+        params, sweep = ((ModelParams(), SweepSpec()) if args.config is None
+                         else parse_config(args.config))
         if args.seed is not None:
-            cfg = replace(cfg, params=replace(cfg.params, seed=args.seed))
+            params = replace(params, seed=args.seed)
         os.makedirs(args.out, exist_ok=True)
-        payload = _COMMANDS[args.command](cfg, args.out, args)
+        try:
+            files, summary = _COMMANDS[args.command](params, sweep, args)
+        except SweepError as exc:  # the rows finished before the failure; no summary
+            _write_files(args.out, {"sweep.csv": (SWEEP_CSV_HEADER, map(astuple, exc.records))})
+            raise
+        _write_files(args.out, files)
         if args.json:
-            print(json.dumps(payload, sort_keys=True, allow_nan=False))
+            print(json.dumps(summary, sort_keys=True, allow_nan=False))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -9,15 +9,17 @@ default sweep grid).
 
 Recognized keys: the :class:`~lossgeom.params.ModelParams` fields
 (n_examples, n_classes, n_weights, sigma_z, sigma_c, sigma_e, length_beta,
-target_accuracy, seed, hyperplane_dim) and the sweep block (sigma_z_min,
-sigma_z_max, points, gamma, repeats, fixed_sigma_e). The output directory
-is the CLI's ``--out``.
+target_accuracy, seed, hyperplane_dim) and the
+:class:`~lossgeom.experiments.SweepSpec` fields (sigma_z_min, sigma_z_max,
+points, gamma, repeats, fixed_sigma_e). :func:`parse_config` returns the
+two records as a pair, params first. The output directory is the CLI's
+``--out``.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from typing import get_type_hints
 
 from .experiments import SweepSpec
@@ -26,12 +28,6 @@ from .params import ModelParams
 
 class ConfigError(ValueError):
     """Configuration file rejected; message carries path and line number."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    params: ModelParams = field(default_factory=ModelParams)
-    sweep: SweepSpec = field(default_factory=SweepSpec)
 
 
 # every field of the two records is a key, typed by its annotation
@@ -52,7 +48,7 @@ def _parse_value(key: str, raw: str, where: str) -> object:
         raise ConfigError(f"{where}: key '{key}' needs {_NOUNS[kind]}, got {raw!r}")
 
 
-def parse_config(path: str) -> RunConfig:
+def parse_config(path: str) -> tuple[ModelParams, SweepSpec]:
     """Parse and validate a config file; empty file means all defaults."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -83,8 +79,6 @@ def parse_config(path: str) -> RunConfig:
         return {f.name: seen[f.name] for f in fields(cls) if f.name in seen}
 
     try:
-        params = ModelParams(**keys_of(ModelParams))
-        sweep = SweepSpec(**keys_of(SweepSpec))
+        return ModelParams(**keys_of(ModelParams)), SweepSpec(**keys_of(SweepSpec))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return RunConfig(params=params, sweep=sweep)

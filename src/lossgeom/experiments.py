@@ -39,12 +39,7 @@ from .clustering import (
     class_counts,
 )
 from .dumps import read_dump_blocks
-from .gradients import (
-    block_rows,
-    fold_hessian,
-    gradient_sum,
-    logit_gradient_blocks,
-)
+from .gradients import block_rows, gradient_sum, logit_gradient_blocks
 from .logits import LogitEnsemble, freezing_stats, sample_ensemble
 from .params import ModelParams
 from .rng import RngStream
@@ -53,6 +48,7 @@ from .spectra import (
     SymmetricSpectrum,
     detect_outliers,
     eigh,
+    fold_hessian,
     gradient_overlaps,
     load_lapack,
     project_hessian,

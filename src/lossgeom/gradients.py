@@ -12,9 +12,9 @@ objects are sums over examples, so both are built by block:
 
 H is assembled through the exact variance identity
 J^T A J = sum_k p_k (J_k - w)(J_k - w)^T with w = sum_l p_l J_l, which keeps
-it PSD by construction: :func:`fold_hessian` writes the rows
-X = sqrt(p_k) (J_k - w) over a block and adds X^T X to H's upper triangle,
-the one triangle that :mod:`lossgeom.spectra` reads. Every blocked reader
+it PSD by construction: :func:`lossgeom.spectra.fold_hessian` writes the
+rows X = sqrt(p_k) (J_k - w) over a block and adds X^T X to H's upper
+triangle, the one triangle that module reads. Every blocked reader
 (assembly, clustering, the dump reader) takes :func:`block_rows` examples.
 
 Sign convention: g uses y - p, so g is minus the gradient of the
@@ -23,14 +23,11 @@ cross-entropy loss (the finite-difference tests check -g).
 
 from __future__ import annotations
 
-import ctypes
-
 import numpy as np
 
 from .logits import LogitEnsemble
 from .params import ModelParams
 from .rng import GaussianDraw, RngStream
-from .spectra import _fortran
 
 _BLOCK_BYTES = 1 << 20  # gradient bytes per block of examples
 
@@ -111,26 +108,3 @@ def gradient_sum(tensor: np.ndarray, ensemble: LogitEnsemble, start: int = 0) ->
     rows = slice(start, start + len(tensor))
     coef = np.eye(ensemble.n_classes)[ensemble.labels[rows]] - ensemble.probs[rows]
     return np.einsum("nc,ncd->d", coef, tensor)
-
-
-def fold_hessian(hessian: np.ndarray, block: np.ndarray, probs: np.ndarray, first: bool) -> None:
-    """Add X^T X to the upper triangle of the D x D ``hessian`` (write it there
-    when ``first``), for X the rows sqrt(p[mu,k]) (J[mu,k] - w[mu]) of a block
-    J of examples with probabilities ``probs``; X overwrites the block. The
-    product is one BLAS dsyrk, called without the GIL; on a whole tensor it
-    gives the bits of numpy's X^T X. ``hessian`` must be a writable
-    C-contiguous float64 D x D array; BLAS writes its upper triangle in place.
-    """
-    rows, c, d = block.shape
-    if not (hessian.shape == (d, d) and hessian.dtype == np.float64
-            and hessian.flags.c_contiguous and hessian.flags.writeable):
-        raise ValueError(f"need a writable C-contiguous float64 {d}x{d} hessian")
-    block -= np.einsum("nc,ncd->nd", probs, block)[:, np.newaxis, :]
-    block *= np.sqrt(probs)[:, :, np.newaxis]
-    x = np.ascontiguousarray(block.reshape(rows * c, d), dtype=np.float64)
-    # column-major, H's buffer holds H^T: its lower triangle ("L") is H's upper one
-    alpha, beta, ints = ctypes.c_double(1.0), ctypes.c_double(0.0 if first else 1.0), ctypes.c_int
-    _fortran("cython_blas", "dsyrk", 2, 8)(
-        b"L", b"N", ctypes.byref(ints(d)), ctypes.byref(ints(rows * c)), ctypes.byref(alpha),
-        x.ctypes.data, ctypes.byref(ints(d)), ctypes.byref(beta), hessian.ctypes.data,
-        ctypes.byref(ints(d)))

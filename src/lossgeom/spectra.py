@@ -9,12 +9,13 @@ and inverse iteration for the vectors, only the k wanted). dsyevr is called
 through the function pointer scipy exports in ``scipy.linalg.cython_lapack``,
 the routine and LAPACK build behind scipy's driver='evr', so its results are
 scipy's to the bit. The call goes through ctypes, which releases the GIL, so
-other threads run Python while it solves. Both drivers read the matrix's
-upper triangle, in its own buffer: a solve consumes its matrix. Results are
-reordered descending with a deterministic eigenvector sign convention. On
-top of that sit the diagnostics used by the experiments: largest-relative-gap
-outlier detection, gradient/eigenvector overlaps, the trace-to-spectral-norm
-ratio, and random-hyperplane projection, which reads the upper triangle too.
+other threads run Python while it solves. Both drivers read the upper
+triangle that :func:`fold_hessian` writes (by BLAS dsyrk), in the matrix's
+own buffer: a solve consumes its matrix. Results are reordered descending
+with a deterministic eigenvector sign convention. On top of that sit the
+diagnostics used by the experiments: largest-relative-gap outlier
+detection, gradient/eigenvector overlaps, the trace-to-spectral-norm ratio,
+and random-hyperplane projection, which reads the upper triangle too.
 
 This module is the package's one importer of scipy, and it imports scipy
 only when a solve or a BLAS routine first needs it, or the Hessian loop
@@ -69,10 +70,10 @@ def eigh(
     the k largest eigenpairs only (dsyevr, see the module docstring), with
     k >= D clamped to the whole spectrum. ``vectors=False`` skips the
     eigenvectors. The matrix is read from its upper triangle, as
-    :func:`lossgeom.gradients.fold_hessian` writes it: LAPACK reads the lower
-    triangle of the row-major buffer taken as column-major. The other
-    triangle is not read, but every entry of the buffer must be finite (else
-    scipy's message). The trace is read before the solve.
+    :func:`fold_hessian` writes it: LAPACK reads the lower triangle of the
+    row-major buffer taken as column-major. The other triangle is not read,
+    but every entry of the buffer must be finite (else scipy's message). The
+    trace is read before the solve.
 
     A solve consumes ``matrix``: LAPACK works in its buffer, so afterwards its
     contents are unspecified. It raises ValueError, rather than work on a
@@ -138,6 +139,29 @@ def _fortran(module: str, name: str, chars: int, pointers: int):
     return ctypes.CFUNCTYPE(None, *[ctypes.c_char_p] * chars, *[ctypes.c_void_p] * pointers)(
         pointer(capsule, get_name(capsule))
     )
+
+
+def fold_hessian(hessian: np.ndarray, block: np.ndarray, probs: np.ndarray, first: bool) -> None:
+    """Add X^T X to the upper triangle of the D x D ``hessian`` (write it there
+    when ``first``), for X the rows sqrt(p[mu,k]) (J[mu,k] - w[mu]) of a block
+    J of examples with probabilities ``probs``; X overwrites the block. The
+    product is one BLAS dsyrk, called without the GIL; on a whole tensor it
+    gives the bits of numpy's X^T X. ``hessian`` must be a writable
+    C-contiguous float64 D x D array; BLAS writes its upper triangle in place.
+    """
+    rows, c, d = block.shape
+    if not (hessian.shape == (d, d) and hessian.dtype == np.float64
+            and hessian.flags.c_contiguous and hessian.flags.writeable):
+        raise ValueError(f"need a writable C-contiguous float64 {d}x{d} hessian")
+    block -= np.einsum("nc,ncd->nd", probs, block)[:, np.newaxis, :]
+    block *= np.sqrt(probs)[:, :, np.newaxis]
+    x = np.ascontiguousarray(block.reshape(rows * c, d), dtype=np.float64)
+    # column-major, H's buffer holds H^T: its lower triangle ("L") is H's upper one
+    alpha, beta, ints = ctypes.c_double(1.0), ctypes.c_double(0.0 if first else 1.0), ctypes.c_int
+    _fortran("cython_blas", "dsyrk", 2, 8)(
+        b"L", b"N", ctypes.byref(ints(d)), ctypes.byref(ints(rows * c)), ctypes.byref(alpha),
+        x.ctypes.data, ctypes.byref(ints(d)), ctypes.byref(beta), hessian.ctypes.data,
+        ctypes.byref(ints(d)))
 
 
 def _top_eigenpairs(

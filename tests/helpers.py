@@ -34,7 +34,8 @@ from lossgeom import (
 )
 from lossgeom.clustering import UnitSums, blocked_clustering_report
 from lossgeom.dumps import read_dump_blocks
-from lossgeom.gradients import block_rows, fold_hessian, gradient_sum
+from lossgeom.gradients import block_rows, gradient_sum
+from lossgeom.spectra import fold_hessian
 from lossgeom import experiments
 
 
@@ -307,6 +308,19 @@ def gram_schmidt(raw):
     return basis
 
 
+def sweep_tasks(params, spec):
+    """(sigma_z, repeat, point, label prefix) of each task of the default
+    (tied) sweep mode, in grid order."""
+    for i, sigma_z in enumerate(spec.grid()):
+        factor = (sigma_z / params.sigma_z) ** spec.gamma
+        point = replace(
+            params, sigma_z=float(sigma_z), sigma_c=params.sigma_c * factor,
+            sigma_e=params.sigma_e * factor,
+        )
+        for rep in range(spec.repeats):
+            yield float(sigma_z), rep, point, f"sweep:{i}:{rep}:"
+
+
 def full_solve_sweep(params, spec):
     """run_sigma_z_sweep's records (tuples in field order) from whole eigensystems.
 
@@ -316,32 +330,25 @@ def full_solve_sweep(params, spec):
     first 10 eigenvectors.
     """
     records = []
-    for i, sigma_z in enumerate(spec.grid()):
-        factor = (sigma_z / params.sigma_z) ** spec.gamma
-        point = replace(
-            params, sigma_z=float(sigma_z), sigma_c=params.sigma_c * factor,
-            sigma_e=params.sigma_e * factor,
-        )
-        for rep in range(spec.repeats):
-            prefix = f"sweep:{i}:{rep}:"
-            ensemble = sample_ensemble(point, prefix)
-            tensor = sample_logit_gradients(point, prefix)
-            hessian = model_hessian(tensor.copy(), ensemble)
-            lam, vec = np.linalg.eigh(hessian)
-            lam, vec = lam[::-1], vec[:, ::-1]
-            stream = RngStream(point.seed, prefix + "hyperplane")
-            basis = random_orthonormal_basis(point, stream)
-            mu = np.linalg.eigvalsh(project_hessian(hessian, basis))
-            g = weight_gradient(tensor, ensemble)
-            cosines = vec[:, :10].T @ g / np.linalg.norm(g)
-            whole = SimpleNamespace(eigenvalues=lam)
-            outliers = detect_outliers(whole, 3 * params.n_classes)
-            norm = np.abs(lam).max()
-            records.append((
-                float(sigma_z), point.sigma_c, lam[0], lam.sum(), norm, lam.sum() / norm,
-                mu.sum() / np.abs(mu).max(), *freezing_stats(ensemble),
-                outliers.n_outliers, float(cosines @ cosines), rep,
-            ))
+    for sigma_z, rep, point, prefix in sweep_tasks(params, spec):
+        ensemble = sample_ensemble(point, prefix)
+        tensor = sample_logit_gradients(point, prefix)
+        hessian = model_hessian(tensor.copy(), ensemble)
+        lam, vec = np.linalg.eigh(hessian)
+        lam, vec = lam[::-1], vec[:, ::-1]
+        stream = RngStream(point.seed, prefix + "hyperplane")
+        basis = random_orthonormal_basis(point, stream)
+        mu = np.linalg.eigvalsh(project_hessian(hessian, basis))
+        g = weight_gradient(tensor, ensemble)
+        cosines = vec[:, :10].T @ g / np.linalg.norm(g)
+        whole = SimpleNamespace(eigenvalues=lam)
+        outliers = detect_outliers(whole, 3 * params.n_classes)
+        norm = np.abs(lam).max()
+        records.append((
+            float(sigma_z), point.sigma_c, lam[0], lam.sum(), norm, lam.sum() / norm,
+            mu.sum() / np.abs(mu).max(), *freezing_stats(ensemble),
+            outliers.n_outliers, float(cosines @ cosines), rep,
+        ))
     return records
 
 

@@ -50,3 +50,18 @@ def test_every_public_definition_is_used_by_the_package_or_a_demo():
         and not node.name.startswith("_") and node.name not in used
     ]
     assert unused == []
+
+
+def test_no_module_imports_an_underscore_name_from_a_sibling():
+    # a module's underscore names are its own: a sibling that needs one
+    # shares its decision, and the two belong in one module
+    imports = [
+        f"{path.name}: from .{node.module} import {alias.name}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "lossgeom")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert imports == []

@@ -1,22 +1,26 @@
 import json
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from helpers import clustering_report, no_draws, peak_bytes
+from helpers import (
+    clustering_report, fresh_python, model_hessian, no_draws, peak_bytes, sweep_tasks,
+)
 from lossgeom import (
     ModelParams,
     SweepRecord,
     SweepSpec,
+    parse_config,
     run_sigma_z_sweep,
+    run_spectrum_experiment,
     sample_ensemble,
     sample_logit_gradients,
     write_dump,
 )
-from lossgeom import experiments, gradients
-from lossgeom.cli import SWEEP_CSV_HEADER, _write_json, run_command
+from lossgeom import cli, experiments, gradients
+from lossgeom.cli import SWEEP_CSV_HEADER, run_command
 
 
 SMALL_CFG = """
@@ -334,6 +338,58 @@ def test_sweep_sigmaz_reruns_byte_identical(cfg_path, tmp_path):
     assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
 
+# spectrum, then sweep-sigmaz, into sys.argv[2]
+TWO_COMMANDS = (
+    "import sys\n"
+    "from lossgeom.cli import run_command\n"
+    "for command in ('spectrum', 'sweep-sigmaz'):\n"
+    "    assert run_command([command, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+)
+
+
+def test_values_agree_to_roundoff_across_numpy_cpu_dispatch(cfg_path, tmp_path, monkeypatch):
+    # numpy picks its exp and log1p kernels by CPU feature at run time, so the
+    # draws' bits depend on the dispatch level, but values agree to roundoff.
+    # The variable acts only on the interpreter started with it. On a CPU
+    # without AVX-512 it turns nothing off and the two runs coincide: the same
+    # checks then hold at zero difference.
+    plain, other = tmp_path / "plain", tmp_path / "no-avx512"
+    monkeypatch.delenv("NPY_DISABLE_CPU_FEATURES", raising=False)
+    for out in (plain, other):
+        result = fresh_python("-c", TWO_COMMANDS, cfg_path, out)
+        assert result.returncode == 0, result.stderr
+        monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", "X86_V4 AVX512_ICL AVX512_SPR")
+
+    def agree(a, b, slack=0.0):  # within 1e-12 of each column's largest magnitude
+        a, b = np.atleast_1d(a).astype(float), np.atleast_1d(b).astype(float)
+        return a.shape == b.shape and np.all(
+            np.abs(b - a) <= 1e-12 * np.abs(a).max(axis=0, initial=0.0) + slack)
+
+    def csv(out, name):
+        return np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
+
+    assert agree(csv(plain, "spectrum.csv"), csv(other, "spectrum.csv"))
+    a, b = (json.loads((out / "outliers.json").read_text()) for out in (plain, other))
+    assert a.keys() == b.keys() and all(agree(a[key], b[key]) for key in a)
+    power = SWEEP_CSV_HEADER.split(",").index("grad_power_top10")
+    a, b = csv(plain, "sweep.csv"), csv(other, "sweep.csv")
+    assert agree(np.delete(a, power, axis=1), np.delete(b, power, axis=1))
+    # the top-10 power is determined only as far as the span of the top 10
+    # eigenvectors is: within eps * sqrt(D) / gap (Davis-Kahan), for the gap
+    # under the 10th eigenvalue over the top one. It is about 1e-3 at most
+    # tasks, but 1e-9 where sigma_z = 100 freezes the rows into H's near-null
+    # space, and the power moves by 3e-10 there.
+    params, spec = parse_config(cfg_path)
+    gaps = []
+    for _, _, point, prefix in sweep_tasks(params, spec):
+        hessian = model_hessian(sample_logit_gradients(point, prefix),
+                                sample_ensemble(point, prefix))
+        lam = np.linalg.eigvalsh(hessian)[::-1]
+        gaps.append((lam[9] - lam[10]) / lam[0])
+    bound = 2.2e-16 * np.sqrt(params.n_weights) / np.array(gaps)
+    assert agree(a[:, power], b[:, power], bound)
+
+
 def test_seed_override_changes_output(cfg_path, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -518,11 +574,24 @@ def test_zero_gradient_row_in_dump_gives_exit_1_and_no_json(cfg_path, tmp_path, 
     assert not (out / "clustering.json").exists()
 
 
-def test_json_with_nan_is_rejected_before_the_file_is_created(tmp_path):
-    path = tmp_path / "payload.json"
-    with pytest.raises(ValueError):
-        _write_json(str(path), {"q_sl": float("nan")})
-    assert not path.exists()
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_a_payload_that_cannot_be_serialized_leaves_no_file(
+    cfg_path, tmp_path, capsys, monkeypatch, value
+):
+    # spectrum.csv comes before outliers.json, but the one writer serializes
+    # every JSON payload before it opens the first file
+    def bad_edge(params):
+        spectrum, report = run_spectrum_experiment(params)
+        return spectrum, replace(report, bulk_edge=value)
+
+    monkeypatch.setattr(cli, "run_spectrum_experiment", bad_edge)
+    out = tmp_path / "out"
+    assert run(["spectrum", "--config", cfg_path, "--out", out, "--json"]) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: Out of range float values are not JSON compliant")
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
 
 
 def test_unknown_subcommand_gives_exit_1(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lossgeom import ConfigError, ModelParams, RunConfig, SweepSpec, parse_config
+from lossgeom import ConfigError, ModelParams, SweepSpec, parse_config
 from lossgeom import config
 
 
@@ -16,10 +16,10 @@ def write(tmp_path, text, name="run.cfg"):
 
 
 def test_empty_file_gives_all_defaults(tmp_path):
-    cfg = parse_config(write(tmp_path, ""))
-    assert cfg.params == ModelParams()
-    assert cfg.sweep == SweepSpec()
-    assert cfg.sweep.fixed_sigma_e is False
+    params, sweep = parse_config(write(tmp_path, ""))
+    assert params == ModelParams()
+    assert sweep == SweepSpec()
+    assert sweep.fixed_sigma_e is False
 
 
 def test_full_file_round_trip(tmp_path):
@@ -44,20 +44,20 @@ gamma = 0.25   # inline comment
 repeats = 3
 fixed_sigma_e = yes
 """
-    cfg = parse_config(write(tmp_path, text))
-    assert cfg.params.n_examples == 60
-    assert cfg.params.sigma_e == 0.05
-    assert cfg.params.length_beta == 1.0
-    assert cfg.params.seed == 42
-    assert cfg.sweep.points == 7
-    assert cfg.sweep.gamma == 0.25
-    assert cfg.sweep.repeats == 3
-    assert cfg.sweep.fixed_sigma_e is True
+    params, sweep = parse_config(write(tmp_path, text))
+    assert params.n_examples == 60
+    assert params.sigma_e == 0.05
+    assert params.length_beta == 1.0
+    assert params.seed == 42
+    assert sweep.points == 7
+    assert sweep.gamma == 0.25
+    assert sweep.repeats == 3
+    assert sweep.fixed_sigma_e is True
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):
-    cfg = parse_config(write(tmp_path, "\n# only a comment\n\nseed = 3 # trailing\n"))
-    assert cfg.params.seed == 3
+    params, sweep = parse_config(write(tmp_path, "\n# only a comment\n\nseed = 3 # trailing\n"))
+    assert params.seed == 3
 
 
 def test_unknown_key_error_carries_location(tmp_path):
@@ -107,8 +107,8 @@ def test_missing_file_raises_os_error(tmp_path):
 
 def test_boolean_spellings(tmp_path):
     for word, value in (("true", True), ("no", False), ("1", True), ("0", False)):
-        cfg = parse_config(write(tmp_path, f"fixed_sigma_e = {word}\n", name=f"{word}.cfg"))
-        assert cfg.sweep.fixed_sigma_e is value
+        _, sweep = parse_config(write(tmp_path, f"fixed_sigma_e = {word}\n", name=f"{word}.cfg"))
+        assert sweep.fixed_sigma_e is value
 
 
 # Fuzzed configs are only parsed, never run: a `points` in the millions or an
@@ -134,16 +134,17 @@ VALUES = st.one_of(
 def test_fuzzed_configs_parse_or_raise_config_error(tmp_path, entries):
     path = write(tmp_path, "".join(f"{k} = {v}\n" for k, v in entries.items()))
     try:
-        cfg = parse_config(path)
+        params, sweep = parse_config(path)
     except ConfigError:
         return
-    assert isinstance(cfg, RunConfig)
+    assert isinstance(params, ModelParams) and isinstance(sweep, SweepSpec)
 
 
 def test_readme_config_block_parses_and_names_every_key(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
-    assert isinstance(parse_config(write(tmp_path, block)), RunConfig)
+    params, sweep = parse_config(write(tmp_path, block))
+    assert isinstance(params, ModelParams) and isinstance(sweep, SweepSpec)
     keys = {line.split("=")[0].strip() for line in block.splitlines() if "=" in line}
     assert keys == set(config._KEY_TYPES)
 
@@ -164,5 +165,5 @@ def test_a_file_that_is_not_utf8_names_its_path_and_line(tmp_path):
 def test_every_line_ending_ends_a_line(tmp_path):
     path = tmp_path / "mixed.cfg"
     path.write_bytes(b"seed = 3\r\nn_classes = 4\rpoints = 5\n")
-    cfg = parse_config(str(path))
-    assert (cfg.params.seed, cfg.params.n_classes, cfg.sweep.points) == (3, 4, 5)
+    params, sweep = parse_config(str(path))
+    assert (params.seed, params.n_classes, sweep.points) == (3, 4, 5)

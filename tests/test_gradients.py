@@ -23,13 +23,10 @@ from lossgeom import (
     sample_ensemble,
     sample_logit_gradients,
 )
-from lossgeom.gradients import (
-    fold_hessian,
-    logit_gradient_blocks,
-    sample_mean_logit_gradients,
-)
+from lossgeom.gradients import logit_gradient_blocks, sample_mean_logit_gradients
 from lossgeom.logits import softmax_probs
 from lossgeom.rng import RngStream
+from lossgeom.spectra import fold_hessian
 
 
 def small_instance(seed=0, n=8, c=3, d=12, **overrides):

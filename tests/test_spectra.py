@@ -16,8 +16,8 @@ from lossgeom import (
     trace_norm_ratio,
 )
 from lossgeom import spectra
-from lossgeom.gradients import fold_hessian
 from lossgeom.rng import RngStream
+from lossgeom.spectra import fold_hessian
 
 
 def model_hessian_at(n, c, d):
