@@ -27,28 +27,10 @@ from .experiments import (
     run_snr_sweep,
     run_spectrum_experiment,
 )
-from .gradients import sample_logit_gradients, sample_mean_logit_gradients
-from .logits import (
-    LogitEnsemble,
-    assign_labels,
-    freezing_stats,
-    sample_ensemble,
-    shannon_entropy,
-    softmax_probs,
-)
+from .gradients import sample_logit_gradients
+from .logits import LogitEnsemble, sample_ensemble
 from .params import ModelParams
-from .rng import RngStream
-from .spectra import (
-    OutlierReport,
-    SymmetricSpectrum,
-    detect_outliers,
-    eigh,
-    gradient_overlaps,
-    project_hessian,
-    random_orthonormal_basis,
-    spectral_norm,
-    trace_norm_ratio,
-)
+from .spectra import OutlierReport, SymmetricSpectrum, spectral_norm, trace_norm_ratio
 
 __version__ = "0.1.0"
 

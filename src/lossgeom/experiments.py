@@ -201,12 +201,12 @@ def point_means(records: list[SweepRecord], name: str) -> np.ndarray:
     return values.reshape(-1, repeats).mean(axis=1)
 
 
-def _check_memory(params: ModelParams, rows: int, hessian: bool = True,
-                  grid: dict | None = None) -> None:
+def _check_memory(params: ModelParams, blocks: bool = True, hessian: bool = True,
+                  extra: dict | None = None) -> None:
     """Fail before any draw if the ensemble, gradients or dense Hessian would not fit.
 
-    ``rows`` counts the examples whose gradients are held at once: the three
-    blocks of a Hessian output or of ``cluster``, 0 for none. tracemalloc
+    ``blocks`` counts the gradients of the three blocks of :func:`block_rows`
+    examples that a Hessian output or ``cluster`` holds at once. tracemalloc
     reads 6.1-7.0 N*C doubles for the ensemble and its freezing statistics
     (C = 2 to 30), so the bound counts eight. A blocked sweep holds 5.0-5.9 MB
     besides its two H: its three 1 MB blocks and about two blocks' worth of
@@ -216,23 +216,22 @@ def _check_memory(params: ModelParams, rows: int, hessian: bool = True,
     k and 2.0x H for a whole eigensystem (tracemalloc, D=600 and D=1000), so
     the bound counts four D*D doubles: one H and a whole solve, or a
     many-task run's two H and top-k solves; ``hessian=False`` skips it.
-    ``grid`` maps what a run builds for its whole grid before its first draw
-    to its bytes (:data:`_SWEEP_TASK_BYTES`, :data:`_FREEZE_POINT_BYTES`).
+    ``extra`` maps what else a run holds to its bytes: its grid, built before
+    the first draw (:data:`_SWEEP_TASK_BYTES`), or its projection (:func:`_projection`).
     """
     n, c, d = params.n_examples, params.n_classes, params.n_weights
     terms = {f"{n}x{c} logit ensemble with its temporaries": 8 * 8 * n * c}
-    if rows:
+    if blocks:
+        rows = _BLOCKS * block_rows(n, c, d)
         terms[f"{rows}x{c}x{d} gradient blocks with its temporaries"] = 2 * 8 * rows * c * d
     if hessian:
         terms[f"dense {d}x{d} Hessian with its eigensolve"] = 4 * 8 * d * d
-    terms.update(grid or {})
+    terms.update(extra or {})
     needed = sum(terms.values())
     if needed > DEFAULT_MEMORY_LIMIT:
         name = max(terms, key=terms.get)
-        raise ValueError(
-            f"{name} needs {terms[name]} bytes ({needed} in all), over the "
-            f"{DEFAULT_MEMORY_LIMIT}-byte memory limit"
-        )
+        raise ValueError(f"{name} needs {terms[name]} bytes ({needed} in all), over the "
+                         f"{DEFAULT_MEMORY_LIMIT}-byte memory limit")
 
 
 def _check_gradients(params: ModelParams) -> None:
@@ -300,10 +299,9 @@ def _pipeline(tasks: list[_Task], reads, measure):
     Task t's error raises in place of its item, after item t-1."""
     params = tasks[0].params
     _check_gradients(params)
+    _check_memory(params)
     n, c, d = params.n_examples, params.n_classes, params.n_weights
-    rows = block_rows(n, c, d)
-    _check_memory(params, _BLOCKS * rows)
-    blocks = [np.empty((rows, c, d)) for _ in range(_BLOCKS)]
+    blocks = [np.empty((block_rows(n, c, d), c, d)) for _ in range(_BLOCKS)]
     hessians = [np.zeros((d, d)) for _ in tasks[:2]]  # eigh checks the unread triangle
 
     def draw(t: int):
@@ -331,6 +329,13 @@ def _trim_heap() -> None:
     trim(0)
 
 
+def _projection(params: ModelParams) -> dict:
+    """The guard's term for :func:`_projected` (B, B^T, B^T H and two k x k): tracemalloc
+    reads 3.1-5.0 D*k doubles at D = 600, 1000 and k = 10 to D; it counts 4 D*k + 2 k^2."""
+    d, k = params.n_weights, params.hyperplane_dim
+    return {f"{d}x{k} hyperplane basis with its projection": 8 * (4 * d * k + 2 * k * k)}
+
+
 def _projected(params: ModelParams, prefix: str, hessian: np.ndarray) -> SymmetricSpectrum:
     """Eigenvalues of H compressed onto the random ``<prefix>hyperplane`` basis."""
     basis = random_orthonormal_basis(params, RngStream(params.seed, prefix + "hyperplane"))
@@ -350,10 +355,16 @@ def run_overlap_experiment(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     """Gradient/eigenvector cosines and cumulative power at params.
 
     Raises the zero-gradient error if every probability row is frozen
-    exactly onto its label.
+    exactly onto its label, else the zero-norm error if every row is one-hot.
     """
-    [overlaps] = _pipeline([_Task(params)], _gradient,
-                           lambda task, ensemble, gradient, h: gradient_overlaps(eigh(h), gradient))
+    def measure(task, ensemble, gradient, h):
+        spectrum = eigh(h)
+        overlaps = gradient_overlaps(spectrum, gradient)
+        if spectral_norm(spectrum) == 0.0:  # H = 0, whose eigenbasis is arbitrary
+            raise ValueError("overlaps undefined: spectral norm is zero")
+        return overlaps
+
+    [overlaps] = _pipeline([_Task(params)], _gradient, measure)
     return overlaps
 
 
@@ -366,6 +377,8 @@ def run_projection_experiment(
         projected = _projected(params, "", h)
         return eigh(h, vectors=False), projected
 
+    _check_gradients(params)  # before the guard, as in _pipeline
+    _check_memory(params, extra=_projection(params))
     [spectra] = _pipeline([_Task(params)], _no_read, measure)
     return spectra
 
@@ -375,12 +388,11 @@ def run_clustering_experiment(params: ModelParams) -> ClusteringReport:
     """Clustering statistics of one model-sampled gradient tensor, scored one
     block of about 1 MB of examples at a time as it is drawn."""
     n, c, d = params.n_examples, params.n_classes, params.n_weights
-    rows = block_rows(n, c, d)
     _check_gradients(params)
-    _check_memory(params, _BLOCKS * rows, hessian=False)
+    _check_memory(params, hessian=False)
     labels = sample_ensemble(params).labels
     class_counts(labels, c)  # before the blocks are allocated and drawn
-    blocks = [np.empty((rows, c, d)) for _ in range(_BLOCKS)]
+    blocks = [np.empty((block_rows(n, c, d), c, d)) for _ in range(_BLOCKS)]
     return blocked_clustering_report((n, c, d), labels, logit_gradient_blocks(params, "", blocks))
 
 
@@ -405,10 +417,9 @@ def run_sigma_z_sweep(params: ModelParams, spec: SweepSpec) -> list[SweepRecord]
     """
     if params.sigma_z == 0:
         raise ValueError("a sigma_z sweep scales around the model's sigma_z, which must not be 0")
-    rows = block_rows(params.n_examples, params.n_classes, params.n_weights)
     n_tasks = spec.points * spec.repeats
-    _check_memory(params, _BLOCKS * rows,
-                  grid={f"{n_tasks} sweep tasks with their records": _SWEEP_TASK_BYTES * n_tasks})
+    _check_memory(params, extra={f"{n_tasks} sweep tasks with their records":
+                                 _SWEEP_TASK_BYTES * n_tasks, **_projection(params)})
     records: list[SweepRecord] = []
 
     def failed(i: int, sigma_z: float, rep: int, exc: ValueError) -> SweepError:
@@ -505,7 +516,7 @@ def run_snr_sweep(
 def check_freezing_memory(params: ModelParams, points: int) -> None:
     """Fail unless the ensemble and ``points`` freezing grid points with their results fit."""
     per_point = _SIMPLEX_POINT_BYTES if params.n_classes == 3 else _FREEZE_POINT_BYTES
-    _check_memory(params, rows=0, hessian=False, grid={
+    _check_memory(params, blocks=False, hessian=False, extra={
         f"{points}-point freezing grid with its results": per_point * points})
 
 

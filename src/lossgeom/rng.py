@@ -70,7 +70,6 @@ class RngStream:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
         if not label:
             raise ValueError("stream label must be a nonempty string")
-        self.label = label
         digest = hashlib.sha256(
             int(seed).to_bytes(8, "little") + b"\x1f" + label.encode("utf-8")
         ).digest()

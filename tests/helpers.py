@@ -23,19 +23,15 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from lossgeom import (
-    RngStream,
-    detect_outliers,
-    freezing_stats,
-    project_hessian,
-    random_orthonormal_basis,
-    sample_ensemble,
-    sample_logit_gradients,
-)
+from lossgeom import sample_ensemble, sample_logit_gradients
 from lossgeom.clustering import UnitSums, blocked_clustering_report
 from lossgeom.dumps import read_dump_blocks
 from lossgeom.gradients import block_rows, gradient_sum
-from lossgeom.spectra import fold_hessian
+from lossgeom.logits import freezing_stats
+from lossgeom.rng import RngStream
+from lossgeom.spectra import (
+    detect_outliers, fold_hessian, project_hessian, random_orthonormal_basis,
+)
 from lossgeom import experiments
 
 

@@ -28,12 +28,8 @@ from lossgeom import (
     LogitEnsemble,
     ModelParams,
     SweepSpec,
-    detect_outliers,
-    eigh,
     point_means,
     predicted_q_sl,
-    project_hessian,
-    random_orthonormal_basis,
     run_overlap_experiment,
     run_sigma_z_sweep,
     run_snr_sweep,
@@ -43,6 +39,7 @@ from lossgeom import (
 )
 from lossgeom.logits import freezing_stats, softmax_probs
 from lossgeom.rng import RngStream
+from lossgeom.spectra import detect_outliers, eigh, project_hessian, random_orthonormal_basis
 
 
 SEEDS = range(10)

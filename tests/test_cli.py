@@ -273,9 +273,10 @@ def test_freeze_rejects_an_oversized_grid_before_building_it(tmp_path, capsys):
     assert list(out.glob("*")) == []
 
 
-@pytest.mark.parametrize("command", ["spectrum", "project"])
+@pytest.mark.parametrize("command", ["spectrum", "project", "overlap"])
 def test_a_zero_hessian_fails_without_writing_a_file(tmp_path, capsys, command):
-    # every row freezes onto its label, so H = 0 and its trace ratio is undefined
+    # every row freezes one-hot, so H = 0: its trace ratio is undefined and
+    # its eigenbasis arbitrary (the gradient is not zero: some labels miss)
     cfg = tmp_path / "frozen.cfg"
     cfg.write_text("n_examples = 50\nn_weights = 100\nsigma_z = 1e6\n")
     out = tmp_path / "out"
@@ -338,11 +339,11 @@ def test_sweep_sigmaz_reruns_byte_identical(cfg_path, tmp_path):
     assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
 
-# spectrum, then sweep-sigmaz, into sys.argv[2]
-TWO_COMMANDS = (
+# spectrum, overlap, then sweep-sigmaz, into sys.argv[2]
+THREE_COMMANDS = (
     "import sys\n"
     "from lossgeom.cli import run_command\n"
-    "for command in ('spectrum', 'sweep-sigmaz'):\n"
+    "for command in ('spectrum', 'overlap', 'sweep-sigmaz'):\n"
     "    assert run_command([command, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
 )
 
@@ -356,7 +357,7 @@ def test_values_agree_to_roundoff_across_numpy_cpu_dispatch(cfg_path, tmp_path, 
     plain, other = tmp_path / "plain", tmp_path / "no-avx512"
     monkeypatch.delenv("NPY_DISABLE_CPU_FEATURES", raising=False)
     for out in (plain, other):
-        result = fresh_python("-c", TWO_COMMANDS, cfg_path, out)
+        result = fresh_python("-c", THREE_COMMANDS, cfg_path, out)
         assert result.returncode == 0, result.stderr
         monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", "X86_V4 AVX512_ICL AVX512_SPR")
 
@@ -371,6 +372,19 @@ def test_values_agree_to_roundoff_across_numpy_cpu_dispatch(cfg_path, tmp_path, 
     assert agree(csv(plain, "spectrum.csv"), csv(other, "spectrum.csv"))
     a, b = (json.loads((out / "outliers.json").read_text()) for out in (plain, other))
     assert a.keys() == b.keys() and all(agree(a[key], b[key]) for key in a)
+    # a cosine is determined as far as its eigenvector is: within eps * sqrt(D)
+    # / gap (Davis-Kahan), the gap to its nearest eigenvalue over the top one
+    params, spec = parse_config(cfg_path)
+    lam = np.linalg.eigvalsh(model_hessian(sample_logit_gradients(params),
+                                           sample_ensemble(params)))[::-1]
+    steps = np.abs(np.diff(lam))
+    gap = np.minimum(np.r_[np.inf, steps], np.r_[steps, np.inf]) / lam[0]
+    a, b = csv(plain, "overlaps.csv"), csv(other, "overlaps.csv")
+    assert a.shape == b.shape and a[:, 0].tolist() == b[:, 0].tolist()
+    assert np.all(np.abs(b[:, 1] - a[:, 1]) * gap <= 2.2e-16 * np.sqrt(params.n_weights))
+    assert abs(b[9, 2] - a[9, 2]) <= 1e-14 and abs(b[-1, 2] - a[-1, 2]) <= 1e-14
+    a, b = (json.loads((out / "overlap.json").read_text()) for out in (plain, other))
+    assert a.keys() == b.keys() and all(agree(a[key], b[key]) for key in a)
     power = SWEEP_CSV_HEADER.split(",").index("grad_power_top10")
     a, b = csv(plain, "sweep.csv"), csv(other, "sweep.csv")
     assert agree(np.delete(a, power, axis=1), np.delete(b, power, axis=1))
@@ -379,7 +393,6 @@ def test_values_agree_to_roundoff_across_numpy_cpu_dispatch(cfg_path, tmp_path, 
     # under the 10th eigenvalue over the top one. It is about 1e-3 at most
     # tasks, but 1e-9 where sigma_z = 100 freezes the rows into H's near-null
     # space, and the power moves by 3e-10 there.
-    params, spec = parse_config(cfg_path)
     gaps = []
     for _, _, point, prefix in sweep_tasks(params, spec):
         hessian = model_hessian(sample_logit_gradients(point, prefix),

@@ -17,9 +17,6 @@ from lossgeom import (
     SweepError,
     SweepRecord,
     SweepSpec,
-    detect_outliers,
-    eigh,
-    gradient_overlaps,
     run_clustering_experiment,
     run_freezing_experiment,
     run_overlap_experiment,
@@ -31,6 +28,7 @@ from lossgeom import (
     sample_logit_gradients,
 )
 from lossgeom import experiments, gradients, spectra
+from lossgeom.spectra import detect_outliers, eigh, gradient_overlaps
 
 SMALL = ModelParams(n_examples=60, n_classes=5, n_weights=120, hyperplane_dim=6)
 
@@ -595,6 +593,12 @@ def test_memory_guard_counts_what_a_grid_builds_before_its_first_draw(monkeypatc
         run(ModelParams(n_examples=20, n_classes=3, n_weights=30, hyperplane_dim=4))
 
 
-def test_memory_guard_counts_two_tensors():
-    # 2 * 8 * N*C*D = 1.12e9 plus 4 * 8 * D**2 = 3.2e7 bytes fit in 2**31
-    experiments._check_memory(ModelParams(n_examples=7000, n_classes=10, n_weights=1000), 7000)
+def test_memory_guard_counts_two_tensors(monkeypatch):
+    # two doubles per gradient entry of the three blocks held, eight per logit
+    # and four per entry of H: 2 * 8 * 39*C*D plus 8 * 8 * N*C plus 4 * 8 * D**2
+    monkeypatch.setattr(experiments, "DEFAULT_MEMORY_LIMIT", 64)
+    n, c, d = 7000, 10, 1000
+    rows = 3 * gradients.block_rows(n, c, d)
+    total = 2 * 8 * rows * c * d + 8 * 8 * n * c + 4 * 8 * d * d
+    with pytest.raises(ValueError, match=rf"\({total} in all\)"):
+        experiments._check_memory(ModelParams(n_examples=n, n_classes=c, n_weights=d))

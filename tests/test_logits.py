@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import model_hessian, weight_gradient
-from lossgeom import (
-    LogitEnsemble,
-    ModelParams,
-    assign_labels,
-    freezing_stats,
-    sample_ensemble,
-    shannon_entropy,
-    softmax_probs,
-)
+from lossgeom import LogitEnsemble, ModelParams, sample_ensemble
+from lossgeom.logits import assign_labels, freezing_stats, shannon_entropy, softmax_probs
 from lossgeom.rng import RngStream
 
 

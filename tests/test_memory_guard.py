@@ -50,6 +50,8 @@ SHAPES = {
     "ensemble": (60_000, 3, 2, 1),
     # a 600 x 600 H and its solve outweigh one block of all 50 examples
     "hessian": (50, 3, 600, 10),
+    # a 600 x 600 hyperplane basis, its transpose and B^T H outweigh H's solve
+    "projection": (50, 3, 600, 600),
 }
 
 

@@ -5,11 +5,6 @@ import scipy.linalg
 from helpers import gram_schmidt, mirrored, model_hessian, peak_bytes, random_symmetric
 from lossgeom import (
     ModelParams,
-    detect_outliers,
-    eigh,
-    gradient_overlaps,
-    project_hessian,
-    random_orthonormal_basis,
     sample_ensemble,
     sample_logit_gradients,
     spectral_norm,
@@ -17,7 +12,14 @@ from lossgeom import (
 )
 from lossgeom import spectra
 from lossgeom.rng import RngStream
-from lossgeom.spectra import fold_hessian
+from lossgeom.spectra import (
+    detect_outliers,
+    eigh,
+    fold_hessian,
+    gradient_overlaps,
+    project_hessian,
+    random_orthonormal_basis,
+)
 
 
 def model_hessian_at(n, c, d):
