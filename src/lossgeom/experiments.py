@@ -4,9 +4,9 @@ Every Hessian output runs through one loop, :func:`_pipeline`. Each task is
 drawn (:func:`_draw`): its ensemble is sampled, then its gradients one block
 of about 1 MB of examples at a time; each block is read for what the output
 needs, then folded into H (:func:`fold_hessian`). The task is then measured
-(a solve for only what the output reads). The calling thread measures while
-one worker thread draws the next task into a second H; a one-task run starts
-no thread. No output holds the (N, C, D) tensor. Each experiment is a pure
+(a solve for only what the output reads). A one-task run runs on the calling
+thread; a many-task run on two lanes, threads that each draw and measure
+whole tasks. No output holds the (N, C, D) tensor. Each experiment is a pure
 function of a :class:`ModelParams` (plus a sweep spec where applicable):
 identical inputs give identical outputs. Sweep tasks draw from labeled
 streams (``sweep:<point>:<repeat>:<role>``), so points and repeats are
@@ -25,7 +25,9 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import math
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -59,7 +61,8 @@ from .spectra import (
 )
 
 DEFAULT_MEMORY_LIMIT = 2**31  # bytes allowed for one instance's large arrays
-_BLOCKS = 3  # block buffers: the one read and two drawn meanwhile
+_BLOCKS = 3  # a one-task run's block buffers: the one read and two drawn meanwhile
+_LANES = 2  # threads of a many-task run, each drawing and measuring whole tasks
 # bytes built per grid entry before the first draw (tracemalloc, rounded up):
 # a sweep task (755 B) and its record (425-456 B) per (point, repeat); a freeze
 # point's params and results (443 B), or 8.5-11.8 KB with C = 3 simplex rows
@@ -205,13 +208,13 @@ def _check_memory(params: ModelParams, blocks: bool = True, hessian: bool = True
                   extra: dict | None = None) -> None:
     """Fail before any draw if the ensemble, gradients or dense Hessian would not fit.
 
-    ``blocks`` counts the gradients of the three blocks of :func:`block_rows`
-    examples that a Hessian output or ``cluster`` holds at once. tracemalloc
-    reads 6.1-7.0 N*C doubles for the ensemble and its freezing statistics
-    (C = 2 to 30), so the bound counts eight. A blocked sweep holds 5.0-5.9 MB
-    besides its two H: its three 1 MB blocks and about two blocks' worth of
-    temporaries (the sampling chunks, q_sl's unit rows). So the bound counts
-    two doubles per gradient entry held. Besides H, in whose buffer every
+    ``blocks`` counts the gradients of three blocks of :func:`block_rows`
+    examples, as a one-task Hessian output or ``cluster`` holds (a lane holds
+    one). tracemalloc reads 6.1-7.0 N*C doubles for the ensemble and its
+    freezing statistics (C = 2 to 30), so the bound counts eight. A blocked
+    sweep holds 3.5-4.7 MB besides its two H (5.0-5.9 MB with three blocks):
+    blocks, sampling chunks and q_sl's unit rows. So the bound counts two
+    doubles per gradient entry of three blocks. Besides H, in whose buffer every
     solve works, the solve allocates under 0.2x H for eigenvalues or the top
     k and 2.0x H for a whole eigensystem (tracemalloc, D=600 and D=1000), so
     the bound counts four D*D doubles: one H and a whole solve, or a
@@ -241,12 +244,13 @@ def _check_gradients(params: ModelParams) -> None:
 
 def _draw(params: ModelParams, prefix: str, reads, blocks: list, hessian: np.ndarray):
     """Draw one task: sample its ensemble and its gradients block by block
-    into ``blocks`` (see :func:`logit_gradient_blocks`); each block is read,
-    with ``reads(params, ensemble)``'s (add, value) pair, then folded into
-    ``hessian``'s upper triangle. Returns (ensemble, value(), H / N)."""
+    into ``blocks`` (:func:`logit_gradient_blocks`; one block, with none to
+    draw ahead, on this thread alone); each block is read, with ``reads(params,
+    ensemble)``'s (add, value) pair, then folded into ``hessian``'s upper triangle.
+    Returns (ensemble, value(), H / N)."""
     ensemble = sample_ensemble(params, prefix)
     add, value = reads(params, ensemble)
-    for start, block in logit_gradient_blocks(params, prefix, blocks):
+    for start, block in logit_gradient_blocks(params, prefix, blocks, len(blocks) > 1):
         add(start, block)
         fold_hessian(hessian, block, ensemble.probs[start : start + len(block)], start == 0)
     hessian /= params.n_examples
@@ -288,34 +292,48 @@ class _Task:
 def _pipeline(tasks: list[_Task], reads, measure):
     """Yield ``measure(task, ensemble, read, hessian)`` per task, in order; the
     caller must exhaust it. Tasks share one shape, drawn in blocks of
-    :func:`block_rows` examples into ``_BLOCKS`` buffers. A model with
-    sigma_c = sigma_e = 0, whose gradients and H are all zero, is rejected
-    first; then the memory check and the buffers (the blocks and up to two
-    zeroed H) come before scipy is loaded, so a run rejected by either runs
-    on numpy alone. This thread draws task 0, then hands each next task's
-    draw to one worker thread, into the other H, and measures meanwhile, all
-    under :func:`one_blas_thread`; then it trims the heap (:func:`_trim_heap`),
-    so a process running many commands keeps the peak of its largest one.
-    Task t's error raises in place of its item, after item t-1."""
+    :func:`block_rows` examples. A model with sigma_c = sigma_e = 0 (H = 0) is
+    rejected first; then the memory check and the buffers come before scipy is
+    loaded, so a run rejected by either runs on numpy alone. One task is drawn
+    here into ``_BLOCKS`` buffers, the sampling pool drawing ahead; many go in
+    grid order to ``_LANES`` threads, each drawing a whole task into its one
+    block (no pool) and measuring it. All under :func:`one_blas_thread`; then
+    the heap is trimmed (:func:`_trim_heap`), so a process running many commands
+    keeps the peak of its largest one. Task t's error raises in place of item t."""
     params = tasks[0].params
     _check_gradients(params)
     _check_memory(params)
     n, c, d = params.n_examples, params.n_classes, params.n_weights
-    blocks = [np.empty((block_rows(n, c, d), c, d)) for _ in range(_BLOCKS)]
-    hessians = [np.zeros((d, d)) for _ in tasks[:2]]  # eigh checks the unread triangle
+    rows, one = block_rows(n, c, d), len(tasks) == 1
+    free = queue.SimpleQueue()  # each lane's buffers, while no task holds them
+    for _ in tasks[:_LANES]:  # H zeroed: eigh checks the unread triangle
+        free.put(([np.empty((rows, c, d)) for _ in range(_BLOCKS if one else 1)], np.zeros((d, d))))
 
-    def draw(t: int):
-        return _draw(tasks[t].params, tasks[t].prefix, reads, blocks, hessians[t % 2])
+    def run(task: _Task):
+        blocks, hessian = free.get()
+        try:
+            ensemble, read, hessian = _draw(task.params, task.prefix, reads, blocks, hessian)
+            if one:
+                blocks.clear()  # the blocks go before the solve
+            return measure(task, ensemble, read, hessian)
+        finally:
+            free.put((blocks, hessian))
 
-    future = None
     load_lapack()  # mapped before the hold reads the libraries, so that it holds them too
-    with one_blas_thread(), ThreadPoolExecutor(1) as worker:  # the thread starts at a submit
-        for t, task in enumerate(tasks):
-            ensemble, read, hessian = draw(t) if future is None else future.result()
-            future = worker.submit(draw, t + 1) if t + 1 < len(tasks) else None
-            if future is None:  # all drawn: the blocks go before the last solve
-                blocks.clear()
-            yield measure(task, ensemble, read, hessian)
+    with one_blas_thread():
+        if one:
+            yield run(tasks[0])
+        else:
+            with ThreadPoolExecutor(_LANES) as pool:
+                submitted = (pool.submit(run, task) for task in tasks)
+                ahead = list(itertools.islice(submitted, 2 * _LANES))  # few: the guard counts none
+                try:
+                    while ahead:
+                        result = ahead.pop(0).result()
+                        ahead.extend(itertools.islice(submitted, 1))
+                        yield result
+                finally:  # after a failure no lane takes another task
+                    pool.shutdown(cancel_futures=True)
     _trim_heap()
 
 
@@ -329,11 +347,13 @@ def _trim_heap() -> None:
     trim(0)
 
 
-def _projection(params: ModelParams) -> dict:
-    """The guard's term for :func:`_projected` (B, B^T, B^T H and two k x k): tracemalloc
-    reads 3.1-5.0 D*k doubles at D = 600, 1000 and k = 10 to D; it counts 4 D*k + 2 k^2."""
+def _projection(params: ModelParams, lanes: int = 1) -> dict:
+    """The guard's term for :func:`_projected` (B, B^T, B^T H and two k x k) on ``lanes``
+    threads at once: tracemalloc reads 3.1-5.0 D*k doubles per projection at D = 600, 1000
+    and k = 10 to D; it counts 4 D*k + 2 k^2."""
     d, k = params.n_weights, params.hyperplane_dim
-    return {f"{d}x{k} hyperplane basis with its projection": 8 * (4 * d * k + 2 * k * k)}
+    name = f"{d}x{k} hyperplane basis with its projection"
+    return {name + f", on each of {lanes} lanes" * (lanes > 1): lanes * 8 * (4 * d * k + 2 * k * k)}
 
 
 def _projected(params: ModelParams, prefix: str, hessian: np.ndarray) -> SymmetricSpectrum:
@@ -419,7 +439,7 @@ def run_sigma_z_sweep(params: ModelParams, spec: SweepSpec) -> list[SweepRecord]
         raise ValueError("a sigma_z sweep scales around the model's sigma_z, which must not be 0")
     n_tasks = spec.points * spec.repeats
     _check_memory(params, extra={f"{n_tasks} sweep tasks with their records":
-                                 _SWEEP_TASK_BYTES * n_tasks, **_projection(params)})
+                                 _SWEEP_TASK_BYTES * n_tasks, **_projection(params, _LANES)})
     records: list[SweepRecord] = []
 
     def failed(i: int, sigma_z: float, rep: int, exc: ValueError) -> SweepError:

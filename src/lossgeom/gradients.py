@@ -65,7 +65,7 @@ def sample_logit_gradients(params: ModelParams, label_prefix: str = "") -> np.nd
     return tensor
 
 
-def logit_gradient_blocks(params: ModelParams, label_prefix: str, buffers):
+def logit_gradient_blocks(params: ModelParams, label_prefix: str, buffers, pool: bool = True):
     """Yield (start, J[start : start + rows]) for the tensor of
     :func:`sample_logit_gradients`, rows = len(buffers[0]) examples at a time.
 
@@ -73,9 +73,9 @@ def logit_gradient_blocks(params: ModelParams, label_prefix: str, buffers):
     offset of the whole draw, so they are its rows bit for bit; the class
     means (``<prefix>means``) are added in place. Blocks take turns in
     ``buffers``, (rows, C, D) float64 arrays; the next blocks, one per other
-    buffer, are drawn on the sampling pool while the caller reads this one,
-    which it must be done with when it asks for the next.
-    """
+    buffer, are drawn on the sampling pool (with ``pool`` off, every block on
+    the caller's thread) while the caller reads this one, which it must be
+    done with when it asks for the next."""
     n, c, d = params.n_examples, params.n_classes, params.n_weights
     residuals = GaussianDraw(RngStream(params.seed, label_prefix + "residuals"), n * c * d,
                              params.sigma_e)
@@ -84,7 +84,7 @@ def logit_gradient_blocks(params: ModelParams, label_prefix: str, buffers):
 
     def begin(b: int, background: bool = True):
         block = buffers[b % len(buffers)][: n - starts[b]]
-        return block, residuals.fill(block, starts[b] * c * d, background)
+        return block, residuals.fill(block, starts[b] * c * d, background, pool)
 
     pending = []
     try:

@@ -26,10 +26,10 @@ A stream is its key plus the count of uniforms drawn so far. A Gaussian
 draw is first reserved (:class:`GaussianDraw`), which moves the stream past
 its uniforms, and then filled, whole or in runs such as a block of examples'
 rows. Each run splits its pairs into chunks, run on a thread pool of one
-thread per usable core (started at the first such draw, not at import); each
-chunk reads its uniforms at its own offset, so the draws and the stream's
-position after them are those of the serial transform whatever the runs,
-chunks or core count.
+thread per usable core (started at the first such draw, not at import) or
+on the caller's thread; each chunk reads its uniforms at its own offset, so
+the draws and the stream's position after them are those of the serial
+transform whatever the runs, chunks, threads or core count.
 
 Streams with distinct labels are derived from cryptographically separated
 keys and are treated as independent. A stream is stateful and must not be
@@ -137,12 +137,12 @@ class GaussianDraw:
         self._pairs = (self.n + 1) // 2
         self._start = stream._take(self.n, 2 * self._pairs)
 
-    def fill(self, dest: np.ndarray, first: int = 0, background: bool = False):
+    def fill(self, dest: np.ndarray, first: int = 0, background: bool = False, pool: bool = True):
         """Write draws [first, first + dest.size) into ``dest``, a writable
         C-contiguous float64 array, in row-major order. The pairs run in
-        chunks, on the sampling pool when there are several or ``background``
-        is set; that returns the chunks' futures at once, else they are done.
-        """
+        chunks: all on this thread when ``pool`` is off, else on the sampling
+        pool when there are several or ``background`` is set; that returns the
+        chunks' futures at once, else they are done."""
         if not (isinstance(dest, np.ndarray) and dest.dtype == np.float64
                 and dest.flags.c_contiguous and dest.flags.writeable):
             raise ValueError("dest must be a writable C-contiguous float64 array")
@@ -155,8 +155,9 @@ class GaussianDraw:
         low, high = first // 2, (first + flat.size + 1) // 2
         jobs = [functools.partial(self._box_muller, flat, first, a, min(a + CHUNK_PAIRS, high))
                 for a in range(low, high, CHUNK_PAIRS)]
-        if len(jobs) == 1 and not background:
-            jobs[0]()
+        if not pool or (len(jobs) == 1 and not background):
+            for job in jobs:
+                job()
             return []
         futures = [_executor().submit(job) for job in jobs]
         for future in [] if background else futures:
@@ -165,9 +166,9 @@ class GaussianDraw:
 
     def _box_muller(self, flat: np.ndarray, first: int, a: int, b: int) -> None:
         """Write the draws of pairs [a, b) that fall in ``flat``, which holds
-        draws [first, first + flat.size). r and theta are computed in place and
-        the products land in ``flat``: the IEEE operations, and so the bits,
-        are those of the serial transform."""
+        draws [first, first + flat.size). r and theta are computed in place, and
+        cos or sin theta lands in ``flat`` to be multiplied there by r and sigma:
+        the IEEE operations, and so the bits, are those of the serial transform."""
         u1 = self._stream._at(self._start + a).random(b - a)
         u2 = self._stream._at(self._start + self._pairs + a).random(b - a)
         np.negative(u1, out=u1)
@@ -175,14 +176,13 @@ class GaussianDraw:
         u1 *= -2.0
         np.sqrt(u1, out=u1)  # r
         u2 *= 2.0 * np.pi  # theta
-        trig = np.empty(b - a)
         for phase, fn in enumerate((np.cos, np.sin)):
             # pairs j in [lo, hi) put draw 2j + phase inside flat
             lo = max(a, (first - phase + 1) // 2)
             hi = min(b, (first + flat.size - phase + 1) // 2)
             if lo < hi:
                 dest = flat[2 * lo + phase - first : 2 * hi + phase - first - 1 : 2]
-                fn(u2[lo - a : hi - a], out=trig[: hi - lo])
-                np.multiply(u1[lo - a : hi - a], trig[: hi - lo], out=dest)
+                fn(u2[lo - a : hi - a], out=dest)
+                dest *= u1[lo - a : hi - a]
                 dest *= self.sigma
 

@@ -244,7 +244,7 @@ def test_sweep_error_names_the_first_failing_task_and_keeps_the_records_before_i
 ):
     spec = SweepSpec(points=3, repeats=2)
     full = run_sigma_z_sweep(SMALL, spec)
-    # task 2 fails on the worker while the caller's draw of task 3 fails
+    # task 2 fails on one lane while the other lane's draw of task 3 fails
     _fail_at(monkeypatch, "_sweep_record", "sweep:1:0:")
     _fail_at(monkeypatch, "_draw", "sweep:1:1:")
     with pytest.raises(SweepError) as caught:
@@ -328,6 +328,64 @@ def test_snr_sweep_accepts_infinite_snr_and_rejects_nonpositive(monkeypatch):
             run_snr_sweep(params, (1.0, bad))
 
 
+def _wait_for(event: threading.Event) -> None:
+    assert event.wait(timeout=60), "the other lane never got there"
+
+
+def test_records_keep_grid_order_when_the_lanes_finish_out_of_order(monkeypatch):
+    spec = SweepSpec(points=2, repeats=2)
+    full = run_sigma_z_sweep(SMALL, spec)
+    record, finished = experiments._sweep_record, []
+    task_1_done = threading.Event()
+
+    def out_of_order(point, prefix, *args):
+        if prefix == "sweep:0:0:":  # task 0 measures only after task 1 is done
+            _wait_for(task_1_done)
+        result = record(point, prefix, *args)
+        finished.append(prefix)
+        if prefix == "sweep:0:1:":
+            task_1_done.set()
+        return result
+
+    monkeypatch.setattr(experiments, "_sweep_record", out_of_order)
+    assert run_sigma_z_sweep(SMALL, spec) == full
+    assert finished[0] == "sweep:0:1:"
+
+
+@pytest.mark.parametrize("task_2_fails", [False, True], ids=["task-2-succeeds", "task-2-fails"])
+def test_a_sweep_error_keeps_grid_order_when_a_later_task_fails_first(monkeypatch, task_2_fails):
+    spec = SweepSpec(points=3, repeats=2)
+    full = run_sigma_z_sweep(SMALL, spec)
+    before = set(threading.enumerate())
+    draw, record = experiments._draw, experiments._sweep_record
+    task_3_failed = threading.Event()
+
+    def failing_draw(point, prefix, *args):
+        if prefix == "sweep:1:1:":
+            task_3_failed.set()
+            raise ValueError("task 3 failed")
+        return draw(point, prefix, *args)
+
+    def slow_record(point, prefix, *args):
+        if prefix == "sweep:1:0:":  # task 2 ends after task 3 has failed
+            _wait_for(task_3_failed)
+            if task_2_fails:
+                raise ValueError("task 2 failed")
+        return record(point, prefix, *args)
+
+    monkeypatch.setattr(experiments, "_draw", failing_draw)
+    monkeypatch.setattr(experiments, "_sweep_record", slow_record)
+    with pytest.raises(SweepError) as caught:
+        run_sigma_z_sweep(SMALL, spec)
+    if task_2_fails:
+        assert str(caught.value).endswith("repeat 0: task 2 failed")
+        assert caught.value.records == full[:2]
+    else:
+        assert str(caught.value).endswith("repeat 1: task 3 failed")
+        assert caught.value.records == full[:3]
+    assert set(threading.enumerate()) == before  # no lane outlives the run
+
+
 @pytest.mark.parametrize("grid", [[], (), np.array([])], ids=["list", "tuple", "array"])
 def test_snr_sweep_rejects_an_empty_grid(monkeypatch, grid):
     no_draws(monkeypatch)
@@ -352,7 +410,8 @@ def test_outputs_read_the_gradients_before_assembly_overwrites_them():
 def test_an_instance_holds_one_tensor():
     # Here the tensor is only three H: overlap holds H and its whole solve's
     # 2x H, 1.01x the tensor (1.44x when it folded the tensor as one block, and
-    # 2.34x with a second copy of it). Neither holds the tensor itself
+    # 2.34x with a second copy of it); the sweep's two lanes hold 0.81x.
+    # Neither holds the tensor itself
     # (test_overlap_holds_no_tensor, test_a_blocked_sweep_holds_no_tensor).
     params = ModelParams()
     tensor_bytes = 8 * params.n_examples * params.n_classes * params.n_weights
@@ -366,9 +425,10 @@ def test_an_instance_holds_one_tensor():
 
 
 def test_a_blocked_sweep_holds_no_tensor():
-    # A sweep task draws and folds 1 MB blocks of examples, so a run holds its
-    # two H (0.67x the tensor here), three blocks and the sampling chunks:
-    # 0.90-0.92x the tensor by tracemalloc, against 1.52x when each task drew
+    # A sweep task draws and folds 1 MB blocks of examples, so each of a run's
+    # two lanes holds its H (together 0.67x the tensor here), one block and its
+    # sampling chunks: 0.81x the tensor by tracemalloc, against 0.92x with
+    # three blocks drawn on the sampling pool and 1.52x when each task drew
     # the tensor.
     params = ModelParams()
     tensor_bytes = 8 * params.n_examples * params.n_classes * params.n_weights
@@ -383,7 +443,6 @@ def test_overlap_holds_no_tensor():
     # the whole tensor as one block (scipy loaded first in both)
     params = ModelParams(n_examples=3000, n_classes=10, n_weights=200)
     tensor_bytes = 8 * params.n_examples * params.n_classes * params.n_weights
-    spectra.load_lapack()  # importing scipy inside the trace would count its allocations
     peak = peak_bytes(run_overlap_experiment, params)
     print(f"overlap peak: {peak / tensor_bytes:.2f}x the tensor")
     assert peak < 0.25 * tensor_bytes

@@ -25,6 +25,7 @@ from lossgeom import (
 )
 from lossgeom.gradients import logit_gradient_blocks, sample_mean_logit_gradients
 from lossgeom.logits import softmax_probs
+from lossgeom import rng
 from lossgeom.rng import RngStream
 from lossgeom.spectra import fold_hessian
 
@@ -334,6 +335,22 @@ def test_gradient_blocks_are_the_rows_of_the_whole_draw(n, c, d, rows, buffers):
         assert block.tobytes() == whole[start : start + rows].tobytes()
         seen += len(block)
     assert seen == n
+
+
+@pytest.mark.parametrize("buffers", [1, 3])
+def test_gradient_blocks_drawn_off_the_pool_are_the_rows_of_the_whole_draw(monkeypatch, buffers):
+    # a sweep lane draws its one block with the pool off; a block of 16 rows
+    # at C*D = 10,000 spans three sampling chunks, all computed on this thread
+    params = ModelParams(n_examples=45, n_classes=10, n_weights=1000, hyperplane_dim=4, seed=2)
+    means, residuals = planted_split(params, "b:")
+    whole = residuals + means
+    monkeypatch.setattr(rng, "_executor", lambda: pytest.fail("the sampling pool was used"))
+    buffers = [np.full((16, 10, 1000), np.nan) for _ in range(buffers)]
+    seen = 0
+    for start, block in logit_gradient_blocks(params, "b:", buffers, pool=False):
+        assert block.tobytes() == whole[start : start + 16].tobytes()
+        seen += len(block)
+    assert seen == 45
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -28,7 +28,7 @@ from lossgeom import (
     run_snr_sweep,
     run_spectrum_experiment,
 )
-from lossgeom import experiments, spectra
+from lossgeom import experiments
 from lossgeom.cli import DEFAULT_SNR_GRID
 
 SPEC = SweepSpec(points=2, repeats=2)
@@ -65,7 +65,6 @@ def test_the_peak_stays_within_the_guards_estimate(monkeypatch, command, shape):
         with pytest.raises(ValueError, match=r"over the 64-byte memory limit$") as rejected:
             COMMANDS[command](params)
     estimate = int(re.search(r"\((\d+) in all\)", str(rejected.value))[1])
-    spectra.load_lapack()  # importing scipy inside the trace would count its allocations
     peak = peak_bytes(COMMANDS[command], params)
     print(f"{command} {shape}: peak {peak} of {estimate} bytes ({peak / estimate:.2f})")
     assert peak <= estimate

@@ -16,7 +16,7 @@ import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS before the counts are 
 
 import lossgeom
 from blas_threads import openblas_thread_counts
-from lossgeom import ModelParams, SweepError, SweepSpec, cli, experiments, write_dump
+from lossgeom import ModelParams, SweepError, SweepSpec, cli, experiments, rng, write_dump
 
 TESTS_DIR = Path(__file__).parent
 PACKAGE_ROOT = Path(lossgeom.__file__).parent.parent
@@ -268,8 +268,47 @@ def test_one_task_runs_start_no_thread(monkeypatch):
     for name in ("spectrum", "overlap", "project", "cluster"):
         RUNS[name]()  # TINY draws too few normals to use the sampling pool
         assert started == [], name
-    RUNS["sweep"]()  # two tasks: one worker draws the second
-    assert len(started) == 1
+    RUNS["sweep"]()  # two tasks: one lane each
+    assert len(started) == 2
+
+
+def test_a_sweeps_lanes_sample_on_their_own_threads(monkeypatch):
+    # each 1 MB block spans two sampling chunks, which a one-task run draws
+    # on the sampling pool; a two-task sweep starts its two lanes and nothing else
+    params = ModelParams(n_examples=200, n_classes=10, n_weights=200, hyperplane_dim=4)
+    pool_uses, started = [], []
+    executor, start = rng._executor, threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(rng, "_executor", lambda: pool_uses.append(1) or executor())
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    experiments.run_sigma_z_sweep(params, SweepSpec(points=2, repeats=1))
+    assert pool_uses == []
+    assert len(started) == 2
+    experiments.run_spectrum_experiment(params)
+    assert pool_uses
+
+
+def test_lanes_switching_every_microsecond_keep_every_record():
+    # the two lanes share one queue of buffers; a buffer handed to both lanes
+    # at once would mix two tasks' H and change their records
+    spec = SweepSpec(points=4, repeats=3)
+    expected = experiments.run_sigma_z_sweep(TINY, spec)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: got.extend(
+            experiments.run_sigma_z_sweep(TINY, spec)))
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert got == expected
 
 
 # at this size the eigensolvers change last bits between one and two BLAS
