@@ -11,14 +11,8 @@ writes no file; but a failing sweep-sigmaz task exits 1 after writing the
 records finished before it to sweep.csv (and no summary).
 
 All CSVs are written with 17 significant digits so they re-parse to the
-exact values computed. The same config, seed and numpy/scipy/BLAS build at
-one numpy CPU-dispatch level give byte-identical files (across levels, values
-agree to roundoff). Every measurement holds to one thread each OpenBLAS
-loaded when it starts, so where the BLAS is OpenBLAS the bytes do not depend
-on its thread count (``OPENBLAS_NUM_THREADS``). The five Hessian commands
-import scipy, and so load its BLAS and LAPACK, when their measurement
-starts; ``cluster``, ``freeze``, every usage or config error and a Hessian
-command that fails its checks before it measures run on numpy alone.
+exact values computed. README's Determinism section states when the bytes
+repeat.
 """
 
 from __future__ import annotations

@@ -1,20 +1,12 @@
 """Experiment orchestration: the property experiments and the sweeps.
 
-Every Hessian output runs through one loop, :func:`_pipeline`. Each task is
-drawn (:func:`_draw`): its ensemble is sampled, then its gradients one block
-of about 1 MB of examples at a time; each block is read for what the output
-needs, then folded into H (:func:`fold_hessian`). The task is then measured
-(a solve for only what the output reads). A one-task run runs on the calling
-thread; a many-task run on two lanes, threads that each draw and measure
-whole tasks. No output holds the (N, C, D) tensor. Each experiment is a pure
-function of a :class:`ModelParams` (plus a sweep spec where applicable):
-identical inputs give identical outputs. Sweep tasks draw from labeled
-streams (``sweep:<point>:<repeat>:<role>``), so points and repeats are
-independent. Every public ``run_*`` function measures under
-:func:`one_blas_thread`, so its outputs do not depend on the BLAS thread
-count: :func:`_pipeline` loads scipy's BLAS and LAPACK and then enters it
-around its loop, while ``cluster`` and ``freeze`` enter it as decorators,
-run on numpy alone and never import scipy.
+Every Hessian output runs through one loop, :func:`_pipeline`: each task is
+drawn block by block (:func:`_draw`), folded into H, then measured by a solve
+for only what the output reads. No output holds the (N, C, D) tensor. Each
+experiment is a pure function of a :class:`ModelParams` (plus a sweep spec
+where applicable). Every public ``run_*`` function measures under
+:func:`one_blas_thread`. README's Determinism section states the threads,
+the streams and the byte contract.
 
 Labels are re-drawn per sweep point and repeat at the configured target
 accuracy: each point models a training snapshot at fixed accuracy.
@@ -52,7 +44,8 @@ from .spectra import (
     eigh,
     fold_hessian,
     gradient_overlaps,
-    load_lapack,
+    openblas_libraries,
+    openblas_routines,
     project_hessian,
     random_orthonormal_basis,
     spectral_norm,
@@ -146,21 +139,9 @@ class SweepError(ValueError):
         self.records: list[SweepRecord] = records or []
 
 
-def _openblas_threads() -> list:
-    """(get, set) thread-count functions of each OpenBLAS mapped into this
-    process now: the memory map is read at every call."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {ln[ln.index("/"):].strip() for ln in fh if "openblas" in ln.lower()}
-    except OSError:  # no /proc: no OpenBLAS is found
-        return []
-    return [found for found in map(_thread_count_functions, sorted(paths)) if found]
-
-
 @functools.cache
-def _thread_count_functions(path: str) -> tuple:
-    """(get, set) thread-count functions of the OpenBLAS at ``path``, or ()."""
-    lib = ctypes.CDLL(path)
+def _thread_count_functions(lib: ctypes.CDLL) -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS ``lib``, or ()."""
     for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
                  "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
         get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
@@ -181,11 +162,10 @@ def one_blas_thread():
     Each BLAS or LAPACK call then runs on the calling thread, so results do
     not depend on the BLAS thread count, and no BLAS worker competes with the
     sampling threads (:mod:`lossgeom.rng`) for the cores. Each hold reads the
-    libraries loaded when it is entered: one loaded later is not held, so
-    :func:`_pipeline` loads scipy's first. A nested hold re-enters; holds in
-    other threads wait for it.
+    libraries loaded when it is entered (numpy's among them). A nested hold
+    re-enters; holds in other threads wait for it.
     """
-    libs = _openblas_threads()
+    libs = [found for found in map(_thread_count_functions, openblas_libraries()) if found]
     with _HOLD:
         saved = [(put, get()) for get, put in libs]
         try:
@@ -293,16 +273,18 @@ def _pipeline(tasks: list[_Task], reads, measure):
     """Yield ``measure(task, ensemble, read, hessian)`` per task, in order; the
     caller must exhaust it. Tasks share one shape, drawn in blocks of
     :func:`block_rows` examples. A model with sigma_c = sigma_e = 0 (H = 0) is
-    rejected first; then the memory check and the buffers come before scipy is
-    loaded, so a run rejected by either runs on numpy alone. One task is drawn
-    here into ``_BLOCKS`` buffers, the sampling pool drawing ahead; many go in
-    grid order to ``_LANES`` threads, each drawing a whole task into its one
-    block (no pool) and measuring it. All under :func:`one_blas_thread`; then
-    the heap is trimmed (:func:`_trim_heap`), so a process running many commands
-    keeps the peak of its largest one. Task t's error raises in place of item t."""
+    rejected first, then one that fails the memory check, then a process with
+    no BLAS to bind (:func:`openblas_routines`), all before any buffer or
+    draw. One task is drawn here into ``_BLOCKS`` buffers, the sampling pool
+    drawing ahead; many go in grid order to ``_LANES`` threads, each drawing
+    a whole task into its one block (no pool) and measuring it. All under
+    :func:`one_blas_thread`; then the heap is trimmed (:func:`_trim_heap`), so
+    a process running many commands keeps the peak of its largest one. Task
+    t's error raises in place of item t."""
     params = tasks[0].params
     _check_gradients(params)
     _check_memory(params)
+    openblas_routines()  # bound, or the run fails, before any buffer or draw
     n, c, d = params.n_examples, params.n_classes, params.n_weights
     rows, one = block_rows(n, c, d), len(tasks) == 1
     free = queue.SimpleQueue()  # each lane's buffers, while no task holds them
@@ -319,7 +301,6 @@ def _pipeline(tasks: list[_Task], reads, measure):
         finally:
             free.put((blocks, hessian))
 
-    load_lapack()  # mapped before the hold reads the libraries, so that it holds them too
     with one_blas_thread():
         if one:
             yield run(tasks[0])

@@ -1,32 +1,21 @@
 """Symmetric eigendecomposition and spectral diagnostics.
 
-:func:`eigh` solves only for what its caller reads. Both of its LAPACK
-drivers first reduce the matrix to tridiagonal form by Householder
-reflections. The whole spectrum comes from dsyevd (scipy's driver='evd':
-divide and conquer for the eigenvectors, root-free QR for eigenvalues
-alone); the top k eigenpairs come from dsyevr (bisection for the eigenvalues
-and inverse iteration for the vectors, only the k wanted). dsyevr is called
-through the function pointer scipy exports in ``scipy.linalg.cython_lapack``,
-the routine and LAPACK build behind scipy's driver='evr', so its results are
-scipy's to the bit. The call goes through ctypes, which releases the GIL, so
-other threads run Python while it solves. Both drivers read the upper
-triangle that :func:`fold_hessian` writes (by BLAS dsyrk), in the matrix's
-own buffer: a solve consumes its matrix. Results are reordered descending
-with a deterministic eigenvector sign convention. On top of that sit the
-diagnostics used by the experiments: largest-relative-gap outlier
-detection, gradient/eigenvector overlaps, the trace-to-spectral-norm ratio,
-and random-hyperplane projection, which reads the upper triangle too.
-
-This module is the package's one importer of scipy, and it imports scipy
-only when a solve or a BLAS routine first needs it, or the Hessian loop
-asks for it (:func:`load_lapack`): importing the package loads numpy alone.
+:func:`eigh` solves only for what its caller reads: the whole spectrum by
+LAPACK dsyevd, the top k eigenpairs by dsyevr. Both read the upper triangle
+that :func:`fold_hessian` writes (by BLAS dsyrk), in the matrix's own
+buffer: a solve consumes its matrix. These routines and the projection's
+dsymm are called by ctypes in the OpenBLAS that numpy maps
+(:func:`openblas_routines`; README, Determinism), which releases the GIL.
+Results are reordered descending with a deterministic eigenvector sign
+convention. On top of that sit the diagnostics used by the experiments:
+largest-relative-gap outlier detection, gradient/eigenvector overlaps, the
+trace-to-spectral-norm ratio, and random-hyperplane projection.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import importlib
 import math
 from dataclasses import dataclass
 
@@ -66,14 +55,13 @@ def eigh(
 ) -> SymmetricSpectrum:
     """Eigenvalues of a symmetric matrix, descending, and optionally eigenvectors.
 
-    ``top=None`` solves for the whole spectrum (driver 'evd'); ``top=k`` for
-    the k largest eigenpairs only (dsyevr, see the module docstring), with
-    k >= D clamped to the whole spectrum. ``vectors=False`` skips the
-    eigenvectors. The matrix is read from its upper triangle, as
-    :func:`fold_hessian` writes it: LAPACK reads the lower triangle of the
-    row-major buffer taken as column-major. The other triangle is not read,
-    but every entry of the buffer must be finite (else scipy's message). The
-    trace is read before the solve.
+    ``top=None`` solves for the whole spectrum (dsyevd); ``top=k`` for the k
+    largest eigenpairs only (dsyevr), with k >= D clamped to the whole
+    spectrum. ``vectors=False`` skips the eigenvectors. The matrix is read
+    from its upper triangle, as :func:`fold_hessian` writes it: LAPACK reads
+    the lower triangle of the row-major buffer taken as column-major. The
+    other triangle is not read, but every entry of the buffer must be finite.
+    The trace is read before the solve.
 
     A solve consumes ``matrix``: LAPACK works in its buffer, so afterwards its
     contents are unspecified. It raises ValueError, rather than work on a
@@ -100,12 +88,9 @@ def eigh(
     trace = float(np.trace(h))
     k = d if top is None else min(int(top), d)
     if k == d:
-        import scipy.linalg
-
-        # h.T is the column-major view whose lower triangle is H's upper one
-        solved = scipy.linalg.eigh(h.T, lower=True, eigvals_only=not vectors, driver="evd",
-                                   overwrite_a=True, check_finite=False)
-        values, vecs = solved if vectors else (solved, None)
+        values = np.empty(d)
+        _with_workspace("dsyevd", b"V" if vectors else b"N", b"L", d, h, d, values)
+        vecs = h.T if vectors else None  # the eigenvectors overwrite H, column-major
     else:
         values, vecs = _top_eigenpairs(h, k, vectors)
     if vectors:
@@ -115,30 +100,69 @@ def eigh(
     return SymmetricSpectrum(values[::-1].copy(), vecs, trace)
 
 
-def load_lapack() -> None:
-    """Import scipy.linalg, which maps scipy's BLAS and LAPACK into the
-    process. The Hessian measurement loop calls it just before it holds
-    BLAS to one thread, so that the hold finds scipy's library loaded."""
-    import scipy.linalg  # noqa: F401
+# the BLAS and LAPACK routines called: (character, pointer) argument counts
+_ROUTINES = {"dsyrk": (2, 8), "dsymm": (2, 10), "dsyevr": (3, 18), "dsyevd": (2, 9)}
+_library = functools.cache(ctypes.CDLL)
+
+
+def openblas_libraries() -> list:
+    """Each OpenBLAS mapped into this process now, opened by ctypes: the
+    memory map is read at every call."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {ln[ln.index("/"):].strip() for ln in fh if "openblas" in ln.lower()}
+    except OSError:  # no /proc: no OpenBLAS is found
+        return []
+    return [_library(path) for path in sorted(paths)]
 
 
 @functools.cache
-def _fortran(module: str, name: str, chars: int, pointers: int):
-    """BLAS or LAPACK routine ``name`` from the pointer that
-    ``scipy.linalg.<module>`` (cython_blas or cython_lapack) exports, taking
-    ``chars`` character and then ``pointers`` pointer arguments: the Fortran
-    argument list, without string lengths. A CFUNCTYPE call releases the GIL.
-    Made at the routine's first call, which imports the module.
+def openblas_routines() -> tuple:
+    """(integer type, {name: routine}) for :data:`_ROUTINES`, bound at the
+    first call in a mapped OpenBLAS that exports all four, 64-bit symbols
+    first (numpy's; README, Dependencies). A routine takes its character and
+    then pointer arguments, the Fortran argument list without string
+    lengths; a symbol ending ``_64_`` takes 64-bit integers. Raises
+    ValueError if no OpenBLAS exports them.
     """
-    capsule = importlib.import_module(f"scipy.linalg.{module}").__pyx_capi__[name]
-    api = ctypes.pythonapi
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api)
-    )
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_char_p] * chars, *[ctypes.c_void_p] * pointers)(
-        pointer(capsule, get_name(capsule))
-    )
+    for pattern in ("scipy_{}_64_", "{}_64_", "scipy_{}_", "{}_"):
+        for lib in openblas_libraries():
+            found = {name: getattr(lib, pattern.format(name), None) for name in _ROUTINES}
+            if all(found.values()):
+                for name, (chars, pointers) in _ROUTINES.items():
+                    found[name].argtypes = [ctypes.c_char_p] * chars + [ctypes.c_void_p] * pointers
+                    found[name].restype = None
+                return (ctypes.c_int64 if pattern.endswith("_64_") else ctypes.c_int), found
+    raise ValueError("the Hessian commands need numpy linked to an OpenBLAS that exports "
+                     "dsyrk, dsymm, dsyevr and dsyevd (numpy's own Linux wheels are); "
+                     "no OpenBLAS loaded exports them")
+
+
+def _call(name: str, *args) -> None:
+    """Call routine ``name``: bytes pass as characters, arrays by address,
+    and floats and ints by reference, as doubles and the routine's integers."""
+    integer, routines = openblas_routines()
+    routines[name](*[
+        a if isinstance(a, bytes) else a.ctypes.data if isinstance(a, np.ndarray)
+        else ctypes.byref((ctypes.c_double if isinstance(a, float) else integer)(a))
+        for a in args])
+
+
+def _with_workspace(name: str, *args) -> None:
+    """Call LAPACK ``name`` on ``args`` and then its optimal (work, lwork,
+    iwork, liwork), read by a workspace query first, and info. A nonzero
+    info raises LinAlgError."""
+    integer = np.dtype(openblas_routines()[0])
+    info, work, iwork = np.zeros(1, dtype=integer), np.empty(1), np.empty(1, dtype=integer)
+
+    def solve(lwork: int, liwork: int) -> None:
+        _call(name, *args, work, lwork, iwork, liwork, info)
+        if info[0] != 0:
+            raise np.linalg.LinAlgError(f"LAPACK {name} failed with info = {info[0]}")
+
+    solve(-1, -1)  # the query writes the optimal sizes to work[0] and iwork[0]
+    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=integer)
+    solve(work.size, iwork.size)
 
 
 def fold_hessian(hessian: np.ndarray, block: np.ndarray, probs: np.ndarray, first: bool) -> None:
@@ -157,11 +181,7 @@ def fold_hessian(hessian: np.ndarray, block: np.ndarray, probs: np.ndarray, firs
     block *= np.sqrt(probs)[:, :, np.newaxis]
     x = np.ascontiguousarray(block.reshape(rows * c, d), dtype=np.float64)
     # column-major, H's buffer holds H^T: its lower triangle ("L") is H's upper one
-    alpha, beta, ints = ctypes.c_double(1.0), ctypes.c_double(0.0 if first else 1.0), ctypes.c_int
-    _fortran("cython_blas", "dsyrk", 2, 8)(
-        b"L", b"N", ctypes.byref(ints(d)), ctypes.byref(ints(rows * c)), ctypes.byref(alpha),
-        x.ctypes.data, ctypes.byref(ints(d)), ctypes.byref(beta), hessian.ctypes.data,
-        ctypes.byref(ints(d)))
+    _call("dsyrk", b"L", b"N", d, rows * c, 1.0, x, d, 0.0 if first else 1.0, hessian, d)
 
 
 def _top_eigenpairs(
@@ -170,31 +190,16 @@ def _top_eigenpairs(
     """dsyevr's k largest eigenpairs, ascending, solved in h's own buffer.
 
     The arguments are scipy's for driver='evr' with subset_by_index
-    [D-k, D-1]: range 'I', the lower triangle, abstol 0, and the optimal
-    workspace from a query. The eigenvectors come back as a column-major
-    (D, k) array, as scipy returns them.
+    [D-k, D-1]: range 'I', the lower triangle and abstol 0. The eigenvectors
+    come back as a column-major (D, k) array, as scipy returns them.
     """
     d = h.shape[0]
-    dsyevr, addr = _fortran("cython_lapack", "dsyevr", 3, 18), ctypes.byref
-    values = np.empty(d)
+    integer = np.dtype(openblas_routines()[0])
+    values, found = np.empty(d), np.empty(1, dtype=integer)
     z = np.empty((k, d) if vectors else (1, 1))  # column-major D x k, LDZ = D
-    isuppz = np.empty(2 * k, dtype=np.intc)
-    found, info = ctypes.c_int(), ctypes.c_int()
-
-    def solve(work: np.ndarray, iwork: np.ndarray, lwork: int, liwork: int) -> None:
-        zero, i = ctypes.c_double(0.0), ctypes.c_int
-        dsyevr(b"V" if vectors else b"N", b"I", b"L", addr(i(d)), h.ctypes.data,
-               addr(i(d)), addr(zero), addr(zero), addr(i(d - k + 1)), addr(i(d)),
-               addr(zero), addr(found), values.ctypes.data, z.ctypes.data,
-               addr(i(z.shape[1])), isuppz.ctypes.data, work.ctypes.data, addr(i(lwork)),
-               iwork.ctypes.data, addr(i(liwork)), addr(info))
-        if info.value != 0:
-            raise np.linalg.LinAlgError(f"LAPACK dsyevr failed with info = {info.value}")
-
-    work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
-    solve(work, iwork, -1, -1)  # workspace query
-    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.intc)
-    solve(work, iwork, work.size, iwork.size)
+    _with_workspace("dsyevr", b"V" if vectors else b"N", b"I", b"L", d, h, d, 0.0, 0.0,
+                    d - k + 1, d, 0.0, found, values, z, z.shape[1],
+                    np.empty(2 * k, dtype=integer))
     return values[:k], z.T if vectors else None
 
 
@@ -294,10 +299,6 @@ def project_hessian(matrix: np.ndarray, basis: np.ndarray) -> np.ndarray:
     bth = np.empty((small, d))
     # column-major, bt's buffer is B and H's buffer is H with its lower triangle
     # ("L") the upper one: C = H B, whose buffer read row-major is B^T H
-    one, zero, ints = ctypes.c_double(1.0), ctypes.c_double(0.0), ctypes.c_int
-    _fortran("cython_blas", "dsymm", 2, 10)(
-        b"L", b"L", ctypes.byref(ints(d)), ctypes.byref(ints(small)), ctypes.byref(one),
-        h.ctypes.data, ctypes.byref(ints(d)), bt.ctypes.data, ctypes.byref(ints(d)),
-        ctypes.byref(zero), bth.ctypes.data, ctypes.byref(ints(d)))
+    _call("dsymm", b"L", b"L", d, small, 1.0, h, d, bt, d, 0.0, bth, d)
     proj = bth @ b
     return (proj + proj.T) / 2.0

@@ -30,7 +30,7 @@ from lossgeom.gradients import block_rows, gradient_sum
 from lossgeom.logits import freezing_stats
 from lossgeom.rng import RngStream
 from lossgeom.spectra import (
-    detect_outliers, fold_hessian, load_lapack, project_hessian, random_orthonormal_basis,
+    detect_outliers, fold_hessian, openblas_routines, project_hessian, random_orthonormal_basis,
 )
 from lossgeom import experiments
 
@@ -244,8 +244,9 @@ def whole_tensor_clustering(tensor, labels):
 
 def peak_bytes(fn, *args):
     """Peak bytes numpy and Python allocate while ``fn(*args)`` runs (tracemalloc).
-    scipy's LAPACK is loaded first: its first import would count its allocations."""
-    load_lapack()
+    The BLAS and LAPACK routines are bound first: their first binding would count
+    its ctypes objects."""
+    openblas_routines()
     tracemalloc.start()
     try:
         fn(*args)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -19,7 +20,7 @@ from lossgeom import (
     sample_logit_gradients,
     write_dump,
 )
-from lossgeom import cli, experiments, gradients
+from lossgeom import cli, experiments, gradients, spectra
 from lossgeom.cli import SWEEP_CSV_HEADER, run_command
 
 
@@ -256,6 +257,37 @@ def test_config_that_cannot_run_fails_before_any_draw(
     assert run([command, "--config", cfg, "--out", out]) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and message in line, line
+    assert list(out.glob("*")) == []
+
+
+NO_OPENBLAS = "need numpy linked to an OpenBLAS that exports dsyrk, dsymm, dsyevr and dsyevd"
+
+
+@pytest.mark.parametrize(
+    "command, n_weights, extra, message",
+    [("spectrum", 3000, "", NO_OPENBLAS), ("sweep-sigmaz", 3000, "", NO_OPENBLAS),
+     # the config and the memory guard are checked first
+     ("spectrum", 3000, "no_such_key = 1", "unknown key 'no_such_key'"),
+     ("sweep-sigmaz", 20000, "", "over the 2147483648-byte memory limit")],
+    ids=["spectrum", "sweep-sigmaz", "config-first", "memory-first"],
+)
+def test_hessian_commands_without_openblas_fail_before_any_buffer(
+    tmp_path, capsys, monkeypatch, command, n_weights, extra, message
+):
+    no_draws(monkeypatch)
+    monkeypatch.setattr(spectra, "openblas_libraries", lambda: [])  # none mapped
+    spectra.openblas_routines.cache_clear()
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text(SMALL_CFG.replace("= 120", f"= {n_weights}") + extra + "\n")
+    tracemalloc.start()
+    try:
+        assert run([command, "--config", cfg, "--out", out]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and message in line, line
+    assert peak < 500_000, peak  # half of a 1 MB block: no block or H is allocated
     assert list(out.glob("*")) == []
 
 

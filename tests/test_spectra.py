@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -118,6 +120,38 @@ def test_top_k_solve_is_scipys_evr_to_the_bit(shape):
                 assert vecs.strides == want[1].strides  # the same layout downstream
             else:
                 assert np.array_equal(values, want) and vecs is None
+
+
+@pytest.mark.parametrize("shape", [(300, 10, 1000), (1000, 10, 200), (40, 5, 333)])
+def test_whole_spectrum_solve_is_scipys_evd_to_the_bit(shape):
+    h = model_hessian_at(*shape)
+    values = scipy.linalg.eigh(h, eigvals_only=True, driver="evd")
+    assert eigh(h.copy(), vectors=False).eigenvalues.tobytes() == as_eigh(values).tobytes()
+    got, want = eigh(h.copy()), as_eigh(*scipy.linalg.eigh(h, driver="evd"))
+    assert got.eigenvalues.tobytes() == want[0].tobytes()
+    assert got.eigenvectors.tobytes() == want[1].tobytes()
+    assert got.eigenvectors.strides == want[1].strides  # the same layout downstream
+
+
+def test_32_bit_symbols_bind_with_32_bit_integers(monkeypatch):
+    # numpy's wheels export only the 64-bit symbols; scipy's OpenBLAS exports
+    # the plain ones, so binding to it alone runs the other integer width
+    scipys = [lib for lib in spectra.openblas_libraries() if hasattr(lib, "scipy_dsyevd_")]
+    if not scipys:
+        pytest.skip("no OpenBLAS with 32-bit scipy_ symbols is loaded")
+    h, k = model_hessian_at(40, 5, 333), 10
+    monkeypatch.setattr(spectra, "openblas_libraries", lambda: scipys)
+    spectra.openblas_routines.cache_clear()
+    try:
+        assert spectra.openblas_routines()[0] is ctypes.c_int
+        got, want = eigh(h.copy()), as_eigh(*scipy.linalg.eigh(h, driver="evd"))
+        assert got.eigenvalues.tobytes() == want[0].tobytes()
+        assert got.eigenvectors.tobytes() == want[1].tobytes()
+        values, vecs = spectra._top_eigenpairs(h.copy(), k, True)
+        want = scipy.linalg.eigh(h, subset_by_index=[333 - k, 332], driver="evr")
+        assert np.array_equal(values, want[0]) and np.array_equal(vecs, want[1])
+    finally:
+        spectra.openblas_routines.cache_clear()  # bind numpy's again once the finder is back
 
 
 @pytest.mark.parametrize("top", [None, 3])

@@ -1,7 +1,7 @@
 """The package's threads: BLAS held to one thread inside each measurement,
 outputs independent of the BLAS thread count, and nothing started at import.
-Importing the package, and every command that builds no Hessian, loads numpy
-alone: scipy is imported by the Hessian commands, before their BLAS hold."""
+Importing the package, and every command, loads numpy alone: the Hessian
+commands call the BLAS and LAPACK of numpy's OpenBLAS, and none imports scipy."""
 
 import ast
 import os
@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS before the counts are read)
 
 import lossgeom
 from blas_threads import openblas_thread_counts
@@ -97,12 +96,26 @@ NUMPY_ALONE = {
     # a Hessian command that the memory guard rejects
     "spectrum over the memory limit": (["spectrum", "--config", "{dir}/wide.cfg"], 1),
 }
+# the Hessian commands measure on numpy's OpenBLAS: they import no scipy either
+HESSIAN = {
+    command: ([command, "--config", "{dir}/sweep.cfg"], 0)
+    for command in ("spectrum", "overlap", "project", "sweep-snr", "sweep-sigmaz")
+}
 
 
 @pytest.mark.parametrize("case", NUMPY_ALONE)
 def test_commands_without_a_hessian_never_import_scipy(case, tmp_path):
-    argv, expected = NUMPY_ALONE[case]
+    _assert_imports_no_scipy(*NUMPY_ALONE[case], tmp_path)
+
+
+@pytest.mark.parametrize("case", HESSIAN)
+def test_cold_hessian_commands_never_import_scipy(case, tmp_path):
+    _assert_imports_no_scipy(*HESSIAN[case], tmp_path)
+
+
+def _assert_imports_no_scipy(argv, expected, tmp_path):
     (tmp_path / "tiny.cfg").write_text(TINY_CFG)
+    (tmp_path / "sweep.cfg").write_text(TINY_CFG + "points = 2\nrepeats = 1\n")
     (tmp_path / "bad.cfg").write_text(TINY_CFG + "no_such_key = 1\n")
     (tmp_path / "gamma.cfg").write_text(TINY_CFG + "gamma = 400\n")
     (tmp_path / "sigma_c.cfg").write_text(TINY_CFG + "sigma_c = 0\n")
@@ -118,8 +131,9 @@ def test_commands_without_a_hessian_never_import_scipy(case, tmp_path):
     assert result.stdout.splitlines()[-1] == "[]"
 
 
-# run commands in turn with scipy not yet imported; print their exit codes and
-# the OpenBLAS thread counts before them, at each fold and each solve, and after
+# run commands in turn with scipy not imported; print their exit codes, the
+# OpenBLAS thread counts before them, at each fold and each solve, and after,
+# and the scipy modules imported by the end
 COLD_HESSIAN_RUN = (
     "import sys\n"
     "from blas_threads import openblas_thread_counts as counts\n"
@@ -136,7 +150,8 @@ COLD_HESSIAN_RUN = (
     "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
     "before = counts()\n"
     "codes = [cli.run_command([c, '--config', cfg, '--out', out]) for c in commands]\n"
-    "print(repr((codes, before, seen, counts())))\n"
+    "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+    "print(repr((codes, before, seen, counts(), scipy)))\n"
 )
 
 
@@ -148,11 +163,10 @@ COLD_HESSIAN_RUN = (
      ["freeze", "spectrum"]],
     ids=["spectrum", "overlap", "project", "sweep-snr", "sweep-sigmaz", "freeze-then-spectrum"],
 )
-def test_a_cold_hessian_run_holds_scipys_blas_too(commands, tmp_path):
-    # scipy's OpenBLAS is mapped by the run itself: it must be loaded before
-    # the hold reads the libraries, or its solves use every thread; every
-    # fold and solve must run inside the hold; after a hold without scipy
-    # (freeze), the next hold must read the libraries again
+def test_a_cold_hessian_run_holds_numpys_blas_and_imports_no_scipy(commands, tmp_path):
+    # every fold and solve calls numpy's OpenBLAS and must run inside the
+    # hold; after a hold without a Hessian (freeze), the next hold must read
+    # the libraries again; and the run ends with no scipy module loaded
     cfg = tmp_path / "run.cfg"
     cfg.write_text(TINY_CFG + "points = 2\nrepeats = 1\n")  # sweep-sigmaz: two tasks
     result = subprocess.run(
@@ -160,8 +174,9 @@ def test_a_cold_hessian_run_holds_scipys_blas_too(commands, tmp_path):
         capture_output=True, text=True, timeout=120, env=_env(OPENBLAS_NUM_THREADS="2"),
     )
     assert result.returncode == 0, result.stderr
-    codes, before, seen, after = ast.literal_eval(result.stdout.splitlines()[-1])
+    codes, before, seen, after, scipy = ast.literal_eval(result.stdout.splitlines()[-1])
     assert codes == [0] * len(commands)
+    assert scipy == []
     assert sorted(seen) == ["fold", "solve"]
     for stage, readings in seen.items():
         for counts in readings:
