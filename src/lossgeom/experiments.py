@@ -55,7 +55,7 @@ from .spectra import (
 
 DEFAULT_MEMORY_LIMIT = 2**31  # bytes allowed for one instance's large arrays
 _BLOCKS = 3  # a one-task run's block buffers: the one read and two drawn meanwhile
-_LANES = 2  # threads of a many-task run, each drawing and measuring whole tasks
+_LANES = 2  # a run's threads: lanes drawing and measuring whole tasks, or one task's draw-ahead
 # bytes built per grid entry before the first draw (tracemalloc, rounded up):
 # a sweep task (755 B) and its record (425-456 B) per (point, repeat); a freeze
 # point's params and results (443 B), or 8.5-11.8 KB with C = 3 simplex rows
@@ -160,8 +160,8 @@ def one_blas_thread():
     """Hold every loaded OpenBLAS to one thread, restoring the counts on exit.
 
     Each BLAS or LAPACK call then runs on the calling thread, so results do
-    not depend on the BLAS thread count, and no BLAS worker competes with the
-    sampling threads (:mod:`lossgeom.rng`) for the cores. Each hold reads the
+    not depend on the BLAS thread count, and no BLAS worker competes with a
+    run's own threads (:func:`_pipeline`) for the cores. Each hold reads the
     libraries loaded when it is entered (numpy's among them). A nested hold
     re-enters; holds in other threads wait for it.
     """
@@ -222,15 +222,16 @@ def _check_gradients(params: ModelParams) -> None:
         raise ValueError("sigma_c = sigma_e = 0 makes every gradient and the Hessian zero")
 
 
-def _draw(params: ModelParams, prefix: str, reads, blocks: list, hessian: np.ndarray):
+def _draw(params: ModelParams, prefix: str, reads, blocks: list, hessian: np.ndarray,
+          pool=None):
     """Draw one task: sample its ensemble and its gradients block by block
-    into ``blocks`` (:func:`logit_gradient_blocks`; one block, with none to
-    draw ahead, on this thread alone); each block is read, with ``reads(params,
-    ensemble)``'s (add, value) pair, then folded into ``hessian``'s upper triangle.
+    into ``blocks`` (:func:`logit_gradient_blocks`, drawing ahead on ``pool``
+    if given); each block is read, with ``reads(params, ensemble)``'s (add,
+    value) pair, then folded into ``hessian``'s upper triangle.
     Returns (ensemble, value(), H / N)."""
     ensemble = sample_ensemble(params, prefix)
     add, value = reads(params, ensemble)
-    for start, block in logit_gradient_blocks(params, prefix, blocks, len(blocks) > 1):
+    for start, block in logit_gradient_blocks(params, prefix, blocks, pool):
         add(start, block)
         fold_hessian(hessian, block, ensemble.probs[start : start + len(block)], start == 0)
     hessian /= params.n_examples
@@ -269,21 +270,23 @@ class _Task:
     repeat: int = 0
 
 
-def _pipeline(tasks: list[_Task], reads, measure):
+def _pipeline(tasks: list[_Task], reads, measure, extra: dict | None = None):
     """Yield ``measure(task, ensemble, read, hessian)`` per task, in order; the
     caller must exhaust it. Tasks share one shape, drawn in blocks of
     :func:`block_rows` examples. A model with sigma_c = sigma_e = 0 (H = 0) is
-    rejected first, then one that fails the memory check, then a process with
-    no BLAS to bind (:func:`openblas_routines`), all before any buffer or
-    draw. One task is drawn here into ``_BLOCKS`` buffers, the sampling pool
-    drawing ahead; many go in grid order to ``_LANES`` threads, each drawing
-    a whole task into its one block (no pool) and measuring it. All under
-    :func:`one_blas_thread`; then the heap is trimmed (:func:`_trim_heap`), so
-    a process running many commands keeps the peak of its largest one. Task
-    t's error raises in place of item t."""
+    rejected first, then one that fails the memory check (with the ``extra``
+    terms of :func:`_check_memory`), then a process with no BLAS to bind
+    (:func:`openblas_routines`), all before any buffer or draw. The run owns
+    one executor of ``_LANES`` threads, joined before it returns: one task is
+    drawn here into ``_BLOCKS`` buffers, the executor drawing the next blocks
+    ahead; many go to it in grid order, each thread drawing a whole task into
+    its one block and measuring it. All under :func:`one_blas_thread`; then
+    the heap is trimmed (:func:`_trim_heap`), so a process running many
+    commands keeps the peak of its largest one. Task t's error raises in
+    place of item t."""
     params = tasks[0].params
     _check_gradients(params)
-    _check_memory(params)
+    _check_memory(params, extra=extra)
     openblas_routines()  # bound, or the run fails, before any buffer or draw
     n, c, d = params.n_examples, params.n_classes, params.n_weights
     rows, one = block_rows(n, c, d), len(tasks) == 1
@@ -291,30 +294,30 @@ def _pipeline(tasks: list[_Task], reads, measure):
     for _ in tasks[:_LANES]:  # H zeroed: eigh checks the unread triangle
         free.put(([np.empty((rows, c, d)) for _ in range(_BLOCKS if one else 1)], np.zeros((d, d))))
 
-    def run(task: _Task):
+    def run(task: _Task, pool=None):
         blocks, hessian = free.get()
         try:
-            ensemble, read, hessian = _draw(task.params, task.prefix, reads, blocks, hessian)
+            ensemble, read, hessian = _draw(task.params, task.prefix, reads, blocks, hessian,
+                                            pool)
             if one:
                 blocks.clear()  # the blocks go before the solve
             return measure(task, ensemble, read, hessian)
         finally:
             free.put((blocks, hessian))
 
-    with one_blas_thread():
+    with one_blas_thread(), ThreadPoolExecutor(_LANES) as pool:
         if one:
-            yield run(tasks[0])
+            yield run(tasks[0], pool)
         else:
-            with ThreadPoolExecutor(_LANES) as pool:
-                submitted = (pool.submit(run, task) for task in tasks)
-                ahead = list(itertools.islice(submitted, 2 * _LANES))  # few: the guard counts none
-                try:
-                    while ahead:
-                        result = ahead.pop(0).result()
-                        ahead.extend(itertools.islice(submitted, 1))
-                        yield result
-                finally:  # after a failure no lane takes another task
-                    pool.shutdown(cancel_futures=True)
+            submitted = (pool.submit(run, task) for task in tasks)
+            ahead = list(itertools.islice(submitted, 2 * _LANES))  # few: the guard counts none
+            try:
+                while ahead:
+                    result = ahead.pop(0).result()
+                    ahead.extend(itertools.islice(submitted, 1))
+                    yield result
+            finally:  # after a failure no lane takes another task
+                pool.shutdown(cancel_futures=True)
     _trim_heap()
 
 
@@ -378,9 +381,7 @@ def run_projection_experiment(
         projected = _projected(params, "", h)
         return eigh(h, vectors=False), projected
 
-    _check_gradients(params)  # before the guard, as in _pipeline
-    _check_memory(params, extra=_projection(params))
-    [spectra] = _pipeline([_Task(params)], _no_read, measure)
+    [spectra] = _pipeline([_Task(params)], _no_read, measure, _projection(params))
     return spectra
 
 
@@ -394,7 +395,9 @@ def run_clustering_experiment(params: ModelParams) -> ClusteringReport:
     labels = sample_ensemble(params).labels
     class_counts(labels, c)  # before the blocks are allocated and drawn
     blocks = [np.empty((block_rows(n, c, d), c, d)) for _ in range(_BLOCKS)]
-    return blocked_clustering_report((n, c, d), labels, logit_gradient_blocks(params, "", blocks))
+    with ThreadPoolExecutor(_LANES) as pool:  # draws the next blocks ahead
+        return blocked_clustering_report((n, c, d), labels,
+                                         logit_gradient_blocks(params, "", blocks, pool))
 
 
 @one_blas_thread()

@@ -65,41 +65,40 @@ def sample_logit_gradients(params: ModelParams, label_prefix: str = "") -> np.nd
     return tensor
 
 
-def logit_gradient_blocks(params: ModelParams, label_prefix: str, buffers, pool: bool = True):
+def logit_gradient_blocks(params: ModelParams, label_prefix: str, buffers, pool=None):
     """Yield (start, J[start : start + rows]) for the tensor of
     :func:`sample_logit_gradients`, rows = len(buffers[0]) examples at a time.
 
     Each block's residual rows (``<prefix>residuals``) are drawn at their own
     offset of the whole draw, so they are its rows bit for bit; the class
     means (``<prefix>means``) are added in place. Blocks take turns in
-    ``buffers``, (rows, C, D) float64 arrays; the next blocks, one per other
-    buffer, are drawn on the sampling pool (with ``pool`` off, every block on
-    the caller's thread) while the caller reads this one, which it must be
-    done with when it asks for the next."""
+    ``buffers``, (rows, C, D) float64 arrays. Given an executor ``pool``, the
+    next blocks, one per other buffer, are drawn on it while the caller reads
+    this one, which it must be done with when it asks for the next; without
+    one, every block is drawn on the caller's thread."""
     n, c, d = params.n_examples, params.n_classes, params.n_weights
     residuals = GaussianDraw(RngStream(params.seed, label_prefix + "residuals"), n * c * d,
                              params.sigma_e)
     means = sample_mean_logit_gradients(params, RngStream(params.seed, label_prefix + "means"))
     starts = range(0, n, len(buffers[0]))
 
-    def begin(b: int, background: bool = True):
+    def draw(b: int) -> np.ndarray:
         block = buffers[b % len(buffers)][: n - starts[b]]
-        return block, residuals.fill(block, starts[b] * c * d, background, pool)
+        residuals.fill(block, starts[b] * c * d)
+        return block
 
-    pending = []
+    pending, ahead = {}, 1  # block index -> its draw's future; the next block to submit
     try:
         for b, start in enumerate(starts):
-            block, futures = pending.pop(0) if pending else begin(b, False)
-            for future in futures:
-                future.result()
-            while len(pending) < len(buffers) - 1 and b + 1 + len(pending) < len(starts):
-                pending.append(begin(b + 1 + len(pending)))
+            while pool is not None and ahead < min(b + len(buffers), len(starts)):
+                pending[ahead] = pool.submit(draw, ahead)
+                ahead += 1
+            block = pending.pop(b).result() if b in pending else draw(b)
             block += means
             yield start, block
     finally:  # a caller that stops early: no draw outlives it into the buffers
-        for _, futures in pending:
-            for future in futures:
-                future.result()
+        for future in pending.values():
+            future.result()
 
 
 def gradient_sum(tensor: np.ndarray, ensemble: LogitEnsemble, start: int = 0) -> np.ndarray:

@@ -25,11 +25,11 @@ bit-reproducible for the same numpy build at the same CPU-dispatch level:
 A stream is its key plus the count of uniforms drawn so far. A Gaussian
 draw is first reserved (:class:`GaussianDraw`), which moves the stream past
 its uniforms, and then filled, whole or in runs such as a block of examples'
-rows. Each run splits its pairs into chunks, run on a thread pool of one
-thread per usable core (started at the first such draw, not at import) or
-on the caller's thread; each chunk reads its uniforms at its own offset, so
-the draws and the stream's position after them are those of the serial
-transform whatever the runs, chunks, threads or core count.
+rows. Each run computes its pairs in chunks, in turn, on the calling thread;
+each chunk reads its uniforms at its own offset, so the draws and the
+stream's position after them are those of the serial transform whatever the
+runs or chunks. This module starts no thread; runs of one draw may be filled
+on several threads at once, each into its own part of the destination.
 
 Streams with distinct labels are derived from cryptographically separated
 keys and are treated as independent. A stream is stateful and must not be
@@ -38,26 +38,11 @@ shared by two concurrent consumers; make one stream per task instead.
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-CHUNK_PAIRS = 1 << 15  # Box-Muller pairs per pool task
-_pool: dict[str, ThreadPoolExecutor] = {}  # made at the first chunked draw
-if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
-    os.register_at_fork(after_in_child=_pool.clear)
-
-
-def _executor() -> ThreadPoolExecutor:
-    # racing first draws agree on one pool; a losing candidate never starts a thread
-    if "pool" not in _pool:
-        affinity = getattr(os, "sched_getaffinity", None)  # Linux: the usable cores
-        cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-        _pool.setdefault("pool", ThreadPoolExecutor(cores))
-    return _pool["pool"]
+CHUNK_PAIRS = 1 << 15  # Box-Muller pairs per chunk: bounds a fill's temporaries
 
 
 class RngStream:
@@ -137,12 +122,10 @@ class GaussianDraw:
         self._pairs = (self.n + 1) // 2
         self._start = stream._take(self.n, 2 * self._pairs)
 
-    def fill(self, dest: np.ndarray, first: int = 0, background: bool = False, pool: bool = True):
+    def fill(self, dest: np.ndarray, first: int = 0) -> None:
         """Write draws [first, first + dest.size) into ``dest``, a writable
-        C-contiguous float64 array, in row-major order. The pairs run in
-        chunks: all on this thread when ``pool`` is off, else on the sampling
-        pool when there are several or ``background`` is set; that returns the
-        chunks' futures at once, else they are done."""
+        C-contiguous float64 array, in row-major order, a chunk of pairs at a
+        time on this thread."""
         if not (isinstance(dest, np.ndarray) and dest.dtype == np.float64
                 and dest.flags.c_contiguous and dest.flags.writeable):
             raise ValueError("dest must be a writable C-contiguous float64 array")
@@ -151,18 +134,10 @@ class GaussianDraw:
             raise ValueError(f"draws [{first}, {first + flat.size}) are not among the {self.n}")
         if self.sigma == 0:
             flat.fill(0.0)
-            return []
+            return
         low, high = first // 2, (first + flat.size + 1) // 2
-        jobs = [functools.partial(self._box_muller, flat, first, a, min(a + CHUNK_PAIRS, high))
-                for a in range(low, high, CHUNK_PAIRS)]
-        if not pool or (len(jobs) == 1 and not background):
-            for job in jobs:
-                job()
-            return []
-        futures = [_executor().submit(job) for job in jobs]
-        for future in [] if background else futures:
-            future.result()  # errors surface
-        return futures
+        for a in range(low, high, CHUNK_PAIRS):
+            self._box_muller(flat, first, a, min(a + CHUNK_PAIRS, high))
 
     def _box_muller(self, flat: np.ndarray, first: int, a: int, b: int) -> None:
         """Write the draws of pairs [a, b) that fall in ``flat``, which holds

@@ -171,8 +171,8 @@ def test_sweeps_never_ask_for_a_whole_eigensystem(monkeypatch):
 
 
 def test_pipelined_sweep_equals_its_stages_run_serially(monkeypatch):
-    # blocks of 16 examples (a ragged last one of 8): the worker draws the next
-    # task, two blocks ahead on the sampling pool, while this thread solves
+    # blocks of 16 examples (a ragged last one of 8): the lanes each draw and
+    # measure whole tasks, and the serial stages below draw on this thread
     params = ModelParams(n_examples=200, n_classes=5, n_weights=100, hyperplane_dim=6)
     monkeypatch.setattr(gradients, "_BLOCK_BYTES", 16 * 8 * 5 * 100)
     spec = SweepSpec(points=3, repeats=2)

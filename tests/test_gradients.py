@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from lossgeom import (
 )
 from lossgeom.gradients import logit_gradient_blocks, sample_mean_logit_gradients
 from lossgeom.logits import softmax_probs
-from lossgeom import rng
 from lossgeom.rng import RngStream
 from lossgeom.spectra import fold_hessian
 
@@ -324,30 +324,32 @@ def test_clustered_split_is_close_at_reference_scale():
 def test_gradient_blocks_are_the_rows_of_the_whole_draw(n, c, d, rows, buffers):
     # at odd C*D a Box-Muller pair straddles every other block edge; 150 and 45
     # examples leave a ragged last block; at C*D = 10,000 a block of 16 spans
-    # several sampling chunks; the other buffers are drawn while one is read
+    # several sampling chunks; the other buffers are drawn on the executor
+    # while one is read
     params = ModelParams(n_examples=n, n_classes=c, n_weights=d, hyperplane_dim=4, seed=2)
     means, residuals = planted_split(params, "b:")
     whole = residuals + means
     buffers = [np.full((rows, c, d), np.nan) for _ in range(buffers)]
     seen = 0
-    for start, block in logit_gradient_blocks(params, "b:", buffers):
-        assert start == seen
-        assert block.tobytes() == whole[start : start + rows].tobytes()
-        seen += len(block)
+    with ThreadPoolExecutor(2) as pool:
+        for start, block in logit_gradient_blocks(params, "b:", buffers, pool):
+            assert start == seen
+            assert block.tobytes() == whole[start : start + rows].tobytes()
+            seen += len(block)
     assert seen == n
 
 
 @pytest.mark.parametrize("buffers", [1, 3])
 def test_gradient_blocks_drawn_off_the_pool_are_the_rows_of_the_whole_draw(monkeypatch, buffers):
-    # a sweep lane draws its one block with the pool off; a block of 16 rows
+    # a sweep lane draws its one block with no executor; a block of 16 rows
     # at C*D = 10,000 spans three sampling chunks, all computed on this thread
     params = ModelParams(n_examples=45, n_classes=10, n_weights=1000, hyperplane_dim=4, seed=2)
     means, residuals = planted_split(params, "b:")
     whole = residuals + means
-    monkeypatch.setattr(rng, "_executor", lambda: pytest.fail("the sampling pool was used"))
+    monkeypatch.setattr(threading.Thread, "start", lambda t: pytest.fail("a thread started"))
     buffers = [np.full((16, 10, 1000), np.nan) for _ in range(buffers)]
     seen = 0
-    for start, block in logit_gradient_blocks(params, "b:", buffers, pool=False):
+    for start, block in logit_gradient_blocks(params, "b:", buffers):
         assert block.tobytes() == whole[start : start + 16].tobytes()
         seen += len(block)
     assert seen == 45
@@ -376,11 +378,12 @@ def test_gradient_blocks_stopped_early_leave_no_draw_running():
     params = ModelParams(n_examples=60, n_classes=10, n_weights=1000, seed=3)
     _, residuals = planted_split(params, "s:")
     buffers = [np.full((16, 10, 1000), np.nan) for _ in range(3)]
-    blocks = logit_gradient_blocks(params, "s:", buffers)
-    next(blocks)
-    blocks.close()  # the residuals of blocks 1 and 2 were being drawn into buffers 1 and 2
-    for b in (1, 2):
-        assert buffers[b].tobytes() == residuals[16 * b : 16 * b + 16].tobytes()
+    with ThreadPoolExecutor(2) as pool:
+        blocks = logit_gradient_blocks(params, "s:", buffers, pool)
+        next(blocks)
+        blocks.close()  # the residuals of blocks 1 and 2 were being drawn into buffers 1 and 2
+        for b in (1, 2):  # done when close returns, the executor still open
+            assert buffers[b].tobytes() == residuals[16 * b : 16 * b + 16].tobytes()
 
 
 def test_fold_hessian_rejects_a_hessian_blas_cannot_write():
@@ -392,26 +395,27 @@ def test_fold_hessian_rejects_a_hessian_blas_cannot_write():
             fold_hessian(bad, grads.copy(), ensemble.probs, True)
 
 
-def test_concurrent_block_draws_share_the_sampling_pool_exactly():
-    # more drawing threads than cores, each two blocks ahead on the shared pool
+def test_concurrent_block_draws_sharing_one_executor_are_exact():
+    # more drawing threads than cores, each two blocks ahead on one shared executor
     params = [ModelParams(n_examples=40, n_classes=10, n_weights=1000, seed=s)
               for s in range(2 * os.cpu_count() + 2)]
     results = {}
 
-    def draw(p):
+    def draw(p, pool):
         buffers = [np.empty((8, 10, 1000)) for _ in range(3)]
         results[p.seed] = np.concatenate(
-            [block.copy() for _, block in logit_gradient_blocks(p, "c:", buffers)])
+            [block.copy() for _, block in logit_gradient_blocks(p, "c:", buffers, pool)])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=draw, args=(p,)) for p in params]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-            assert not t.is_alive()
+        with ThreadPoolExecutor(2) as pool:
+            threads = [threading.Thread(target=draw, args=(p, pool)) for p in params]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
     finally:
         sys.setswitchinterval(interval)
     for p in params:

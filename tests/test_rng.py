@@ -2,7 +2,6 @@ import hashlib
 import os
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -161,7 +160,8 @@ def test_gaussians_are_pinned():
     )
 
 
-def test_concurrent_streams_share_the_sampling_pool_exactly():
+def test_concurrent_streams_draw_exactly():
+    # each thread computes its own draw's chunks; no state is shared
     n = 3 * CHUNK_PAIRS + 5
     labels = [f"worker{i}" for i in range(2 * os.cpu_count() + 2)]
     results = {}
@@ -185,45 +185,17 @@ def test_concurrent_streams_share_the_sampling_pool_exactly():
         assert np.array_equal(results[label], expected)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_starts_its_own_sampling_pool():
-    n = 3 * CHUNK_PAIRS + 5
-    expected = serial_gaussians(philox_generator(2, "fork"), n)
-    RngStream(2, "warm").gaussians(n)
-    assert rng._pool
-    pid = os.fork()
-    if pid == 0:  # the child exits here whatever happens
-        code = 1
-        try:
-            fresh = not rng._pool
-            if fresh and np.array_equal(RngStream(2, "fork").gaussians(n), expected):
-                code = 0
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 60
-    while True:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done or time.monotonic() > deadline:
-            break
-        time.sleep(0.05)
-    if not done:  # a child stuck on the parent's pool never returns
-        os.kill(pid, 9)
-        os.waitpid(pid, 0)
-    assert done and os.waitstatus_to_exitcode(status) == 0
-
-
 @pytest.mark.parametrize("n", [7, 2 * CHUNK_PAIRS + 1, 3 * CHUNK_PAIRS + 5])
 def test_gaussians_into_out_are_a_fresh_draw(n):
     # a reserved draw written into a caller's buffer, in runs that split pairs,
-    # out of order and partly on the sampling pool
+    # out of order
     fresh, into = RngStream(3, "out"), RngStream(3, "out")
     expected = fresh.gaussians(n, 0.7)
     draw = rng.GaussianDraw(into, n, 0.7)
     buf = np.full(n, np.nan)
     edges = [0, 1, n // 3, n // 3 + 1, n - 1, n]
     for a, b in reversed(list(zip(edges, edges[1:]))):
-        for future in draw.fill(buf[a:b], a, background=b - a > 1):
-            future.result()
+        draw.fill(buf[a:b], a)
     assert buf.tobytes() == expected.tobytes()
     # reserving moved the stream to the same position
     assert np.array_equal(into.uniforms(5), fresh.uniforms(5))
@@ -231,7 +203,7 @@ def test_gaussians_into_out_are_a_fresh_draw(n):
 
 def test_zero_sigma_zeroes_out():
     buf = np.ones((3, 3))
-    assert rng.GaussianDraw(RngStream(0, "zero-out"), 9, 0.0).fill(buf) == []
+    assert rng.GaussianDraw(RngStream(0, "zero-out"), 9, 0.0).fill(buf) is None
     assert not buf.any()
 
 

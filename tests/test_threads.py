@@ -15,7 +15,7 @@ import pytest
 
 import lossgeom
 from blas_threads import openblas_thread_counts
-from lossgeom import ModelParams, SweepError, SweepSpec, cli, experiments, rng, write_dump
+from lossgeom import ModelParams, SweepError, SweepSpec, cli, experiments, write_dump
 
 TESTS_DIR = Path(__file__).parent
 PACKAGE_ROOT = Path(lossgeom.__file__).parent.parent
@@ -270,41 +270,72 @@ def test_no_thread_outlives_a_sweep(monkeypatch):
     assert set(threading.enumerate()) == before
 
 
-def test_one_task_runs_start_no_thread(monkeypatch):
-    # drawing a one-task run on a worker thread raised spectrum's peak RSS by about 7%
-    started = []
-    start = threading.Thread.start
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started while the test runs, in order."""
+    threads, start = [], threading.Thread.start
 
     def spy(thread):
-        started.append(thread)
+        threads.append(thread)
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", spy)
+    return threads
+
+
+def test_one_task_runs_start_no_thread(started):
+    # drawing a one-task run on a worker thread raised spectrum's peak RSS by about 7%
     for name in ("spectrum", "overlap", "project", "cluster"):
-        RUNS[name]()  # TINY draws too few normals to use the sampling pool
+        RUNS[name]()  # TINY fits in one block: there is no block to draw ahead
         assert started == [], name
     RUNS["sweep"]()  # two tasks: one lane each
     assert len(started) == 2
 
 
-def test_a_sweeps_lanes_sample_on_their_own_threads(monkeypatch):
-    # each 1 MB block spans two sampling chunks, which a one-task run draws
-    # on the sampling pool; a two-task sweep starts its two lanes and nothing else
-    params = ModelParams(n_examples=200, n_classes=10, n_weights=200, hyperplane_dim=4)
-    pool_uses, started = [], []
-    executor, start = rng._executor, threading.Thread.start
+# 4 blocks of 65 examples: a one-task run has blocks to draw ahead
+MULTI_BLOCK = ModelParams(n_examples=200, n_classes=10, n_weights=200, hyperplane_dim=4)
 
-    def spy(thread):
-        started.append(thread)
-        start(thread)
 
-    monkeypatch.setattr(rng, "_executor", lambda: pool_uses.append(1) or executor())
-    monkeypatch.setattr(threading.Thread, "start", spy)
-    experiments.run_sigma_z_sweep(params, SweepSpec(points=2, repeats=1))
-    assert pool_uses == []
+def test_a_sweeps_lanes_sample_on_their_own_threads(started):
+    # a one-task run draws the next blocks ahead on its executor; a two-task
+    # sweep starts its two lanes and nothing else
+    experiments.run_sigma_z_sweep(MULTI_BLOCK, SweepSpec(points=2, repeats=1))
     assert len(started) == 2
-    experiments.run_spectrum_experiment(params)
-    assert pool_uses
+    started.clear()
+    experiments.run_spectrum_experiment(MULTI_BLOCK)
+    assert 0 < len(started) <= experiments._LANES
+
+
+@pytest.mark.parametrize("module", ["rng.py", "gradients.py"])
+def test_sampling_modules_start_no_thread(module):
+    # a run's threads belong to the executor it owns (experiments._pipeline);
+    # the sampling code only draws on the threads it is called on or given
+    tree = ast.parse((Path(lossgeom.__file__).parent / module).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert not imported & {"threading", "concurrent"}, imported
+
+
+COMMANDS = {
+    "spectrum": experiments.run_spectrum_experiment,
+    "overlap": experiments.run_overlap_experiment,
+    "project": experiments.run_projection_experiment,
+    "cluster": experiments.run_clustering_experiment,
+}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_no_thread_outlives_a_command(name, started):
+    # the threads that draw ahead belong to the run and are joined before it returns
+    before = set(threading.enumerate())
+    COMMANDS[name](MULTI_BLOCK)
+    assert started, "the run drew no block ahead"
+    assert not [thread for thread in started if thread.is_alive()]
+    assert set(threading.enumerate()) == before
 
 
 def test_lanes_switching_every_microsecond_keep_every_record():
